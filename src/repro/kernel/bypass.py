@@ -89,7 +89,15 @@ class PollModeDriver:
                         duration = int(duration)
                         if duration > 0:
                             stats.add(CpuContext.USER, duration)
-                            yield duration
+                            # Run-ahead (Simulator._ra_refresh): skip the
+                            # event queue when this wake-up is next anyway.
+                            time = sim.now + duration
+                            if time < (sim._ra_bound
+                                       if sim._ra_seq == sim._seq
+                                       else sim._ra_refresh()):
+                                sim.now = time
+                            else:
+                                yield duration
                         duration = poll.send(None)
                 except StopIteration as stop:
                     processed = getattr(stop, "value", None) or 0

@@ -269,12 +269,20 @@ class CpuCore:
     def _serve_one_softirq(self) -> Generator:
         nr = self._pending_softirqs.pop(0)
         handler = self._softirq_handlers[nr]
+        sim = self.sim
         self.stats.softirq_invocations += 1
         for duration in handler():
             duration = int(duration)
             if duration > 0:
                 self.stats.add(CpuContext.SOFTIRQ, duration)
-                yield duration
+                # Run-ahead (Simulator._ra_refresh): when the wake-up would
+                # be the next occurrence anyway, skip the event queue.
+                time = sim.now + duration
+                if time < (sim._ra_bound if sim._ra_seq == sim._seq
+                           else sim._ra_refresh()):
+                    sim.now = time
+                else:
+                    yield duration
 
     def _run_thread_slice(self) -> Generator:
         thread = self._run_queue.popleft()

@@ -29,6 +29,13 @@ otherwise bloat the pending set for their full delay, the simulator
 compacts lazily: when cancelled entries outnumber live ones (beyond a
 minimum threshold) every structure is filtered in place.
 
+Run-ahead: inside :meth:`Simulator.run`, a process sleeping until a time
+that is within the horizon and strictly earlier than every queued entry
+resumes in place instead of being pushed and popped (see
+:meth:`Simulator._ra_refresh`).  That entry would have been the next pop,
+so the schedule is unchanged; :meth:`Simulator.run_window` counts queue
+pops only.
+
 Determinism: occurrences at the same timestamp run in the order they were
 scheduled (a monotonically increasing sequence number breaks ties).  Given
 the same seed and the same sequence of API calls, a simulation is exactly
@@ -66,6 +73,9 @@ _L1_MASK = _L1_SLOTS - 1
 # Compaction trigger: at least this many cancelled entries *and* more
 # cancelled than live.
 _COMPACT_MIN = 512
+
+# Run-ahead horizon of an unbounded run().
+_NO_HORIZON = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -164,7 +174,9 @@ class PeriodicCall:
         if self._cancelled:
             return
         self._fn(*self._args)
-        self._handle = self._sim.schedule(self._interval, self._fire)
+        # The callback may have cancelled the cycle: do not re-arm.
+        if not self._cancelled:
+            self._handle = self._sim.schedule(self._interval, self._fire)
 
     def cancel(self) -> None:
         """Stop the cycle.  Idempotent."""
@@ -199,6 +211,11 @@ class Simulator:
         self._drain_sn = 0  # absolute level-0 slot number feeding _cur
         self._n_cancelled = 0
         self._n_processed = 0
+        # Run-ahead bound (see _ra_refresh): valid while _ra_seq == _seq.
+        self._ra_seq = -1
+        self._ra_bound = 0
+        self._ra_horizon: float = 0
+        self._ra_hold = False  # set while later callbacks of an event wait
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -341,6 +358,40 @@ class Simulator:
             return cur
         return heap if heap else None
 
+    def _ra_refresh(self) -> float:
+        """Recompute the run-ahead bound and return it.
+
+        A process about to sleep until ``t`` may resume in place (set
+        ``now = t`` and continue, no push, no pop) iff ``t < bound``:
+        ``t`` is within the run horizon and strictly earlier than every
+        queued entry, so the entry it would have pushed is exactly the
+        one the loop would pop next.  Two things make the bound 0, which
+        no resume time is below: being outside :meth:`run` (so
+        ``step()`` keeps its one-occurrence meaning), and ``_ra_hold``,
+        set by :meth:`Event._process` while further callbacks of the same
+        event still have to run.  An empty ``_cur`` is refilled from the
+        wheel first, as the loop would do next; cancelled entries only
+        make the bound conservative.
+
+        The bound is cached against ``_seq``: during a run-ahead chain
+        nothing pops and a push can only lower it.  :meth:`run`
+        invalidates the cache on every pop.
+        """
+        self._ra_seq = self._seq
+        bound = 0 if self._ra_hold else self._ra_horizon
+        if bound:  # inside run(): the horizon is until + 1 >= 1
+            cur = self._cur
+            if not cur and (self._l0_count or self._l1_count):
+                self._advance()
+                cur = self._cur
+            if cur and cur[0][_TIME] < bound:
+                bound = cur[0][_TIME]
+            heap = self._heap
+            if heap and heap[0][_TIME] < bound:
+                bound = heap[0][_TIME]
+        self._ra_bound = bound
+        return bound
+
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
@@ -377,6 +428,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek(self) -> Optional[int]:
         """Virtual time of the next live occurrence, or None if empty."""
+        if self._running:
+            raise SimulationError("peek() is not allowed inside run()")
         while True:
             src = self._min_source()
             if src is None:
@@ -390,6 +443,8 @@ class Simulator:
 
     def step(self) -> bool:
         """Process one occurrence.  Returns False when the queue is empty."""
+        if self._running:
+            raise SimulationError("step() is not allowed inside run()")
         while True:
             src = self._min_source()
             if src is None:
@@ -419,8 +474,10 @@ class Simulator:
         what makes a single-shard windowed run byte-identical to the
         monolithic engine.
 
-        Returns the number of occurrences processed, so callers can
-        detect quiet partitions (idle windows cost one clock update).
+        Returns the number of occurrences popped from the queue, so
+        callers can detect quiet partitions (idle windows cost one clock
+        update).  Run-ahead resumes are not pops and are not counted; a
+        window returns 0 exactly when nothing ran in it.
         """
         if horizon < self.now:
             raise SimulationError(
@@ -439,6 +496,7 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        self._ra_horizon = _NO_HORIZON if until is None else until + 1
         # The heap list object is stable (compaction filters in place),
         # so hoist the attribute loads out of the hot loop.
         heap = self._heap
@@ -466,11 +524,15 @@ class Simulator:
                 entry[_FN] = None
                 self.now = entry[_TIME]
                 self._n_processed += 1
+                self._ra_seq = -1  # the pop may have raised the bound
                 fn(*entry[_ARGS])
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
+            self._ra_seq = -1
+            self._ra_horizon = 0
+            self._ra_hold = False
 
     def __repr__(self) -> str:
         return f"<Simulator now={self.now} pending={self.pending_count}>"

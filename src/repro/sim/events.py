@@ -126,9 +126,20 @@ class Event:
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator's event loop."""
         callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
+        if not callbacks:
+            return
+        if len(callbacks) > 1:
+            # The callbacks after the first run before anything queued, so
+            # a process resumed by an earlier one must not run ahead of
+            # them (see Simulator._ra_refresh).
+            sim = self.sim
+            sim._ra_hold = True
+            sim._ra_seq = -1
+            for callback in callbacks[:-1]:
                 callback(self)
+            sim._ra_hold = False
+            sim._ra_seq = -1
+        callbacks[-1](self)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -20,7 +20,11 @@ rate.  A plain delay needs no observable Event — nothing can wait on it —
 so :meth:`Process._dispatch` pushes the resume occurrence straight onto
 the simulator queue instead of building a Timeout.  The push consumes the
 same sequence number a Timeout's would, so event ordering is bit-identical
-to the allocating path.
+to the allocating path.  When the resume would be the very next
+occurrence anyway (inside ``run()``, within the horizon, strictly before
+everything queued), :meth:`Process._dispatch` skips the queue altogether:
+it advances the clock and sends the generator on in a loop, for as long as
+the generator keeps yielding such delays.
 """
 
 from __future__ import annotations
@@ -112,13 +116,30 @@ class Process(Event):
     def _dispatch(self, target: Any) -> None:
         """Arrange to resume once *target* is due."""
         if target.__class__ is int:  # hot path: plain integer sleep
-            if target < 0:
-                raise ValueError(
-                    f"process {self.name!r} yielded a negative delay "
-                    f"{target}")
             sim = self.sim
-            sim._push(sim.now + target, self._sleep_resume, ())
-            return
+            while True:
+                if target < 0:
+                    raise ValueError(
+                        f"process {self.name!r} yielded a negative delay "
+                        f"{target}")
+                time = sim.now + target
+                if time >= (sim._ra_bound if sim._ra_seq == sim._seq
+                            else sim._ra_refresh()):
+                    sim._push(time, self._sleep_resume, ())
+                    return
+                # Run-ahead: this resume is the next occurrence anyway, so
+                # take it in place (see Simulator._ra_refresh).
+                sim.now = time
+                try:
+                    target = self._generator.send(None)
+                except StopIteration as stop:
+                    self._finish(getattr(stop, "value", None))
+                    return
+                except ProcessKilled:
+                    self._finish(None)
+                    return
+                if target.__class__ is not int:
+                    break
         if target is None:
             sim = self.sim
             sim._push(sim.now, self._sleep_resume, ())

@@ -23,6 +23,8 @@ that contract three ways:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
 from repro.bench.experiment import (
@@ -32,14 +34,21 @@ from repro.bench.experiment import (
     run_traced_experiment,
 )
 from repro.bench.runner import result_digest
+from repro.faults.plan import FaultPlan
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 
+#: Eth loss plus skb-alloc failure with client retries: pins the bypass
+#: poll loop, retry-timer cancellation and the fault ledger.
+LOSSY = "loss:eth:0.02; skbfail:0.01; retries=5; timeout=2ms; jitter=0"
 
-def _config(mode: StackMode, network: str) -> ExperimentConfig:
+
+def _config(mode: StackMode, network: str,
+            faults: Optional[str] = None) -> ExperimentConfig:
     return ExperimentConfig(
         mode=mode, network=network, fg_rate_pps=2_000,
-        bg_rate_pps=120_000.0, duration_ns=12 * MS, warmup_ns=3 * MS)
+        bg_rate_pps=120_000.0, duration_ns=12 * MS, warmup_ns=3 * MS,
+        faults=None if faults is None else FaultPlan.parse(faults))
 
 
 #: scenario -> (untraced digest, traced digest).  Traced results differ
@@ -64,6 +73,16 @@ GOLD = {
         _config(StackMode.VANILLA, "host"),
         "e46de6c5374ca2cffffb25d5d79946ea0478102db5f93c6f67d34734e0f8d7d1",
         "1f149719b54fbcecd5c93f6f7bca0083dc9c6f544c68404d3c3c8980e09d25fe",
+    ),
+    "overlay-bypass-lossy": (
+        _config(StackMode.BYPASS, "overlay", LOSSY),
+        "8bce13142904dfb53b0d31a5f42a83f513ef7a58ca89bccb87d0c67b03cd2980",
+        "9da66d99ea6fbba9596c9dc32ff5a156802f82d57debac154bf93294050600db",
+    ),
+    "overlay-prism-sync-lossy": (
+        _config(StackMode.PRISM_SYNC, "overlay", LOSSY),
+        "db30bdbfdb2980f70e32227ebb94c809df6eb06f720a5797ff5efb9fac94093a",
+        "7ee5902076fa25eb06282eb6b646052b4654b5a51494242f4a4b990a81b09227",
     ),
 }
 

@@ -137,3 +137,37 @@ def test_step_processes_single_occurrence():
     assert sim.step() is True
     assert fired == ["a"]
     assert sim.now == 10
+
+
+def test_periodic_cancelled_in_its_callback_does_not_fire_again():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) == 2:
+            handle.cancel()
+
+    handle = sim.every(100, tick)
+    sim.run()
+    assert fired == [100, 200]
+    assert sim.now == 200
+    assert sim.pending_count == 0
+
+
+@pytest.mark.parametrize("method", ["step", "peek"])
+def test_step_and_peek_are_rejected_inside_run(method):
+    sim = Simulator()
+    errors = []
+
+    def nested():
+        try:
+            getattr(sim, method)()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(10, nested)
+    sim.schedule(20, lambda: None)
+    sim.run()
+    assert len(errors) == 1
+    assert sim.now == 20
