@@ -29,9 +29,7 @@ ARTIFACT_PATTERNS = (
     "*.speedscope.json",
     "*.metrics.json",
     "*.pstats",
-    "trace-smoke.json",
     "*.report.json",
-    "fault-smoke.json",
     # Flow-record stores (repro.flows sinks) are regenerated from any
     # run with --flows; a committed one is always a stray export.
     "*.sqlite",

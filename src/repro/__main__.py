@@ -267,9 +267,10 @@ def main(argv=None) -> int:
                         help="write a self-contained speedscope profile")
     parser.add_argument("--metrics-diff", nargs=2,
                         metavar=("BASELINE", "CURRENT"), default=None,
-                        help="diff two metrics/result/bench JSON files; "
+                        help="diff two metrics/result JSON files; "
                         "exit 1 when a relative delta exceeds the "
-                        "threshold")
+                        "threshold, 2 when a file is missing or "
+                        "unreadable")
     parser.add_argument("--diff-threshold", type=float, default=10.0,
                         metavar="PCT", help="relative-delta threshold for "
                         "--metrics-diff (default: 10%%)")

@@ -8,9 +8,8 @@ microseconds per the format spec; simulation nanoseconds survive as
 fractional values, so nothing is rounded away.
 
 ``validate_chrome_trace`` checks the structural rules the viewers rely
-on (and is also run by the CI trace-smoke job): every event carries the
-required keys for its phase, B/E events balance per track with LIFO
-names, and counters carry numeric values.
+on: every event carries the required keys for its phase, B/E events
+balance per track with LIFO names, and counters carry numeric values.
 """
 
 from __future__ import annotations

@@ -1,21 +1,8 @@
-"""Performance microbenchmark harness.
+"""Host-time profiling support.
 
-Records the repo's performance trajectory so an engine regression can't
-land silently:
-
-- :mod:`~repro.perf.workloads` — synthetic engine workloads (events/sec of
-  the bare simulator under NAPI-like timer patterns);
-- :mod:`~repro.perf.engine_bench` — runs the engine suite;
-- :mod:`~repro.perf.experiment_bench` — end-to-end wall-clock of a
-  canonical Fig. 11 load sweep: serial vs parallel vs cache-hit;
-- ``python -m repro.perf`` — runs everything and appends a labelled run to
-  ``BENCH_engine.json`` / ``BENCH_experiments.json``.
-
-The first recorded run in each file is the baseline; every later run
-carries a ``speedup_vs_first`` so the before/after story is one lookup.
+Holds :mod:`~repro.perf.wallprof`, whose :class:`WallClockSampler`
+samples the interpreter's own stacks on wall-clock time.  The repo
+benchmark (``perfbench/``) uses it to split a run's wall-clock time
+into per-package shares; benchmark numbers themselves come from
+``python3 perfbench/run.py``.
 """
-
-from repro.perf.engine_bench import run_engine_suite
-from repro.perf.experiment_bench import run_experiment_suite
-
-__all__ = ["run_engine_suite", "run_experiment_suite"]

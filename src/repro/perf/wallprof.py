@@ -13,8 +13,8 @@ profiler emits, so both open in the same UI).
 Sampling is cooperative with the GIL: each snapshot grabs a consistent
 frame chain without pausing the target, and the overhead is one stack
 walk per interval (~1 ms default), far below cProfile's per-call
-tracing cost — which is what makes it honest for profiling the perf
-suite itself.
+tracing cost — which is what makes it honest for profiling the
+repo benchmark (``perfbench/``) while it measures.
 
 Usage::
 

@@ -1,22 +1,21 @@
 """Run-to-run metric diffing.
 
 Compares two metric documents and reports per-series relative deltas,
-optionally failing when any delta exceeds a threshold.  Three input
-shapes are understood, so one tool serves the whole repo:
+optionally failing when any delta exceeds a threshold.  Two input
+shapes are understood:
 
 - a **telemetry snapshot** (``{"version": 1, "metrics": {...}}`` — what
   :meth:`MetricsRegistry.snapshot` produces and ``--metrics`` writes
   alongside the ``.prom`` exposition);
 - a serialized **ExperimentResult** carrying an embedded ``telemetry``
-  snapshot (its scalar measurement fields are diffed too);
-- a **BENCH_*.json** perf file (``{"runs": [...]}``) — the latest run's
-  per-workload and headline numbers, so CI can diff a PR's perf run
-  against the committed baseline with the same tool.
+  snapshot (its scalar measurement fields are diffed too).
 
 Baseline series that are missing or zero are *skipped with a warning*
 (a relative delta is undefined), never a traceback — new metrics appear
 and old ones drain to zero as the simulator grows, and the diff must
-stay usable across those transitions.
+stay usable across those transitions.  A missing or unreadable input
+*file* is an error (exit 2): a gate that passes on a typo'd path is no
+gate.
 
 CLI: ``python -m repro --metrics-diff a.json b.json`` or
 ``python -m repro.telemetry.diff a.json b.json [--threshold PCT]``.
@@ -57,27 +56,9 @@ def _flatten_snapshot(snapshot: Dict[str, Any],
                     out[_series_key(name, labels)] = value
 
 
-def _flatten_bench(doc: Dict[str, Any], out: Dict[str, Number]) -> None:
-    runs = doc.get("runs") or []
-    if not runs:
-        return
-    run = runs[-1]
-    for key, value in run.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = value
-    for workload, stats in run.get("workloads", {}).items():
-        for key, value in (stats or {}).items():
-            if isinstance(value, (int, float)) and \
-                    not isinstance(value, bool):
-                out[f"{workload}.{key}"] = value
-
-
 def flatten_document(doc: Dict[str, Any]) -> Dict[str, Number]:
     """Any supported document shape -> flat ``{series: value}``."""
     out: Dict[str, Number] = {}
-    if "runs" in doc:
-        _flatten_bench(doc, out)
-        return out
     if "metrics" in doc:
         _flatten_snapshot(doc, out)
         return out
@@ -188,9 +169,8 @@ def main(argv=None) -> int:
         baseline = load_metrics(args.baseline)
         current = load_metrics(args.current)
     except FileNotFoundError as exc:
-        print(f"metrics-diff: {exc.filename}: not found — skipped",
-              file=sys.stderr)
-        return 0
+        print(f"metrics-diff: {exc.filename}: not found", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(f"metrics-diff: unreadable JSON: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,10 @@ events, so a profiled run stays digest-identical.
 Why simulated-time sampling is *not* wall-clock profiling: the sampler
 observes the model's virtual clock, so a stage that costs 10 µs of
 simulated CPU gets 10 µs of weight regardless of how long the Python
-interpreter took to simulate it.  Use ``python -m repro.perf --profile``
-(cProfile) to find where the *simulator* spends host CPU; use this
-profiler to find where the *simulated kernel* spends its cycles.
+interpreter took to simulate it.  Use :mod:`repro.perf.wallprof` (run
+over the repo benchmark by ``python3 perfbench/run.py --trace``) to
+find where the *simulator* spends host CPU; use this profiler to find
+where the *simulated kernel* spends its cycles.
 """
 
 from __future__ import annotations

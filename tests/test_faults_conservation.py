@@ -26,14 +26,22 @@ SPECS = [
     "loss:wire:0.03; retries=5; timeout=2ms",
     "skbfail:0.02; retries=5; timeout=2ms",
     "burst@25ms x2; retries=5; timeout=2ms",
+    "loss:wire:0.03; flap@10ms+2ms; retries=5; timeout=2ms",
 ]
-MODES = [StackMode.VANILLA, StackMode.PRISM_SYNC]
+MODES = [StackMode.VANILLA, StackMode.PRISM_SYNC, StackMode.BYPASS]
+
+
+def cell_id(value):
+    """A grid cell's fault clauses, without the shared retry settings."""
+    return "; ".join(clause.strip() for clause in str(value).split(";")
+                     if not clause.strip().startswith(("retries=",
+                                                       "timeout=")))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("spec,mode",
                          list(itertools.product(SPECS, MODES)),
-                         ids=lambda v: str(v).split(";")[0].strip())
+                         ids=cell_id)
 def test_conservation_holds_under_fault(spec, mode):
     config = ExperimentConfig(mode=mode, faults=FaultPlan.parse(spec),
                               **FAST)

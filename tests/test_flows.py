@@ -2,8 +2,9 @@
 
 Sampler determinism, cache expiry/eviction accounting, record serde,
 sink round-trips, the SQLite store's schema gate, the offline queries,
-and the Scenario ``with_flows`` builders.  The cross-shard determinism
-contract lives in ``test_flows_determinism.py``.
+the Scenario ``with_flows`` builders, and the CLI path from a
+``--cluster … --flows`` export to ``--flows-query``.  The cross-shard
+determinism contract lives in ``test_flows_determinism.py``.
 """
 
 from __future__ import annotations
@@ -369,3 +370,26 @@ class TestWithFlows:
             Scenario().with_flows(config=config, max_flows=8)
         with pytest.raises(TypeError):
             Scenario().with_flows(0, max_flows=8)
+
+
+# ----------------------------------------------------------------------
+# CLI: export from a cluster run, then query the stores offline
+# ----------------------------------------------------------------------
+def test_cli_cluster_export_then_canned_queries(tmp_path, capsys):
+    from repro.__main__ import main
+
+    stores = {}
+    for mode in ("prism-sync", "vanilla"):
+        stores[mode] = str(tmp_path / f"flow-{mode}.sqlite")
+        assert main(["--cluster", "8", "--topology", "fat-tree",
+                     "--users", "500", "--cluster-ms", "3",
+                     "--mode", mode, "--flows", stores[mode],
+                     "--flow-sample", "8"]) == 0
+    capsys.readouterr()
+
+    queries = [[q, stores["prism-sync"]] for q in ("top:10", "classes",
+                                                   "links")]
+    queries.append(["diff", stores["vanilla"], stores["prism-sync"]])
+    for query in queries:
+        assert main(["--flows-query", *query]) == 0, query
+        assert capsys.readouterr().out.strip(), query

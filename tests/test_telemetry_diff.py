@@ -61,19 +61,6 @@ class TestFlatten:
         assert flat['repro_drops{queue="ring"}'] == 5
         assert "version" not in flat and "config" not in flat
 
-    def test_bench_file_uses_latest_run(self):
-        doc = {"runs": [
-            {"canonical_packets_per_sec": 100.0, "workloads": {}},
-            {"canonical_packets_per_sec": 250.0, "quick": True,
-             "workloads": {"overlay": {"packets_per_sec": 9.0,
-                                       "digest": "abc"}}},
-        ]}
-        flat = flatten_document(doc)
-        assert flat["canonical_packets_per_sec"] == 250.0
-        assert flat["overlay.packets_per_sec"] == 9.0
-        assert "quick" not in flat  # bools excluded
-        assert "overlay.digest" not in flat  # strings excluded
-
 
 class TestDiff:
     def test_relative_deltas(self):
@@ -135,11 +122,11 @@ class TestCli:
         b = self.write(tmp_path, "b.json", snapshot_doc(ring=200))
         assert main([a, b, "--threshold", "10"]) == 1
 
-    def test_missing_file_skips_gracefully(self, tmp_path, capsys):
+    def test_missing_file_exits_two(self, tmp_path, capsys):
         b = self.write(tmp_path, "b.json", snapshot_doc(ring=1))
-        assert main([str(tmp_path / "absent.json"), b,
-                     "--threshold", "5"]) == 0
-        assert "not found — skipped" in capsys.readouterr().err
+        absent = str(tmp_path / "absent.json")
+        assert main([absent, b, "--threshold", "5"]) == 2
+        assert f"{absent}: not found" in capsys.readouterr().err
 
     def test_unreadable_json_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -158,14 +145,3 @@ class TestCli:
         path.write_text("[1, 2]")
         with pytest.raises(SystemExit):
             load_metrics(path)
-
-    def test_bench_files_diff_end_to_end(self, tmp_path, capsys):
-        base = {"runs": [{"canonical_packets_per_sec": 100.0,
-                          "workloads": {"w": {"packets_per_sec": 50.0}}}]}
-        cur = {"runs": [{"canonical_packets_per_sec": 90.0,
-                         "workloads": {"w": {"packets_per_sec": 49.0}}}]}
-        a = self.write(tmp_path, "base.json", base)
-        b = self.write(tmp_path, "cur.json", cur)
-        assert main([a, b, "--threshold", "25"]) == 0
-        assert main([a, b, "--threshold", "5",
-                     "--match", "canonical"]) == 1

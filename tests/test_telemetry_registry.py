@@ -1,10 +1,10 @@
 """Registry semantics + OpenMetrics exposition golden.
 
 The registry is the aggregate-telemetry wire format: its snapshot rides
-inside ``ExperimentResult`` and its text exposition is a CI artifact, so
-both are pinned here — including an exact exposition golden (format
-drift would silently break downstream tooling like promtool or the
-metrics differ).
+inside ``ExperimentResult`` and its text exposition is what
+``--metrics`` writes, so both are pinned here — including an exact
+exposition golden (format drift would silently break downstream tooling
+like promtool or the metrics differ).
 """
 
 from __future__ import annotations

