@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.apps.memcached import MemaslapClient, MemcachedServer
 from repro.apps.sockperf import SockperfTcpFlood, SockperfUdpFlood, SockperfUdpServer
@@ -77,6 +77,8 @@ class AppBenchResult:
     completed: int
     cpu_utilization: float
     drops: Dict[str, int] = field(default_factory=dict)
+    #: Every post-warmup latency sample (ns), for order-statistic intervals.
+    samples_ns: List[int] = field(default_factory=list)
     #: Fault-run extras (``None`` on loss-free runs): what the injector
     #: did, the exact packet-conservation report, and the measured
     #: client's merged loss-recovery totals.
@@ -177,7 +179,8 @@ def run_memcached_benchmark(config: AppBenchConfig) -> AppBenchResult:
         throughput_per_sec=client.completed.count * 1e9 / config.duration_ns,
         completed=client.completed.count,
         cpu_utilization=sampler.utilization(),
-        drops=dict(testbed.server.kernel.drops))
+        drops=dict(testbed.server.kernel.drops),
+        samples_ns=list(recorder.samples_ns))
     _attach_fault_extras(result, injector, client)
     return result
 
@@ -213,6 +216,7 @@ def run_webserver_benchmark(config: AppBenchConfig) -> AppBenchResult:
         throughput_per_sec=client.completed.count * 1e9 / config.duration_ns,
         completed=client.completed.count,
         cpu_utilization=sampler.utilization(),
-        drops=dict(testbed.server.kernel.drops))
+        drops=dict(testbed.server.kernel.drops),
+        samples_ns=list(recorder.samples_ns))
     _attach_fault_extras(result, injector, client)
     return result

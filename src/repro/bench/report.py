@@ -1,8 +1,9 @@
 """Paper-vs-measured reporting tables.
 
-Every bench prints one of these tables: the quantity the paper reports,
-the paper's value (usually a ratio or a qualitative shape), and what this
-reproduction measured.  EXPERIMENTS.md is assembled from these outputs.
+Every ``python -m repro <figure>`` run prints one of these tables: the
+quantity the paper reports, the paper's value (usually a ratio or a
+qualitative shape), and what this reproduction measured.  EXPERIMENTS.md
+is assembled from these outputs.
 """
 
 from __future__ import annotations

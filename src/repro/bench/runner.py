@@ -198,9 +198,8 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     than cores buys nothing and actively harms a box that is *also*
     running shard workers (``--shards``, :mod:`repro.shard`): both fan
     out over processes, so their product should stay at or under the
-    core count.  ``REPRO_BENCH_JOBS`` (read by the figure benchmarks in
-    ``benchmarks/``) and explicit ``jobs=`` both pass through here, so
-    neither can oversubscribe.  ``jobs<=0``/``None`` means one worker
+    core count.  ``python -m repro <figure> --jobs N`` and explicit
+    ``jobs=`` both pass through here, so neither can oversubscribe.  ``jobs<=0``/``None`` means one worker
     per CPU.
     """
     cpus = os.cpu_count() or 1

@@ -15,7 +15,12 @@ from repro.metrics.recorder import (
     LatencyRecorder,
     ThroughputMeter,
 )
-from repro.metrics.stats import percentile, summarize_ns
+from repro.metrics.stats import (
+    order_statistic_ranks,
+    percentile,
+    quantile_interval,
+    summarize_ns,
+)
 from repro.sim import Simulator
 
 
@@ -54,6 +59,28 @@ class TestStats:
 
     def test_str_render(self):
         assert "p99" in str(summarize_ns([1000]))
+
+    def test_median_interval_of_ten_matches_the_textbook(self):
+        # Count below the median ~ Binomial(10, 1/2): P(<2) = 11/1024
+        # <= 2.5 % < P(<3) = 56/1024, and P(<9) = 1013/1024 >= 97.5 %
+        # > P(<8) = 968/1024, so [X(2), X(9)] with 1002/1024 coverage.
+        assert order_statistic_ranks(10, 0.5) == (2, 9)
+        assert quantile_interval(range(10, 0, -1), 0.5) == (2.0, 9.0)
+
+    def test_p99_of_300_samples_has_no_upper_bound(self):
+        # P(all 300 below the p99) = 0.99**300 = 0.049 > 2.5 %: even the
+        # maximum is not a 97.5 % upper bound.  P(<293) = 0.0115.
+        assert order_statistic_ranks(300, 0.99) == (293, None)
+        lo, hi = quantile_interval(range(300), 0.99)
+        assert (lo, hi) == (292.0, math.inf)
+
+    @given(st.integers(1, 400), st.floats(0.01, 0.99))
+    def test_interval_ranks_ordered_and_in_range(self, n, q):
+        lo, hi = order_statistic_ranks(n, q)
+        assert lo is None or 1 <= lo <= n
+        assert hi is None or 1 <= hi <= n
+        if lo is not None and hi is not None:
+            assert lo < hi
 
 
 class TestLogHistogram:
