@@ -129,10 +129,15 @@ def reproduce_fig5(scale: float = 1.0) -> Result:
                for mode in StackMode}
     stats = {mode: summarize_ns(s) for mode, s in samples.items()}
     van, bat, syn = stats[VANILLA], stats[BATCH], stats[SYNC]
+    # ~18,000 packets per mode at full scale: far fewer means the probe
+    # attached late or lost events, and the ordering rests on nothing.
+    fewest = min(len(s) for s in samples.values())
     rows = [
         ReproRow("per-packet kernel time ordering", "sync < batch <= vanilla",
-                 f"{syn.avg_us:.1f} < {bat.avg_us:.1f} <= {van.avg_us:.1f} us",
-                 syn.avg_ns < bat.avg_ns <= van.avg_ns * 1.02),
+                 f"{syn.avg_us:.1f} < {bat.avg_us:.1f} <= {van.avg_us:.1f} us"
+                 f" (n>={fewest})",
+                 syn.avg_ns < bat.avg_ns <= van.avg_ns * 1.02
+                 and fewest > 10_000 * scale),
         ReproRow("sync: run-to-completion per-packet time",
                  "much smaller than vanilla",
                  f"avg {syn.avg_us:.1f} vs {van.avg_us:.1f} us",
@@ -571,7 +576,8 @@ def _install_rules(db, n_rules: int) -> None:
 def reproduce_prio_db(scale: float = 1.0) -> Result:
     """Priority-database size (§IV-A): every packet is checked against
     the (IP, port) database at skb allocation; a hash lookup keeps the
-    per-packet cost, and so the delivered throughput, flat."""
+    host cost flat, and non-matching rules leave classification, and so
+    the delivered throughput, unchanged."""
     from repro.bench.cell import ExperimentCell
     from repro.bench.experiment import FG_PORT
     from repro.bench.testbed import build_testbed
@@ -588,13 +594,20 @@ def reproduce_prio_db(scale: float = 1.0) -> Result:
         db = testbed.server.kernel.priority_db
         _install_rules(db, n_rules)
         testbed.mark_high_priority("10.0.0.10", FG_PORT)
-        start = time.perf_counter()
-        for _ in range(20_000):
-            db.classify_packet(packet)
-        lookup_ns[n_rules] = (time.perf_counter() - start) / 20_000 * 1e9
+        # Host wall-clock: the fastest of five passes, so one preemption
+        # of the process cannot inflate a rule count's cost.
+        passes = []
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(20_000):
+                db.classify_packet(packet)
+            passes.append(time.perf_counter() - start)
+        lookup_ns[n_rules] = min(passes) / 20_000 * 1e9
 
-    # Delivered pps at 350 Kpps offered, with the extra rules installed
-    # in the server's database before the simulation starts.
+    # The simulator charges a constant CostModel.priority_lookup_ns per
+    # lookup, so this checks that 10,000 non-matching rules, installed
+    # before the run, leave the flood's classification (and hence its
+    # delivered pps at 350 Kpps offered) unchanged.
     delivered = {}
     for n_rules in (0, 10_000):
         cell = ExperimentCell(
@@ -611,7 +624,8 @@ def reproduce_prio_db(scale: float = 1.0) -> Result:
     rows = [
         ReproRow("lookup cost flat in database size", "O(1) hash lookup",
                  f"{scaling:.2f}x from 1 to 10k rules", scaling < 3.0),
-        ReproRow("delivered throughput unaffected", "no degradation",
+        ReproRow("non-matching rules leave delivered pps unchanged",
+                 "no degradation",
                  f"{tput:.3f}x from {few} to {many} rules",
                  0.97 < tput < 1.03),
     ]

@@ -25,39 +25,42 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=np.float64), pct))
 
 
-def order_statistic_ranks(n: int, q: float, confidence: float = 0.95
+#: Each end of a two-sided 95 % interval leaves out this much mass.
+_TAIL = 0.025
+
+
+def order_statistic_ranks(n: int, q: float
                           ) -> Tuple[Optional[int], Optional[int]]:
     """1-based ranks ``(lo, hi)`` of the order statistics bracketing the
-    *q*-quantile with at least *confidence* coverage (distribution-free).
+    *q*-quantile with at least 95 % coverage (distribution-free).
 
     The number of samples below the true quantile is Binomial(n, q):
-    ``lo`` is the largest rank with P(count < lo) <= alpha/2, ``hi`` the
-    smallest with P(count < hi) >= 1 - alpha/2.  An end is ``None`` when
+    ``lo`` is the largest rank with P(count < lo) <= 0.025, ``hi`` the
+    smallest with P(count < hi) >= 0.975.  An end is ``None`` when
     *n* samples are too few to bound the quantile from that side — e.g.
     the p99 of 300 samples has no upper bound at 95 %.
     """
     if not 0 < q < 1:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
-    tail = (1.0 - confidence) / 2
     log_q, log_p, log_n = math.log(q), math.log1p(-q), math.lgamma(n + 1)
     lo: Optional[int] = None
     cdf = 0.0
     for k in range(n + 1):  # cdf = P(count <= k) = P(count < k + 1)
         cdf += math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
                         + k * log_q + (n - k) * log_p)
-        if cdf <= tail:
+        if cdf <= _TAIL:
             lo = k + 1
-        elif cdf >= 1.0 - tail:
+        elif cdf >= 1.0 - _TAIL:
             return lo, (k + 1 if k < n else None)
     return lo, None
 
 
-def quantile_interval(samples: Sequence[float], q: float,
-                      confidence: float = 0.95) -> Tuple[float, float]:
-    """The order-statistic interval of :func:`order_statistic_ranks` as
-    sample values; an unbounded end is ``-inf`` / ``inf``."""
+def quantile_interval(samples: Sequence[float], q: float
+                      ) -> Tuple[float, float]:
+    """The 95 % order-statistic interval of :func:`order_statistic_ranks`
+    as sample values; an unbounded end is ``-inf`` / ``inf``."""
     ordered = np.sort(np.asarray(samples, dtype=np.float64))
-    lo, hi = order_statistic_ranks(len(ordered), q, confidence)
+    lo, hi = order_statistic_ranks(len(ordered), q)
     return (float(ordered[lo - 1]) if lo else -math.inf,
             float(ordered[hi - 1]) if hi else math.inf)
 
