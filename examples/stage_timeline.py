@@ -12,13 +12,12 @@ Run:
 
 from repro import StackMode, build_testbed
 from repro.apps.remote import RemoteRequestSender
+from repro.obs import KernelObserver, render_gantt
 from repro.sim.units import MS
-from repro.trace import StageTimeline, Tracer
 
 
-def run(mode: StackMode) -> StageTimeline:
-    tracer = Tracer()
-    testbed = build_testbed(mode=mode, tracer=tracer)
+def run(mode: StackMode) -> KernelObserver:
+    testbed = build_testbed(mode=mode)
     high_server = testbed.add_server_container("hi", "10.0.0.10")
     low_server = testbed.add_server_container("lo", "10.0.0.11")
     high_client = testbed.add_client_container("hic", "10.0.0.100")
@@ -27,7 +26,7 @@ def run(mode: StackMode) -> StageTimeline:
     low_server.udp_socket(6000, core_id=1)
     testbed.mark_high_priority("10.0.0.10", 5000)
 
-    timeline = StageTimeline(tracer, lambda: testbed.sim.now)
+    observer = KernelObserver(testbed.server.kernel)
     low = RemoteRequestSender(testbed.client, testbed.overlay,
                               low_client, "10.0.0.11")
     high = RemoteRequestSender(testbed.client, testbed.overlay,
@@ -40,13 +39,13 @@ def run(mode: StackMode) -> StageTimeline:
         high.send_udp(src_port=40000, dst_port=5000,
                       payload=None, payload_len=32)
     testbed.sim.run(until=10 * MS)
-    return timeline
+    return observer
 
 
 def main() -> None:
     for mode in (StackMode.VANILLA, StackMode.PRISM_SYNC):
         print(f"\n=== {mode.value} ===  ('=' high priority, '#' low)\n")
-        print(run(mode).render_ascii(limit=28, width=60))
+        print(render_gantt(run(mode).packets.values(), limit=28, width=60))
 
 
 if __name__ == "__main__":

@@ -58,17 +58,17 @@ class SockperfUdpServer:
 
     def __init__(self, container: Container, port: int, *,
                  core_id: int = 1, reply: bool = True,
-                 app_work_ns: int = 300) -> None:
+                 app_work_ns: int = 300, telemetry=None) -> None:
         self.container = container
         self.port = port
         self.reply = reply
         self.app_work_ns = app_work_ns
         self.socket = container.udp_socket(port, core_id=core_id)
         self.received = ThroughputMeter(f"sockperf-server:{port}")
-        telemetry = self.socket.kernel.telemetry
         if telemetry is not None:
-            # Metered run: export this meter through the shared registry
-            # and let the collector scrape the socket's rcvbuf counters.
+            # Metered run (a KernelTelemetry hub): export this meter
+            # through the shared registry and let the collector scrape
+            # the socket's rcvbuf counters.
             telemetry.register_meter(self.received)
             telemetry.watch_queue(self.socket.rcvbuf)
         self.thread = container.spawn(self._run(), core_id=core_id,

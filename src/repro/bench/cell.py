@@ -28,7 +28,6 @@ from repro.bench.testbed import Testbed, build_testbed
 from repro.faults import FaultInjector, merge_recovery
 from repro.flows import FlowCollector, KernelFlowTap
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder
-from repro.trace.tracer import Tracer
 
 __all__ = ["ExperimentCell"]
 
@@ -42,14 +41,17 @@ class ExperimentCell:
     exact same order, so a cell driven straight to the end produces a
     byte-identical :class:`ExperimentResult`.
 
+    *attach* runs once the testbed exists and may return a
+    :class:`~repro.telemetry.KernelTelemetry` hub; the workload's servers
+    and the harness's own meters then export through it.
+
     The cell owns the warmup bookkeeping: :meth:`run_to` marks the CPU
     sampler precisely at the warmup boundary the first time a horizon
     crosses it, no matter how the windows fall.
     """
 
     def __init__(self, config, *,
-                 tracer: Optional[Tracer] = None,
-                 attach: Optional[Callable[[Testbed], None]] = None) -> None:
+                 attach: Optional[Callable[[Testbed], Any]] = None) -> None:
         # Late import: experiment.py imports this module at load time.
         from repro.bench import experiment as _experiment
 
@@ -82,13 +84,14 @@ class ExperimentCell:
                 wire_bytes_per_ns=link.bytes_per_ns)
         self.testbed = build_testbed(seed=config.seed, costs=costs,
                                      config=config.kernel_config,
-                                     mode=config.mode, tracer=tracer)
+                                     mode=config.mode)
         self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
             self.injector = FaultInjector(config.faults,
                                           self.testbed).install()
-        if attach is not None:
-            attach(self.testbed)
+        #: The telemetry hub *attach* returned, or None (unmetered run).
+        self.telemetry = (attach(self.testbed) if attach is not None
+                          else None)
         self.sim = self.testbed.sim
         self.recorder = LatencyRecorder("fg", warmup_until_ns=config.warmup_ns)
 
@@ -96,7 +99,7 @@ class ExperimentCell:
         if config.network == "overlay":
             self.fg_meter, self.bg_meter, self.counters, self.fg_client = (
                 _experiment._overlay_setup(self.testbed, config,
-                                           self.recorder))
+                                           self.recorder, self.telemetry))
         else:
             self.fg_meter, self.bg_meter, self.counters = (
                 _experiment._host_network_setup(self.testbed, config,
@@ -107,15 +110,14 @@ class ExperimentCell:
                                              lambda: self.sim.now)
         self.flows: Optional[FlowCollector] = None
         if config.flow_export is not None:
-            # Sampled flow export: the collector folds 1-in-N packets at
-            # the existing gated emit sites; it never schedules events
-            # or touches the RNG, so the simulation outcome (and every
-            # digest) is identical with export on or off.
+            # Sampled flow export: the tap folds 1-in-N packets from the
+            # kernel's tracepoints; it never schedules events or touches
+            # the RNG, so the simulation outcome (and every digest) is
+            # identical with export on or off.
             self.flows = FlowCollector(config.flow_export, scope="server",
                                        seed=config.seed)
-            self.testbed.server.kernel.flows = KernelFlowTap(self.flows,
-                                                             self.sim)
-        telemetry = self.testbed.server.kernel.telemetry
+            KernelFlowTap(self.flows, self.testbed.server.kernel)
+        telemetry = self.telemetry
         if telemetry is not None:
             # Metered run: export the harness's own accounting through the
             # shared registry (no duplicated bookkeeping — callback gauges).

@@ -48,7 +48,6 @@ from repro.telemetry import (
     SimProfiler,
 )
 from repro.telemetry.openmetrics import write_openmetrics
-from repro.trace.tracer import Tracer
 
 __all__ = [
     "ExperimentConfig",
@@ -442,15 +441,18 @@ def _host_network_setup(testbed: Testbed, config: ExperimentConfig,
 
 
 def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
-                   recorder: LatencyRecorder):
-    """Foreground/background between containers over the VXLAN overlay."""
+                   recorder: LatencyRecorder,
+                   telemetry: Optional[KernelTelemetry] = None):
+    """Foreground/background between containers over the VXLAN overlay.
+
+    With a *telemetry* hub the sockperf servers export through it."""
     sim = testbed.sim
     fg_server_cont = testbed.add_server_container("fg-server", "10.0.0.10")
     fg_client_cont = testbed.add_client_container("fg-client", "10.0.0.100")
 
     reply = config.fg_kind == "pingpong"
     fg_server = SockperfUdpServer(fg_server_cont, FG_PORT, core_id=1,
-                                  reply=reply)
+                                  reply=reply, telemetry=telemetry)
     fg_server.received.warmup_until_ns = config.warmup_ns
 
     counters = {"fg_sent": 0, "fg_replies": 0}
@@ -480,7 +482,8 @@ def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
         bg_server_cont = testbed.add_server_container("bg-server", "10.0.0.11")
         bg_client_cont = testbed.add_client_container("bg-client", "10.0.0.101")
         bg_server = SockperfUdpServer(bg_server_cont, BG_PORT, core_id=2,
-                                      reply=False, app_work_ns=400)
+                                      reply=False, app_work_ns=400,
+                                      telemetry=telemetry)
         bg_server.received.warmup_until_ns = config.warmup_ns
         SockperfUdpFlood(
             sim, testbed.client, testbed.overlay, bg_client_cont,
@@ -504,20 +507,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_experiment(config: ExperimentConfig, *,
-                    tracer: Optional[Tracer] = None,
-                    attach: Optional[Callable[[Testbed], None]] = None
+                    attach: Optional[Callable[[Testbed], Any]] = None
                     ) -> ExperimentResult:
-    """:func:`run_experiment` plus observability hooks.
+    """:func:`run_experiment` plus an observability hook.
 
-    *tracer* (when given) becomes the server kernel's tracer; *attach*
-    runs after the testbed is built and before the simulation starts —
-    the traced runner uses it to hang a :class:`KernelObserver` on.
+    *attach* runs after the testbed is built and before the simulation
+    starts — the traced runner uses it to subscribe a
+    :class:`KernelObserver` to the server kernel's tracer, the
+    instrumented runner returns its telemetry hub from it.
 
     Build/advance/finalize live on :class:`~repro.bench.cell.ExperimentCell`
     so the sharded executor can drive the same cell in lookahead windows;
     one straight run to the end is the degenerate single-window case.
     """
-    cell = ExperimentCell(config, tracer=tracer, attach=attach)
+    cell = ExperimentCell(config, attach=attach)
     cell.run_to(cell.end_ns)
     return cell.finalize()
 
@@ -566,7 +569,6 @@ def run_traced_experiment(config: ExperimentConfig,
     run produces a bit-identical :class:`ExperimentResult`).
     """
     options = options or TraceOptions()
-    tracer = Tracer()
     holder: Dict[str, KernelObserver] = {}
 
     def attach(testbed: Testbed) -> None:
@@ -578,7 +580,7 @@ def run_traced_experiment(config: ExperimentConfig,
             observer.start_gauges(options.gauge_interval_ns)
         holder["observer"] = observer
 
-    result = _run_experiment(config, tracer=tracer, attach=attach)
+    result = _run_experiment(config, attach=attach)
     observer = holder["observer"]
     observer.detach()
     breakdown = StageBreakdown.from_packets(observer.packets.values())
@@ -595,7 +597,7 @@ class TelemetryOptions:
     """Knobs for an instrumented experiment run."""
 
     #: Also attach the simulated-time sampling profiler (subscribes to
-    #: the span tracepoints, so the kernel takes its traced fast lanes —
+    #: the span tracepoints, so the kernel emits its per-skb spans —
     #: measurements are pinned identical either way).
     profile: bool = True
     #: Simulated-time period between profiler stack samples
@@ -653,9 +655,9 @@ def run_instrumented_experiment(config: ExperimentConfig,
                                 ) -> InstrumentedExperiment:
     """Run one experiment with the telemetry layer attached.
 
-    A :class:`~repro.telemetry.KernelTelemetry` hub hangs on the server
-    kernel before the simulation starts (the gated ``on_*`` sites light
-    up), watching the host receive path and the overlay data plane; with
+    A :class:`~repro.telemetry.KernelTelemetry` hub subscribes to the
+    server kernel's tracer before the simulation starts, watching the
+    host receive path and the overlay data plane; with
     ``options.profile`` a :class:`SimProfiler` additionally subscribes to
     the span tracepoints.  Neither touches the simulator's event
     schedule, so the returned :class:`ExperimentResult` measurements are
@@ -678,6 +680,7 @@ def run_instrumented_experiment(config: ExperimentConfig,
                 max_samples=options.max_samples)
             profiler.start()
             holder["profiler"] = profiler
+        return telemetry
 
     result = _run_experiment(config, attach=attach)
     telemetry: KernelTelemetry = holder["telemetry"]

@@ -81,11 +81,9 @@ def _kernel_times(mode, *, rate_pps, warmup_ns, until_ns, config=None,
     application constants."""
     from repro.apps.sockperf import SockperfUdpFlood, SockperfUdpServer
     from repro.bench.testbed import build_testbed
-    from repro.trace.latency import KernelLatencyProbe
-    from repro.trace.tracer import Tracer
+    from repro.obs import KernelObserver
 
-    tracer = Tracer()
-    testbed = build_testbed(mode=mode, tracer=tracer, config=config)
+    testbed = build_testbed(mode=mode, config=config)
     server = testbed.add_server_container("srv", "10.0.0.10")
     client = testbed.add_client_container("cli", "10.0.0.100")
     SockperfUdpServer(server, 5000, core_id=1, reply=False)
@@ -94,10 +92,12 @@ def _kernel_times(mode, *, rate_pps, warmup_ns, until_ns, config=None,
     SockperfUdpFlood(testbed.sim, testbed.client, testbed.overlay, client,
                      "10.0.0.10", 5000, rate_pps=rate_pps, src_port=30001,
                      burst=1)
-    testbed.sim.run(until=warmup_ns)
-    probe = KernelLatencyProbe(tracer, lambda: testbed.sim.now)
+    observer = KernelObserver(testbed.server.kernel)
     testbed.sim.run(until=until_ns)
-    return list(probe.samples_ns)
+    # Every packet delivered after the warm-up, including those that
+    # entered the ring before it ended.
+    return [p.kernel_time_ns for p in observer.completed_packets()
+            if p.socket_at > warmup_ns]
 
 
 def reproduce_fig3(scale: float = 1.0) -> Result:
@@ -156,18 +156,16 @@ def reproduce_fig6(scale: float = 1.0) -> Result:
     [br, eth] -> [veth, eth] -> [eth] (Fig. 6b).  Exact reproduction."""
     from repro.apps.remote import RemoteRequestSender
     from repro.bench.testbed import build_testbed
-    from repro.trace.pollorder import PollOrderTracer
-    from repro.trace.tracer import Tracer
+    from repro.obs import KernelObserver
 
     traces = {}
     for mode in (VANILLA, BATCH):
-        tracer = Tracer()
-        testbed = build_testbed(mode=mode, tracer=tracer)
+        testbed = build_testbed(mode=mode)
         server = testbed.add_server_container("srv", "10.0.0.10")
         client = testbed.add_client_container("cli", "10.0.0.100")
         server.udp_socket(5000, core_id=1)
         testbed.mark_high_priority("10.0.0.10", 5000)
-        traces[mode] = PollOrderTracer(tracer)
+        traces[mode] = KernelObserver(testbed.server.kernel)
         sender = RemoteRequestSender(testbed.client, testbed.overlay,
                                      client, "10.0.0.10")
         for _ in range(256):
@@ -175,7 +173,7 @@ def reproduce_fig6(scale: float = 1.0) -> Result:
                             payload=None, payload_len=32)
         testbed.sim.run(until=10 * MS)
     van, prism = (traces[mode].device_order()[:6] for mode in (VANILLA, BATCH))
-    lists = [record.poll_list for record in traces[BATCH].records[:3]]
+    lists = [record.poll_list for record in traces[BATCH].polls[:3]]
     paper_van = ["eth", "br", "eth", "veth", "br", "eth"]
     paper_prism = ["eth", "br", "veth", "eth", "br", "veth"]
     rows = [
@@ -187,9 +185,10 @@ def reproduce_fig6(scale: float = 1.0) -> Result:
                  " ".join("[" + ",".join(t) + "]" for t in lists),
                  lists == [("br", "eth"), ("veth", "eth"), ("eth",)]),
     ]
-    return ("--- Vanilla (Fig. 6a) ---\n" + traces[VANILLA].as_table(limit=7)
-            + "\n--- PRISM (Fig. 6b) ---\n" + traces[BATCH].as_table(limit=7),
-            rows)
+    return ("--- Vanilla (Fig. 6a) ---\n"
+            + traces[VANILLA].poll_table(limit=7)
+            + "\n--- PRISM (Fig. 6b) ---\n"
+            + traces[BATCH].poll_table(limit=7), rows)
 
 
 def reproduce_fig8(scale: float = 1.0) -> Result:

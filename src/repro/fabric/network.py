@@ -234,11 +234,10 @@ class FabricNetwork:
         #: packet).
         self._routes: Dict[Tuple[int, int], Tuple[Path, ...]] = {}
         #: Sampled flow-record tap (:class:`repro.flows.FabricFlowTap`)
-        #: or None — the ``kernel.flows`` gating discipline.  Consulted
-        #: in the path-assignment loop so records carry the actual
-        #: ECMP/flowlet link labels; the fabric is executor-owned and
-        #: walks the globally sorted union, so its samples are
-        #: shard-count independent.
+        #: or None.  Consulted in the path-assignment loop so records
+        #: carry the actual ECMP/flowlet link labels; the fabric is
+        #: executor-owned and walks the globally sorted union, so its
+        #: samples are shard-count independent.
         self.flows = None
 
     # ------------------------------------------------------------------

@@ -17,13 +17,12 @@ goflow → Kafka → ClickHouse pipelines real fleets run:
   (packets/bytes/drops per emit site, first/last seen, priority class,
   latency sums) with active/idle timeout expiry and LRU eviction under
   pressure, all counted.
-- :class:`~repro.flows.collector.FlowCollector` plus thin taps
-  (:class:`~repro.flows.collector.KernelFlowTap`,
-  :class:`~repro.flows.collector.FabricFlowTap`) hung on the existing
-  gated emit sites: kernel stages and drop sites (``kernel.flows``,
-  the same ``is not None`` discipline as ``kernel.telemetry`` /
-  ``kernel.faults``), host fabric egress/ingress, and the executor's
-  :class:`~repro.fabric.network.FabricNetwork` links.
+- :class:`~repro.flows.collector.FlowCollector` plus thin taps: the
+  :class:`~repro.flows.collector.KernelFlowTap` subscribes to the
+  kernel's tracer (socket delivery, rx-ring ingress, every counted
+  drop); host fabric egress/ingress and the executor's
+  :class:`~repro.fabric.network.FabricNetwork` links
+  (:class:`~repro.flows.collector.FabricFlowTap`) fold directly.
 - Pluggable sinks (:mod:`repro.flows.sink`): in-memory, JSONL, and a
   versioned SQLite store (:mod:`repro.flows.store`).
 - An offline query layer (:mod:`repro.flows.query`): top-k flows,
@@ -35,8 +34,8 @@ one simulator per host) or executor-owned (the fabric), expiry runs at
 the shard-window barriers whose horizon sequence is a pure function of
 the config — so the merged record set is byte-identical at any shard
 count and for in-process vs subprocess workers.  With export disabled
-every hook is a single ``is not None`` check and all digests and cache
-keys stay byte-identical to an export-free build.
+nothing subscribes and all digests and cache keys stay byte-identical
+to an export-free build.
 """
 
 from repro.flows.cache import FlowCache

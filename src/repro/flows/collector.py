@@ -1,15 +1,13 @@
-"""Flow collectors and the taps that hang them on emit sites.
+"""Flow collectors and the taps that feed them.
 
 A :class:`FlowCollector` owns one sampler + one cache for one *scope*
 (a host cell, a single-host server kernel, or the executor's fabric).
-The taps are the glue objects stored on the gated attributes:
+The taps are the glue between a collector and what it samples:
 
-- ``kernel.flows = KernelFlowTap(collector, sim)`` — consulted (via a
-  single ``is not None`` check, the ``kernel.telemetry`` discipline) at
-  socket delivery, NIC ingress, and inside
-  :meth:`~repro.kernel.core.Kernel.count_drop`, which makes every
-  existing drop site — including the fault injector's ``fault:``
-  sites — a flow emit site for free.
+- ``KernelFlowTap(collector, kernel)`` subscribes to the kernel's tracer:
+  ``SOCKET_ENQUEUE`` (socket delivery), ``NIC_RX`` (rx-ring ingress) and
+  ``DROP``, which :meth:`~repro.kernel.core.Kernel.count_drop` emits for
+  every counted drop — including the fault injector's ``fault:`` sites.
 - ``fabric.flows = FabricFlowTap(...)`` — consulted per transited
   packet in :meth:`~repro.fabric.network.FabricNetwork.transit_batch`,
   after path assignment, so records carry the actual ECMP/flowlet
@@ -23,6 +21,7 @@ the seeded stride of :class:`~repro.flows.sampler.FlowSampler`.
 from repro.flows.cache import FlowCache
 from repro.flows.records import FLOW_SCHEMA_VERSION, record_sort_key
 from repro.flows.sampler import FlowSampler
+from repro.trace.tracer import TracePoint
 
 #: Identity fields for a sample with no parseable flow key (e.g. a
 #: fault-injector ring flush that only knows the drop site).
@@ -86,9 +85,13 @@ class KernelFlowTap:
 
     __slots__ = ("collector", "sim")
 
-    def __init__(self, collector: FlowCollector, sim):
+    def __init__(self, collector: FlowCollector, kernel):
         self.collector = collector
-        self.sim = sim
+        self.sim = kernel.sim
+        tracer = kernel.tracer
+        tracer.attach(TracePoint.SOCKET_ENQUEUE, self.on_deliver)
+        tracer.attach(TracePoint.NIC_RX, self.on_nic_rx)
+        tracer.attach(TracePoint.DROP, self.on_drop)
 
     def _fold(self, site, obj, *, drops=0, with_latency=False):
         collector = self.collector
@@ -115,21 +118,21 @@ class KernelFlowTap:
                        _class_of(obj), getattr(obj, "wire_len", 0) or 0,
                        drops=drops, latency_ns=latency_ns)
 
-    def on_deliver(self, site, skb):
+    def on_deliver(self, socket, skb):
         """A skb reached a socket receive buffer (terminal success).
 
         Latency is folded here: socket arrival minus the packet's
         ``created_at``, i.e. the full wire + stack traversal.
         """
-        self._fold(site, skb, with_latency=True)
+        self._fold(socket, skb, with_latency=True)
 
-    def on_nic_rx(self, site, packet):
+    def on_nic_rx(self, queue, packet):
         """A packet was DMAed into an rx ring (host ingress)."""
-        self._fold(site, packet)
+        self._fold(queue, packet)
 
-    def on_drop(self, site, obj):
-        """Any counted drop; *obj* is an skb, a Packet, or None."""
-        self._fold(site, obj, drops=1)
+    def on_drop(self, queue, skb):
+        """Any counted drop; *skb* is an skb, a Packet, or None."""
+        self._fold(queue, skb, drops=1)
 
 
 class FabricFlowTap:

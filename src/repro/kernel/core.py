@@ -3,7 +3,9 @@
 :class:`Kernel` wires together everything a simulated host's network stack
 needs: the CPU cores (with NET_RX softirq handlers installed), per-CPU
 ``softnet_data``, the PRISM priority database/classifier, the procfs
-configuration surface, and the tracer.
+configuration surface, and the tracer — the one path every observation
+takes (the kernel observer, the telemetry hub and the flow tap are all
+tracer subscribers; the kernel holds no other observation hook).
 
 The stack mode (vanilla / prism-batch / prism-sync) is a *runtime*
 property, switchable through procfs mid-simulation, exactly like the
@@ -26,7 +28,7 @@ from repro.prism.mode import StackMode
 from repro.prism.priority_db import PriorityDatabase
 from repro.prism.procfs import ProcFs
 from repro.sim.engine import Simulator
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import TracePoint, Tracer
 
 __all__ = ["Kernel"]
 
@@ -71,24 +73,15 @@ class Kernel:
         self.drops: Dict[str, int] = {}
         #: Optional receive packet steering (see :meth:`enable_rps`).
         self.rps = None
-        #: Aggregate-telemetry hub (:class:`repro.telemetry.KernelTelemetry`)
-        #: or None.  Hot paths gate on ``kernel.telemetry is not None`` —
-        #: one attribute check per NAPI batch, mirroring ``tracer.active``.
-        self.telemetry = None
         #: Fault injector (:class:`repro.faults.FaultInjector`) or None.
         #: Consulted at rx-ring admission, NAPI-queue admission, skb
-        #: allocation, and IRQ delivery — same gating discipline as
-        #: ``telemetry``.
+        #: allocation, and IRQ delivery.  Not a tracer subscriber: it
+        #: changes behaviour rather than observing it.
         self.faults = None
         #: Packet-conservation ledger (:class:`repro.faults.PacketLedger`)
         #: or None; set together with ``faults`` when a FaultPlan is
         #: installed.
         self.ledger = None
-        #: Sampled flow-record tap (:class:`repro.flows.KernelFlowTap`)
-        #: or None.  Consulted at socket delivery, NIC ingress, and in
-        #: :meth:`count_drop` — same ``is not None`` gating discipline
-        #: as ``telemetry``; disabled runs stay digest-identical.
-        self.flows = None
 
     def enable_rps(self, cpu_ids) -> None:
         """Spread incoming flows over *cpu_ids* by flow hash."""
@@ -144,15 +137,17 @@ class Kernel:
         return self.cpus[cpu_id]
 
     def count_drop(self, queue_name: str, skb=None) -> None:
-        """Count a drop at *queue_name*; *skb* (an skb, a raw
-        :class:`~repro.packet.packet.Packet`, or None) lets the flow
-        tap attribute the loss to a flow — every existing drop site,
-        including the fault injector's ``fault:`` sites, feeds the
-        sampled flow records through this one funnel."""
+        """Count a drop at *queue_name* and fire the ``DROP`` tracepoint.
+
+        The only site that emits ``DROP``: every drop site, including the
+        fault injector's ``fault:`` sites, funnels through here.  *skb*
+        (an skb, a raw :class:`~repro.packet.packet.Packet` for ring and
+        skb-alloc drops, or None) lets subscribers attribute the loss.
+        """
         self.drops[queue_name] = self.drops.get(queue_name, 0) + 1
-        flows = self.flows
-        if flows is not None:
-            flows.on_drop(queue_name, skb)
+        if self.tracer.active:
+            for callback in self.tracer.subscribers(TracePoint.DROP):
+                callback(queue=queue_name, skb=skb)
 
     @property
     def total_drops(self) -> int:

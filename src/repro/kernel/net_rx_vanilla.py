@@ -40,9 +40,6 @@ def net_rx_action_vanilla(kernel: "Kernel", softnet: SoftnetData
     active = tracer.active
     trace_polls = active and tracer.has_subscribers(TracePoint.NAPI_POLL)
     spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
-    telemetry = kernel.telemetry
-    if telemetry is not None:
-        telemetry.on_softirq(cpu.core_id, "vanilla")
     if active and tracer.has_subscribers(TracePoint.NET_RX_ACTION):
         tracer.emit(TracePoint.NET_RX_ACTION, cpu=cpu.core_id,
                     mode="vanilla")

@@ -99,7 +99,6 @@ class NapiStruct:
             if not ok:
                 ledger.drop(queue.name, w)
         if not ok:
-            kernel.tracer.emit(TracePoint.DROP, queue=queue.name, skb=skb)
             kernel.count_drop(queue.name, skb)
         elif kernel.tracer.active and \
                 kernel.tracer.has_subscribers(TracePoint.QUEUE_WAIT):
@@ -117,53 +116,54 @@ class NapiStruct:
 
         Chooses the high queue if non-empty at entry, else the low queue,
         and processes up to *batch_size* skbs exclusively from it.
+        Tracepoint gates are read once per batch, so a batch with no
+        per-skb subscriber pays two local bool tests per skb and nothing
+        else.
         """
         self.polls += 1
-        tracer = self.kernel.tracer
-        if not tracer.active:
-            # Untraced fast lane: one gate check per *batch*.  No wait
-            # marks were stamped at enqueue, no spans or stage_done fire,
-            # so the whole per-skb tracepoint ceremony is skipped — the
-            # yield sequence (and therefore the schedule) is identical.
-            yield self.kernel.costs.device_poll_overhead_ns
-            queue = self.queue_high if self.queue_high else self.queue_low
-            fixed_stage = self.stage
-            softnet = self.softnet
-            ledger = self.kernel.ledger
-            processed = 0
-            while processed < batch_size and queue:
-                skb = queue.dequeue()
-                if ledger is not None:
-                    ledger.enter(skb.gro_segments)
-                stage = (fixed_stage if fixed_stage is not None
-                         else self._stage_for(skb))
-                yield from stage.process(skb, softnet)
-                processed += 1
-            self.packets_processed += processed
-            telemetry = self.kernel.telemetry
-            if telemetry is not None:
-                telemetry.on_poll(self.name, processed)
-            return processed
-        trace_waits = tracer.has_subscribers(TracePoint.QUEUE_WAIT)
-        yield self.kernel.costs.device_poll_overhead_ns
+        kernel = self.kernel
+        tracer = kernel.tracer
+        active = tracer.active
+        trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
+        spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
+        stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
+        traced = trace_waits or spans or stage_done
+        yield kernel.costs.device_poll_overhead_ns
         queue = self.queue_high if self.queue_high else self.queue_low
-        ledger = self.kernel.ledger
+        fixed_stage = self.stage
+        softnet = self.softnet
+        track = self._track() if spans else None
+        ledger = kernel.ledger
         processed = 0
         while processed < batch_size and queue:
             skb = queue.dequeue()
             if ledger is not None:
                 ledger.enter(skb.gro_segments)
-            if trace_waits:
-                since = skb.marks.get(f"q:{queue.name}")
-                if since is not None:
-                    tracer.emit(TracePoint.QUEUE_WAIT, queue=queue.name,
-                                skb=skb, since=since)
-            yield from self._process_skb(skb)
+            stage = (fixed_stage if fixed_stage is not None
+                     else self._stage_for(skb))
+            if traced:
+                if trace_waits:
+                    since = skb.marks.get(f"q:{queue.name}")
+                    if since is not None:
+                        tracer.emit(TracePoint.QUEUE_WAIT, queue=queue.name,
+                                    skb=skb, since=since)
+                if spans:
+                    tracer.emit(TracePoint.SPAN_BEGIN, track=track,
+                                name=f"skb:{stage.name}",
+                                hp=skb.is_high_priority)
+            yield from stage.process(skb, softnet)
+            if traced:
+                if spans:
+                    tracer.emit(TracePoint.SPAN_END, track=track,
+                                name=f"skb:{stage.name}")
+                if stage_done:
+                    tracer.emit(TracePoint.STAGE_DONE, device=self.name,
+                                skb=skb, stage=stage.name)
             processed += 1
         self.packets_processed += processed
-        telemetry = self.kernel.telemetry
-        if telemetry is not None:
-            telemetry.on_poll(self.name, processed)
+        if active and tracer.has_subscribers(TracePoint.NAPI_POLL_DONE):
+            tracer.emit(TracePoint.NAPI_POLL_DONE, napi=self.name,
+                        processed=processed)
         return processed
 
     def process_inline(self, skb: SKBuff) -> Generator[int, None, None]:
@@ -173,36 +173,35 @@ class NapiStruct:
         the stage still executes in this device's context (same cost).
         """
         tracer = self.kernel.tracer
-        if not tracer.active:
-            yield from self._stage_for(skb).process(skb, self.softnet)
-            self.packets_processed += 1
-            return
-        if tracer.has_subscribers(TracePoint.SYNC_INLINE):
-            tracer.emit(TracePoint.SYNC_INLINE, device=self.name, skb=skb)
-        yield from self._process_skb(skb)
+        active = tracer.active
+        stage = self._stage_for(skb)
+        if active:
+            if tracer.has_subscribers(TracePoint.SYNC_INLINE):
+                tracer.emit(TracePoint.SYNC_INLINE, device=self.name,
+                            skb=skb)
+            # Inline stage chains nest naturally: the inner stage's span
+            # opens and closes inside the outer one.
+            spans = tracer.has_subscribers(TracePoint.SPAN_BEGIN)
+            if spans:
+                track = self._track()
+                tracer.emit(TracePoint.SPAN_BEGIN, track=track,
+                            name=f"skb:{stage.name}",
+                            hp=skb.is_high_priority)
+        yield from stage.process(skb, self.softnet)
+        if active:
+            if spans:
+                tracer.emit(TracePoint.SPAN_END, track=track,
+                            name=f"skb:{stage.name}")
+            if tracer.has_subscribers(TracePoint.STAGE_DONE):
+                tracer.emit(TracePoint.STAGE_DONE, device=self.name,
+                            skb=skb, stage=stage.name)
         self.packets_processed += 1
 
-    def _process_skb(self, skb: SKBuff) -> Generator[int, None, None]:
-        stage = self._stage_for(skb)
-        tracer = self.kernel.tracer
-        if tracer.has_subscribers(TracePoint.SPAN_BEGIN):
-            # Per-skb stage span on the servicing CPU's track.  Inline
-            # (PRISM-sync) stage chains nest naturally: the inner stage's
-            # span opens and closes inside the outer one.
-            softnet = self.softnet
-            track = (f"cpu{softnet.cpu.core_id}" if softnet is not None
-                     else self.name)
-            tracer.emit(TracePoint.SPAN_BEGIN, track=track,
-                        name=f"skb:{stage.name}",
-                        hp=skb.is_high_priority)
-            yield from stage.process(skb, self.softnet)
-            tracer.emit(TracePoint.SPAN_END, track=track,
-                        name=f"skb:{stage.name}")
-        else:
-            yield from stage.process(skb, self.softnet)
-        if tracer.has_subscribers(TracePoint.STAGE_DONE):
-            tracer.emit(TracePoint.STAGE_DONE, device=self.name, skb=skb,
-                        stage=stage.name)
+    def _track(self) -> str:
+        """Span track of per-skb stage work: the servicing CPU's."""
+        softnet = self.softnet
+        return (f"cpu{softnet.cpu.core_id}" if softnet is not None
+                else self.name)
 
     def _stage_for(self, skb: SKBuff) -> "PacketStage":
         """The stage to run: fixed, or per-skb for the shared backlog."""

@@ -152,94 +152,79 @@ class NicNapi(NapiStruct):
         return self.has_high() or self.has_low()
 
     def poll(self, batch_size: int) -> Generator[int, None, int]:
-        """Driver poll: dequeue descriptors, allocate + classify skbs."""
+        """Driver poll: dequeue descriptors, allocate + classify skbs.
+
+        skbs come from the kernel's free-list pool and the driver stage
+        is dispatched directly; tracepoint gates are read once per batch.
+        """
         self.polls += 1
         kernel = self.kernel
         tracer = kernel.tracer
-        if not tracer.active:
-            # Untraced fast lane: skbs come from the kernel's free-list
-            # pool, no tracepoint gates are consulted per skb, and the
-            # driver stage is dispatched directly.  The yield sequence
-            # (and so the schedule) is identical to the traced path.
-            pool = kernel.skb_pool
-            classify = kernel.classifier.classify
-            mode = kernel.mode
-            stage = self.stage
-            softnet = self.softnet
-            sim = kernel.sim
-            faults = kernel.faults
-            ledger = kernel.ledger
-            yield kernel.costs.device_poll_overhead_ns
-            ring = (self.nic.ring_high
-                    if self.nic.ring_high is not None and self.nic.ring_high
-                    else self.nic.ring)
-            processed = 0
-            while processed < batch_size and ring:
-                arrival, packet = ring.dequeue()
-                if faults is not None and faults.skb_alloc_fails():
-                    # alloc_skb returned NULL: the descriptor is consumed
-                    # and the packet is gone.
-                    kernel.count_drop("fault:skb-alloc", packet)
-                    if ledger is not None:
-                        ledger.drop("fault:skb-alloc")
-                    processed += 1
-                    continue
-                if ledger is not None:
-                    ledger.enter(1)
-                now = sim.now
-                skb = pool.alloc(packet, dev=self.nic, alloc_time=now)
-                marks = skb.marks
-                marks["rx_ring"] = arrival
-                marks["skb_alloc"] = now
-                lookup_cost = classify(skb, mode)
-                if lookup_cost:
-                    yield lookup_cost
-                yield from stage.process(skb, softnet)
-                processed += 1
-            self.packets_processed += processed
-            telemetry = kernel.telemetry
-            if telemetry is not None:
-                telemetry.on_poll(self.name, processed)
-            return processed
-        trace_allocs = tracer.has_subscribers(TracePoint.SKB_ALLOC)
-        trace_waits = tracer.has_subscribers(TracePoint.QUEUE_WAIT)
+        active = tracer.active
+        trace_allocs = active and tracer.has_subscribers(TracePoint.SKB_ALLOC)
+        trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
+        spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
+        stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
+        traced = trace_allocs or spans or stage_done
+        pool = kernel.skb_pool
+        classify = kernel.classifier.classify
+        mode = kernel.mode
+        stage = self.stage
+        softnet = self.softnet
+        track = self._track() if spans else None
+        sim = kernel.sim
+        faults = kernel.faults
+        ledger = kernel.ledger
         yield kernel.costs.device_poll_overhead_ns
         ring = (self.nic.ring_high
                 if self.nic.ring_high is not None and self.nic.ring_high
                 else self.nic.ring)
-        faults = kernel.faults
-        ledger = kernel.ledger
         processed = 0
         while processed < batch_size and ring:
             arrival, packet = ring.dequeue()
             if faults is not None and faults.skb_alloc_fails():
+                # alloc_skb returned NULL: the descriptor is consumed
+                # and the packet is gone.
                 kernel.count_drop("fault:skb-alloc", packet)
-                tracer.emit(TracePoint.DROP, queue="fault:skb-alloc", skb=None)
                 if ledger is not None:
                     ledger.drop("fault:skb-alloc")
                 processed += 1
                 continue
             if ledger is not None:
                 ledger.enter(1)
-            skb = kernel.skb_pool.alloc(packet, dev=self.nic,
-                                        alloc_time=kernel.sim.now)
-            skb.mark("rx_ring", arrival)
-            skb.mark("skb_alloc", kernel.sim.now)
+            now = sim.now
+            skb = pool.alloc(packet, dev=self.nic, alloc_time=now)
+            marks = skb.marks
+            marks["rx_ring"] = arrival
+            marks["skb_alloc"] = now
             if trace_waits:
                 # Ring residency: DMA arrival to driver-poll dequeue.
                 tracer.emit(TracePoint.QUEUE_WAIT, queue=ring.name,
                             skb=skb, since=arrival)
-            lookup_cost = kernel.classifier.classify(skb, kernel.mode)
+            lookup_cost = classify(skb, mode)
             if lookup_cost:
                 yield lookup_cost
-            if trace_allocs:
-                tracer.emit(TracePoint.SKB_ALLOC, device=self.name, skb=skb)
-            yield from self._process_skb(skb)
+            if traced:
+                if trace_allocs:
+                    tracer.emit(TracePoint.SKB_ALLOC, device=self.name,
+                                skb=skb)
+                if spans:
+                    tracer.emit(TracePoint.SPAN_BEGIN, track=track,
+                                name=f"skb:{stage.name}",
+                                hp=skb.is_high_priority)
+            yield from stage.process(skb, softnet)
+            if traced:
+                if spans:
+                    tracer.emit(TracePoint.SPAN_END, track=track,
+                                name=f"skb:{stage.name}")
+                if stage_done:
+                    tracer.emit(TracePoint.STAGE_DONE, device=self.name,
+                                skb=skb, stage=stage.name)
             processed += 1
         self.packets_processed += processed
-        telemetry = kernel.telemetry
-        if telemetry is not None:
-            telemetry.on_poll(self.name, processed)
+        if active and tracer.has_subscribers(TracePoint.NAPI_POLL_DONE):
+            tracer.emit(TracePoint.NAPI_POLL_DONE, napi=self.name,
+                        processed=processed)
         return processed
 
 
@@ -330,13 +315,11 @@ class PhysicalNic(NetDevice):
             kernel.count_drop(ring.name, packet)
             if ledger is not None:
                 ledger.drop(ring.name)
-            kernel.tracer.emit(TracePoint.DROP, queue=ring.name, skb=None)
             return
-        flows = kernel.flows
-        if flows is not None:
-            # Host ingress sample site: the raw wire packet, before
-            # classification (class label is "-" here by design).
-            flows.on_nic_rx(ring.name, packet)
+        if kernel.tracer.active:
+            # Host ingress: the raw wire packet, before classification.
+            for callback in kernel.tracer.subscribers(TracePoint.NIC_RX):
+                callback(queue=ring.name, packet=packet)
         if self._pmd is not None:
             self._pmd.notify()
         else:

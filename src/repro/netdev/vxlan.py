@@ -117,9 +117,6 @@ class VxlanDevice(NetDevice):
                 if kernel.tracer.has_subscribers(TracePoint.GRO_MERGE):
                     kernel.tracer.emit(TracePoint.GRO_MERGE,
                                        device=self.name, skb=skb)
-                telemetry = kernel.telemetry
-                if telemetry is not None:
-                    telemetry.on_gro_merge(self.name)
                 ledger = kernel.ledger
                 if ledger is not None:
                     # The absorbed segments are now counted through the

@@ -1,21 +1,26 @@
-"""Kernel-path observability: spans, counters, and chrome-trace export.
+"""Kernel-path observability: spans, milestones, poll order, chrome export.
 
 The layer has three pieces:
 
 - :class:`~repro.obs.recorder.FlightRecorder` — a bounded ring buffer of
   trace events (the storage);
 - :class:`~repro.obs.observer.KernelObserver` — the tracer subscriber
-  that turns kernel tracepoints into recorded spans/intervals/instants
-  and samples periodic gauges (the collection);
-- :mod:`~repro.obs.chrome` and
-  :class:`~repro.obs.breakdown.StageBreakdown` — Perfetto-loadable
-  Chrome ``trace_event`` JSON and the paper's Fig. 4 per-stage latency
-  decomposition (the exporters).
+  that turns kernel tracepoints into recorded spans/intervals/instants,
+  per-packet milestones and NAPI poll-order records, and samples
+  periodic gauges (the collection);
+- :mod:`~repro.obs.chrome`, :class:`~repro.obs.breakdown.StageBreakdown`
+  and :func:`~repro.obs.observer.render_gantt` — Perfetto-loadable
+  Chrome ``trace_event`` JSON, the paper's Fig. 4 per-stage latency
+  decomposition and its Fig. 5 packet Gantt chart (the exporters).
+  :meth:`~repro.obs.observer.KernelObserver.poll_table` renders Fig. 6.
 
-Everything is opt-in: kernel emit sites are gated on
-``tracer.has_subscribers``, so with no observer attached the receive
+Everything is opt-in: kernel emit sites are gated on ``tracer.active``
+and ``tracer.has_subscribers``, so with no observer attached the receive
 path pays ~nothing.  The high-level entry points are
 :meth:`repro.scenario.Scenario.run_traced` and the ``--trace`` CLI flag.
+The observer is one of several tracer subscribers: the telemetry hub
+(:mod:`repro.telemetry`) and the flow tap (:mod:`repro.flows`) take the
+same path.
 """
 
 from repro.obs.breakdown import StageBreakdown, StageSegment
@@ -28,6 +33,8 @@ from repro.obs.observer import (
     DEFAULT_GAUGE_INTERVAL_NS,
     KernelObserver,
     PacketMilestones,
+    PollRecord,
+    render_gantt,
 )
 from repro.obs.recorder import FlightRecorder, TraceEvent
 
@@ -36,10 +43,12 @@ __all__ = [
     "FlightRecorder",
     "KernelObserver",
     "PacketMilestones",
+    "PollRecord",
     "StageBreakdown",
     "StageSegment",
     "TraceEvent",
     "chrome_trace_doc",
+    "render_gantt",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

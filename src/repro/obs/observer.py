@@ -11,20 +11,26 @@ the fine-grained tracepoints the kernel emits into
   (ring/NAPI-queue/backlog residency, recorded at dequeue);
 - ``DROP`` / ``SYNC_INLINE`` / ``GRO_MERGE`` → instants;
 - ``SKB_ALLOC`` / ``STAGE_DONE`` / ``SOCKET_ENQUEUE`` → per-packet
-  milestone records that feed :mod:`repro.obs.breakdown`.
+  milestone records that feed :mod:`repro.obs.breakdown`, the Fig. 5
+  in-kernel times (:meth:`KernelObserver.completed_packets`) and the
+  Fig. 5 Gantt chart (:func:`render_gantt`);
+- ``NAPI_POLL`` → poll-order records under the paper's stage labels,
+  the Fig. 6 tables (:meth:`KernelObserver.poll_table`).
 
 It also samples periodic **gauges** (queue depths, per-CPU softirq
 residency) through :meth:`~repro.sim.engine.Simulator.every`, recorded as
 ``C`` counter events.
 
 The contract with the hot path: *all* kernel-side emit sites are gated on
-``tracer.has_subscribers``, so the entire layer costs ~zero when no
-observer is attached.  Attaching is what turns the instrumentation on.
+``tracer.active`` / ``tracer.has_subscribers``, so the entire layer costs
+~zero when no observer is attached.  Attaching is what turns the
+instrumentation on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.cpu import CpuContext, CpuCore
 from repro.netdev.queues import PacketQueue
@@ -36,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
     from repro.sim.engine import PeriodicCall
 
-__all__ = ["KernelObserver", "PacketMilestones", "DEFAULT_GAUGE_INTERVAL_NS"]
+__all__ = ["KernelObserver", "PacketMilestones", "PollRecord",
+           "DEFAULT_GAUGE_INTERVAL_NS", "render_gantt"]
 
 #: Default gauge sampling period (1 ms of simulated time).
 DEFAULT_GAUGE_INTERVAL_NS = 1_000_000
@@ -48,12 +55,13 @@ class PacketMilestones:
     ``stages`` holds ``(stage_name, done_at)`` pairs in completion order —
     e.g. ``[("eth", t1), ("br", t2), ("veth", t3)]`` for the overlay
     pipeline.  Together with ``ring_at`` (DMA arrival) and ``socket_at``
-    (delivery) they decompose the in-kernel time exactly, which is what
-    the Fig. 4 breakdown consumes.
+    (delivery, into the receive buffer named ``socket``) they decompose
+    the in-kernel time exactly, which is what the Fig. 4 breakdown
+    consumes.
     """
 
     __slots__ = ("skb_id", "high_priority", "ring_at", "alloc_at",
-                 "stages", "socket_at")
+                 "stages", "socket_at", "socket")
 
     def __init__(self, skb_id: int, high_priority: bool) -> None:
         self.skb_id = skb_id
@@ -62,6 +70,7 @@ class PacketMilestones:
         self.alloc_at: Optional[int] = None
         self.stages: List[Tuple[str, int]] = []
         self.socket_at: Optional[int] = None
+        self.socket: Optional[str] = None
 
     @property
     def complete(self) -> bool:
@@ -82,6 +91,25 @@ class PacketMilestones:
                 f"stages={self.path_signature()}>")
 
 
+@dataclass(frozen=True)
+class PollRecord:
+    """One NAPI poll: the device polled and the poll list after it."""
+
+    iteration: int
+    device: str
+    poll_list: Tuple[str, ...]
+
+    def __str__(self) -> str:
+        inner = ", ".join(self.poll_list)
+        return f"{self.iteration:>4}  {self.device:<6} [{inner}]"
+
+
+def _paper_label(napi_name: str) -> str:
+    """The paper's stage label for a NAPI: the per-CPU backlog serves
+    the veth stage (Fig. 6)."""
+    return "veth" if napi_name.startswith("backlog") else napi_name
+
+
 class KernelObserver:
     """Attaches to one kernel's tracer and records everything.
 
@@ -96,7 +124,8 @@ class KernelObserver:
         Ring-buffer capacity when creating a recorder.
     max_packets:
         Bound on per-packet milestone records kept for the breakdown
-        (oldest-first admission; later packets are counted but not kept).
+        (oldest-first admission; later packets are counted but not kept),
+        and separately on poll-order records (later polls are not kept).
     """
 
     def __init__(self, kernel: "Kernel", *,
@@ -110,29 +139,24 @@ class KernelObserver:
         self.packets: Dict[int, PacketMilestones] = {}
         #: Packets seen but not kept because max_packets was reached.
         self.packets_overflowed = 0
+        #: NAPI poll order, oldest first (the Fig. 6 tables).
+        self.polls: List[PollRecord] = []
         self._gauge_queues: List[Tuple[str, PacketQueue]] = []
         self._gauge_cpus: List[Tuple[str, CpuCore, Dict[CpuContext, int], int]] = []
         self._sampler: Optional["PeriodicCall"] = None
         self._callbacks = [
-            (TracePoint.SPAN_BEGIN,
-             self.tracer.attach(TracePoint.SPAN_BEGIN, self._on_span_begin)),
-            (TracePoint.SPAN_END,
-             self.tracer.attach(TracePoint.SPAN_END, self._on_span_end)),
-            (TracePoint.QUEUE_WAIT,
-             self.tracer.attach(TracePoint.QUEUE_WAIT, self._on_queue_wait)),
-            (TracePoint.DROP,
-             self.tracer.attach(TracePoint.DROP, self._on_drop)),
-            (TracePoint.SYNC_INLINE,
-             self.tracer.attach(TracePoint.SYNC_INLINE, self._on_sync_inline)),
-            (TracePoint.GRO_MERGE,
-             self.tracer.attach(TracePoint.GRO_MERGE, self._on_gro_merge)),
-            (TracePoint.SKB_ALLOC,
-             self.tracer.attach(TracePoint.SKB_ALLOC, self._on_alloc)),
-            (TracePoint.STAGE_DONE,
-             self.tracer.attach(TracePoint.STAGE_DONE, self._on_stage_done)),
-            (TracePoint.SOCKET_ENQUEUE,
-             self.tracer.attach(TracePoint.SOCKET_ENQUEUE, self._on_socket)),
-        ]
+            (point, self.tracer.attach(point, callback))
+            for point, callback in (
+                (TracePoint.SPAN_BEGIN, self._on_span_begin),
+                (TracePoint.SPAN_END, self._on_span_end),
+                (TracePoint.QUEUE_WAIT, self._on_queue_wait),
+                (TracePoint.DROP, self._on_drop),
+                (TracePoint.SYNC_INLINE, self._on_sync_inline),
+                (TracePoint.GRO_MERGE, self._on_gro_merge),
+                (TracePoint.SKB_ALLOC, self._on_alloc),
+                (TracePoint.STAGE_DONE, self._on_stage_done),
+                (TracePoint.SOCKET_ENQUEUE, self._on_socket),
+                (TracePoint.NAPI_POLL, self._on_napi_poll))]
 
     # ------------------------------------------------------------------
     # Span / interval / instant callbacks
@@ -154,8 +178,10 @@ class KernelObserver:
         self.recorder.complete(since, now - since, f"queue:{queue}",
                                "wait", args)
 
-    def _on_drop(self, queue: str, skb: Optional[SKBuff], **_f: Any) -> None:
-        args = {"skb": skb.skb_id} if skb is not None else None
+    def _on_drop(self, queue: str, skb: Any, **_f: Any) -> None:
+        # *skb* is an skb, a raw Packet (ring and skb-alloc drops happen
+        # before an skb exists), or None (a fault-injector ring flush).
+        args = {"skb": skb.skb_id} if isinstance(skb, SKBuff) else None
         self.recorder.instant(self._now(), "drops", queue, args)
 
     def _on_sync_inline(self, device: str, skb: SKBuff, **_f: Any) -> None:
@@ -192,12 +218,36 @@ class KernelObserver:
         entry = self.packets.get(skb.skb_id)
         if entry is not None:
             entry.socket_at = self._now()
+            entry.socket = socket
 
     def completed_packets(self) -> List[PacketMilestones]:
         """Packets that reached a socket, in ring-arrival order."""
         done = [p for p in self.packets.values() if p.complete]
         done.sort(key=lambda p: p.ring_at)
         return done
+
+    # ------------------------------------------------------------------
+    # Poll order (the paper's Fig. 6)
+    # ------------------------------------------------------------------
+    def _on_napi_poll(self, device: str, local_list: List[str],
+                      global_list: List[str], **_f: Any) -> None:
+        polls = self.polls
+        if len(polls) >= self.max_packets:
+            return
+        polls.append(PollRecord(
+            iteration=len(polls) + 1, device=_paper_label(device),
+            poll_list=tuple(_paper_label(name)
+                            for name in (*local_list, *global_list))))
+
+    def device_order(self) -> List[str]:
+        """The sequence of polled devices, under the paper's labels."""
+        return [record.device for record in self.polls]
+
+    def poll_table(self, limit: Optional[int] = None) -> str:
+        """Render like the paper's Fig. 6: iteration, device, poll list."""
+        rows = self.polls if limit is None else self.polls[:limit]
+        header = f"{'Iter':>4}  {'Device':<6} Poll list"
+        return "\n".join([header] + [str(row) for row in rows])
 
     # ------------------------------------------------------------------
     # Gauges
@@ -259,12 +309,6 @@ class KernelObserver:
             self._sampler.cancel()
             self._sampler = None
 
-    def __enter__(self) -> "KernelObserver":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.detach()
-
     def __repr__(self) -> str:
         return (f"<KernelObserver recorder={self.recorder!r} "
                 f"packets={len(self.packets)}>")
@@ -277,3 +321,31 @@ def _arg(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+def render_gantt(packets: Iterable[PacketMilestones], limit: int = 16,
+                 width: int = 64) -> str:
+    """A terminal Gantt chart of completed packets (the paper's Fig. 5).
+
+    One row per packet in ring-arrival order, from ring DMA to socket
+    delivery; high-priority packets are drawn with '=' and low-priority
+    ones with '#', so preemption is visible at a glance.
+    """
+    rows = sorted((p for p in packets if p.complete),
+                  key=lambda p: p.ring_at)[:limit]
+    if not rows:
+        return "(no completed packets)"
+    start = min(p.ring_at for p in rows)
+    span = max(max(p.socket_at for p in rows) - start, 1)
+
+    def column(time_ns: int) -> int:
+        return min(width - 1, int((time_ns - start) * (width - 1) / span))
+
+    lines = [f"{'skb':>6}    |{'<- ' + str(span // 1000) + 'us ->':^{width}}|"]
+    for p in rows:
+        begin, finish = column(p.ring_at), column(p.socket_at)
+        marker = "=" if p.high_priority else "#"
+        bar = " " * begin + marker * max(1, finish - begin + 1)
+        label = "hi" if p.high_priority else "lo"
+        lines.append(f"{p.skb_id:>6} {label} |{bar.ljust(width)}|")
+    return "\n".join(lines)

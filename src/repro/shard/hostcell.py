@@ -190,8 +190,7 @@ class HostCell:
             self.flows = FlowCollector(cluster.flow_export,
                                        scope=self._host_labels[host_id],
                                        seed=cluster.seed)
-            self.testbed.server.kernel.flows = KernelFlowTap(
-                self.flows, self.sim)
+            KernelFlowTap(self.flows, self.testbed.server.kernel)
 
     # ------------------------------------------------------------------
     # Fabric egress (sender-side, partition-independent)

@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING
 
 from repro.packet.headers import TcpHeader, UdpHeader
 from repro.packet.skb import SKBuff
-from repro.trace.tracer import TracePoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
@@ -62,8 +61,6 @@ def _drop(kernel: "Kernel", netns: "NetNamespace", skb: SKBuff,
           reason: str) -> None:
     name = f"{netns.name}:rcv:{reason}"
     kernel.count_drop(name, skb)
-    if kernel.tracer.has_subscribers(TracePoint.DROP):
-        kernel.tracer.emit(TracePoint.DROP, queue=name, skb=skb)
     ledger = kernel.ledger
     if ledger is not None:
         w = skb.gro_segments

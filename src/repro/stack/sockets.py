@@ -60,7 +60,6 @@ class UdpSocket:
         ledger = kernel.ledger
         if not self.rcvbuf.enqueue(skb):
             kernel.count_drop(self.rcvbuf.name, skb)
-            tracer.emit(TracePoint.DROP, queue=self.rcvbuf.name, skb=skb)
             if ledger is not None:
                 w = skb.gro_segments
                 ledger.drop(self.rcvbuf.name, w)
@@ -74,18 +73,10 @@ class UdpSocket:
             ledger.leave(w)
         self.delivered += 1
         self.delivered_bytes += skb.wire_len
-        telemetry = self.kernel.telemetry
-        if telemetry is not None:
-            telemetry.on_socket_deliver(self.rcvbuf.name)
-        flows = kernel.flows
-        if flows is not None:
-            # Terminal success site: the flow tap samples delivery and
-            # folds wire+stack latency (now - packet.created_at).
-            flows.on_deliver(self.rcvbuf.name, skb)
-        skb.mark("socket_enqueue", self.kernel.sim.now)
-        if tracer.active and tracer.has_subscribers(TracePoint.SOCKET_ENQUEUE):
-            tracer.emit(TracePoint.SOCKET_ENQUEUE,
-                        socket=self.rcvbuf.name, skb=skb)
+        skb.mark("socket_enqueue", kernel.sim.now)
+        if tracer.active:
+            for callback in tracer.subscribers(TracePoint.SOCKET_ENQUEUE):
+                callback(socket=self.rcvbuf.name, skb=skb)
         self._wake_waiter(from_cpu)
         return True
 

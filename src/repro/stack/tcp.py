@@ -138,8 +138,6 @@ class TcpEndpoint:
                  from_cpu: "CpuCore") -> bool:
         if not self.rcvbuf.enqueue((message, flow)):
             self.kernel.count_drop(self.rcvbuf.name, skb)
-            self.kernel.tracer.emit(TracePoint.DROP, queue=self.rcvbuf.name,
-                                    skb=skb)
             return False
         self.messages_delivered += 1
         skb.mark("socket_enqueue", self.kernel.sim.now)

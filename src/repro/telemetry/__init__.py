@@ -5,8 +5,8 @@ Three layers, importable à la carte:
 - :mod:`repro.telemetry.registry` — ``Counter`` / ``Gauge`` /
   ``Histogram`` families with label sets, OpenMetrics exposition
   (:mod:`repro.telemetry.openmetrics`) and versioned JSON snapshots;
-- :mod:`repro.telemetry.kernel` — :class:`KernelTelemetry`, the gated
-  instrumentation hub a metered run hangs on ``kernel.telemetry``, plus
+- :mod:`repro.telemetry.kernel` — :class:`KernelTelemetry`, the hub a
+  metered run subscribes to the kernel's tracer, plus
   :mod:`repro.telemetry.profiler`'s :class:`SimProfiler` (simulated-time
   sampling profiler with folded-stack / speedscope export);
 - :mod:`repro.telemetry.diff` — run-to-run snapshot comparison with

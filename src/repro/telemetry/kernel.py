@@ -1,19 +1,18 @@
-"""The kernel telemetry hub: gated live counters + collect-time scraping.
+"""Telemetry hub: tracer-fed live counters + collect-time scraping.
 
-:class:`KernelTelemetry` is the one object the metered run hangs on a
-kernel (``kernel.telemetry``).  Hot paths consult exactly one attribute —
-``kernel.telemetry is not None`` — per NAPI batch (or per rare event),
-the same gating discipline as ``tracer.active``, and call the ``on_*``
-hooks below.  The hooks are plain counter bumps: they never touch the
-simulator, so a metered run's event schedule (and therefore its
-``ExperimentResult``) is bit-identical to an unmetered run.
+:class:`KernelTelemetry` is one subscriber on a kernel's tracer.  Its
+callbacks are plain counter bumps: they never touch the simulator, so a
+metered run's event schedule (and therefore its ``ExperimentResult``) is
+bit-identical to an unmetered run.
 
 Two classes of instrumentation, deliberately split:
 
-- **Live sites** (``on_softirq`` / ``on_poll`` / ``on_gro_merge`` /
-  ``on_socket_deliver``) count things no existing accounting attributes
-  per label: softirq invocations per (cpu, mode), NAPI batch sizes per
-  device, GRO merges per device, socket deliveries per socket.
+- **Live counters** come from tracepoints and count things no existing
+  accounting attributes per label: softirq invocations per (cpu, mode)
+  (``NET_RX_ACTION``), NAPI batch sizes per device (``NAPI_POLL_DONE``,
+  emitted inside the poll, so poll-mode-driver batches count too), GRO
+  merges per device (``GRO_MERGE``) and socket deliveries per socket
+  (``SOCKET_ENQUEUE``).
 - **Scrape-on-collect** (:meth:`collect`) reads accounting the simulated
   kernel maintains anyway — per-context CPU time, ``kernel.drops``,
   queue depth/high-watermark/enqueue counters, device rx counters,
@@ -24,7 +23,8 @@ Two classes of instrumentation, deliberately split:
 (:class:`~repro.metrics.recorder.CpuUtilizationSampler`,
 :class:`~repro.metrics.recorder.ThroughputMeter`) as callback gauges via
 :mod:`repro.telemetry.adapters` — one export path, no duplicated
-accounting.
+accounting.  Build-time code that wants to export through the hub (the
+sockperf servers, the experiment cell) is handed it explicitly.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.telemetry.registry import MetricsRegistry
+from repro.trace.tracer import TracePoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
@@ -137,9 +138,10 @@ class KernelTelemetry:
         # Per-name child caches so the per-batch hooks cost one dict
         # lookup, not a labels() tuple build.
         self._poll_cache: Dict[str, Tuple[Any, Any, Any]] = {}
-        self._softirq_cache: Dict[Tuple[int, str], Any] = {}
-        self._gro_cache: Dict[str, Any] = {}
-        self._sock_cache: Dict[str, Any] = {}
+        self._softirq_cache: Dict[Tuple[Any, ...], Any] = {}
+        self._gro_cache: Dict[Tuple[Any, ...], Any] = {}
+        self._sock_cache: Dict[Tuple[Any, ...], Any] = {}
+        self._callbacks: List[Tuple[str, Any]] = []
 
         self._watched_queues: List["PacketQueue"] = []
         self._watched_devices: List["NetDevice"] = []
@@ -150,65 +152,51 @@ class KernelTelemetry:
         self._watched_injector: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Attach/detach (mirrors the tracer's subscribe discipline)
+    # Attach/detach: subscribe the live hooks to the kernel's tracer
     # ------------------------------------------------------------------
     def attach(self) -> "KernelTelemetry":
-        """Install on the kernel; hot-path gates light up."""
-        if self.kernel.telemetry is not None and \
-                self.kernel.telemetry is not self:
-            raise RuntimeError(
-                f"{self.kernel.name}: another KernelTelemetry is attached")
-        self.kernel.telemetry = self
+        """Subscribe the live hooks to the kernel's tracer (idempotent)."""
+        if not self._callbacks:
+            tracer = self.kernel.tracer
+            self._callbacks = [
+                (point, tracer.attach(point, hook)) for point, hook in (
+                    (TracePoint.NET_RX_ACTION, self.on_softirq),
+                    (TracePoint.NAPI_POLL_DONE, self.on_poll),
+                    (TracePoint.GRO_MERGE, self.on_gro_merge),
+                    (TracePoint.SOCKET_ENQUEUE, self.on_socket_deliver))]
         return self
 
     def detach(self) -> None:
-        if self.kernel.telemetry is self:
-            self.kernel.telemetry = None
-
-    def __enter__(self) -> "KernelTelemetry":
-        return self.attach()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.detach()
+        tracer = self.kernel.tracer
+        for point, hook in self._callbacks:
+            tracer.detach(point, hook)
+        self._callbacks = []
 
     # ------------------------------------------------------------------
-    # Live hooks (called from gated kernel sites)
+    # Live hooks (tracepoint callbacks)
     # ------------------------------------------------------------------
-    def on_softirq(self, cpu_id: int, mode: str) -> None:
-        """One NET_RX softirq invocation on *cpu_id* under *mode*."""
-        key = (cpu_id, mode)
-        child = self._softirq_cache.get(key)
-        if child is None:
-            child = self._softirqs.labels(cpu_id, mode)
-            self._softirq_cache[key] = child
-        child.value += 1
+    def on_softirq(self, cpu: int, mode: str, **_f: Any) -> None:
+        """One NET_RX softirq invocation on *cpu* under *mode*."""
+        _bump(self._softirq_cache, self._softirqs, cpu, mode)
 
-    def on_poll(self, napi_name: str, processed: int) -> None:
-        """One NAPI poll batch of *processed* packets on *napi_name*."""
-        entry = self._poll_cache.get(napi_name)
+    def on_poll(self, napi: str, processed: int, **_f: Any) -> None:
+        """One NAPI poll batch of *processed* packets on *napi*."""
+        entry = self._poll_cache.get(napi)
         if entry is None:
-            entry = (self._polls.labels(napi_name),
-                     self._poll_packets.labels(napi_name),
-                     self._batch.labels(napi_name))
-            self._poll_cache[napi_name] = entry
+            entry = (self._polls.labels(napi),
+                     self._poll_packets.labels(napi),
+                     self._batch.labels(napi))
+            self._poll_cache[napi] = entry
         polls, packets, batch = entry
         polls.value += 1
         packets.value += processed
         batch.observe(processed)
 
-    def on_gro_merge(self, device: str) -> None:
-        child = self._gro_cache.get(device)
-        if child is None:
-            child = self._gro.labels(device)
-            self._gro_cache[device] = child
-        child.value += 1
+    def on_gro_merge(self, device: str, **_f: Any) -> None:
+        _bump(self._gro_cache, self._gro, device)
 
-    def on_socket_deliver(self, socket: str) -> None:
-        child = self._sock_cache.get(socket)
-        if child is None:
-            child = self._sock.labels(socket)
-            self._sock_cache[socket] = child
-        child.value += 1
+    def on_socket_deliver(self, socket: str, **_f: Any) -> None:
+        _bump(self._sock_cache, self._sock, socket)
 
     # ------------------------------------------------------------------
     # Scrape sources
@@ -281,9 +269,8 @@ class KernelTelemetry:
                        label: str = "") -> None:
         """Export one :class:`ThroughputMeter` as callback gauges.
 
-        Apps call this at construction when a telemetry hub is attached
-        (``kernel.telemetry``), so their meters export through the one
-        registry with no duplicated accounting."""
+        Apps handed a hub call this at construction, so their meters
+        export through the one registry with no duplicated accounting."""
         from repro.telemetry.adapters import register_throughput_meter
         register_throughput_meter(self.registry, meter, label)
 
@@ -380,3 +367,12 @@ class KernelTelemetry:
     def __repr__(self) -> str:
         return (f"<KernelTelemetry kernel={self.kernel.name!r} "
                 f"{self.registry!r}>")
+
+
+def _bump(cache: Dict[Tuple[Any, ...], Any], family: Any, *labels: Any
+          ) -> None:
+    """Increment *family*'s child for *labels*, cached per label tuple."""
+    child = cache.get(labels)
+    if child is None:
+        child = cache[labels] = family.labels(*labels)
+    child.value += 1

@@ -8,10 +8,10 @@ rides along inside :class:`~repro.bench.experiment.ExperimentResult`.
 
 Design constraints, in order:
 
-1. **Zero cost when unregistered.**  The simulated kernel consults one
-   attribute (``kernel.telemetry is not None``) per NAPI batch — the
-   same gating discipline as ``tracer.has_subscribers`` — so an
-   unmetered run does not even build a label tuple.
+1. **Zero cost when unregistered.**  The live counters are tracer
+   subscribers, and the simulated kernel reads ``tracer.active`` once
+   per NAPI batch, so an unmetered run does not even build a label
+   tuple.
 2. **Determinism.**  Metrics only *read* simulation state; collection
    order is registration order with children sorted by label values, so
    two identical runs produce byte-identical expositions.

@@ -1,28 +1,15 @@
 """Tracing infrastructure (the simulator's eBPF analogue).
 
 The paper diagnosed the interleaved-polling problem by attaching eBPF
-probes to NAPI tracepoints.  This package provides the same capability for
-the simulated kernel:
-
-- :mod:`~repro.trace.tracer` — a registry of named tracepoints with
-  attachable callbacks (near-zero cost when nothing is attached);
-- :mod:`~repro.trace.pollorder` — records the NAPI device polling order
-  and poll-list snapshots, regenerating the paper's Fig. 6 tables;
-- :mod:`~repro.trace.latency` — per-packet in-kernel latency probes
-  (ring arrival to socket delivery).
+probes to NAPI tracepoints.  :mod:`~repro.trace.tracer` provides the same
+capability for the simulated kernel: a registry of named tracepoints with
+attachable callbacks, near-free when nothing is attached.  It is the one
+path every observation takes; the probes that consume it live with their
+owners — the kernel observer (:mod:`repro.obs`, per-packet milestones,
+poll order, spans), the telemetry hub (:mod:`repro.telemetry`) and the
+flow tap (:mod:`repro.flows`).
 """
 
-from repro.trace.latency import KernelLatencyProbe
-from repro.trace.pollorder import PollOrderTracer, PollRecord
-from repro.trace.timeline import PacketTimeline, StageTimeline
 from repro.trace.tracer import TracePoint, Tracer
 
-__all__ = [
-    "KernelLatencyProbe",
-    "PacketTimeline",
-    "PollOrderTracer",
-    "PollRecord",
-    "StageTimeline",
-    "TracePoint",
-    "Tracer",
-]
+__all__ = ["TracePoint", "Tracer"]

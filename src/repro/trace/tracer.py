@@ -1,14 +1,18 @@
 """Named tracepoints with attachable callbacks.
 
 Kernel code calls :meth:`Tracer.emit` at well-known points; analysis tools
-attach callbacks.  Emitting with no subscriber costs one dict lookup, so
-tracepoints can stay in the hot path permanently (like compiled-in kernel
-tracepoints).
+attach callbacks.  This is the simulated kernel's only observation
+mechanism: the kernel observer (:mod:`repro.obs`), the telemetry hub
+(:mod:`repro.telemetry`) and the flow tap (:mod:`repro.flows`) are all
+subscribers.  Emitting with no subscriber costs one dict lookup, and hot
+loops read :attr:`Tracer.active` and :meth:`Tracer.has_subscribers` once
+per batch, so tracepoints can stay in the hot path permanently (like
+compiled-in kernel tracepoints).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Tuple
 
 __all__ = ["Tracer", "TracePoint"]
 
@@ -18,15 +22,24 @@ class TracePoint:
 
     #: A softirq invocation of net_rx_action begins. fields: cpu
     NET_RX_ACTION = "net_rx_action"
-    #: One device is polled. fields: cpu, device, poll_list (names after poll)
+    #: One device is polled. fields: cpu, device, local_list, global_list
+    #: (poll-list names after the poll; emitted by net_rx_action).
     NAPI_POLL = "napi_poll"
+    #: A NAPI poll batch ended (softirq or poll-mode driver).
+    #: fields: napi, processed
+    NAPI_POLL_DONE = "napi_poll_done"
+    #: A wire packet was DMA'd into an rx ring. fields: queue, packet
+    NIC_RX = "nic_rx"
     #: One skb finished one stage. fields: device, skb
     STAGE_DONE = "stage_done"
     #: skb allocated at the physical driver. fields: device, skb
     SKB_ALLOC = "skb_alloc"
-    #: skb delivered to a socket receive buffer. fields: socket, skb
+    #: skb delivered to a socket receive buffer (a UDP datagram, or the
+    #: skb completing a TCP message). fields: socket, skb
     SOCKET_ENQUEUE = "socket_enqueue"
-    #: skb dropped (queue overflow). fields: queue, skb
+    #: A counted drop (overflow, protocol or fault site); emitted only
+    #: by Kernel.count_drop. fields: queue, skb (an skb, a raw Packet
+    #: for ring and skb-alloc drops, or None)
     DROP = "drop"
     #: PRISM-sync inline stage execution. fields: device, skb
     SYNC_INLINE = "sync_inline"
@@ -48,40 +61,48 @@ class Tracer:
     """A registry of tracepoints and their subscribers."""
 
     def __init__(self) -> None:
-        self._subscribers: Dict[str, List[Callable[..., None]]] = {}
+        #: point -> subscribers, in attach order.  Tuples, replaced on
+        #: attach/detach, so an emit iterates a snapshot without copying
+        #: it; points with no subscriber have no key.
+        self._subscribers: Dict[str, Tuple[Callable[..., None], ...]] = {}
         #: True iff *any* tracepoint has a subscriber.  Hot loops read
-        #: this single attribute to pick the untraced fast path instead
-        #: of doing one ``has_subscribers`` dict lookup per point per
-        #: packet; it is maintained by attach/detach only.
+        #: it once per batch and skip every ``has_subscribers`` lookup
+        #: when it is False; it is maintained by attach/detach only.
         self.active: bool = False
 
     def attach(self, point: str, callback: Callable[..., None]) -> Callable[..., None]:
         """Subscribe *callback* to *point*; returns it for later detach."""
-        self._subscribers.setdefault(point, []).append(callback)
+        callbacks = self._subscribers.get(point, ())
+        self._subscribers[point] = callbacks + (callback,)
         self.active = True
         return callback
 
     def detach(self, point: str, callback: Callable[..., None]) -> bool:
         """Unsubscribe; returns False if it was not attached."""
-        callbacks = self._subscribers.get(point)
-        if not callbacks or callback not in callbacks:
+        callbacks = list(self._subscribers.get(point, ()))
+        if callback not in callbacks:
             return False
         callbacks.remove(callback)
-        if not callbacks:
+        if callbacks:
+            self._subscribers[point] = tuple(callbacks)
+        else:
             del self._subscribers[point]
         self.active = bool(self._subscribers)
         return True
 
     def emit(self, point: str, **fields: Any) -> None:
         """Fire *point*.  Near-free when nothing is attached."""
-        callbacks = self._subscribers.get(point)
-        if not callbacks:
-            return
-        for callback in list(callbacks):
+        for callback in self._subscribers.get(point, ()):
             callback(**fields)
 
+    def subscribers(self, point: str) -> Tuple[Callable[..., None], ...]:
+        """*point*'s subscribers, for per-packet sites to call directly:
+        that skips :meth:`emit`'s packing and unpacking of the fields,
+        which costs several times the call itself."""
+        return self._subscribers.get(point, ())
+
     def has_subscribers(self, point: str) -> bool:
-        return bool(self._subscribers.get(point))
+        return point in self._subscribers
 
     def __repr__(self) -> str:
         points = {p: len(cbs) for p, cbs in self._subscribers.items()}

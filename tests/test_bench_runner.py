@@ -173,9 +173,9 @@ class TestCounterSelection:
         captured = {}
         real_setup = exp_mod._overlay_setup
 
-        def spy(testbed, config, recorder):
+        def spy(testbed, config, recorder, telemetry=None):
             fg_meter, bg_meter, counters, fg_client = real_setup(
-                testbed, config, recorder)
+                testbed, config, recorder, telemetry)
             captured["client"] = fg_client
             return fg_meter, bg_meter, counters, fg_client
 

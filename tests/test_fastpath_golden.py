@@ -1,7 +1,7 @@
 """Golden digest tests for the packet-path fast lane.
 
 The fast-path machinery (skb pooling, memoized costs, cached header
-building, untraced fast lanes) is a pure optimization: it must never
+building, per-batch tracepoint gates) is a pure optimization: it must never
 change a single byte of an :class:`ExperimentResult`.  These tests pin
 that contract three ways:
 

@@ -8,7 +8,7 @@ from repro.bench.testbed import build_testbed
 from repro.kernel.config import KernelConfig
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
-from repro.trace.pollorder import PollOrderTracer
+from repro.obs import KernelObserver
 from repro.trace.tracer import TracePoint, Tracer
 
 
@@ -131,14 +131,13 @@ class TestBatchPreemption:
 
 class TestRuntimeModeSwitch:
     def test_mode_switch_mid_run_takes_effect(self):
-        tracer = Tracer()
-        testbed, socket, sender = setup(StackMode.VANILLA, tracer=tracer)
+        testbed, socket, sender = setup(StackMode.VANILLA)
         testbed.mark_high_priority("10.0.0.10", 5000)
-        trace = PollOrderTracer(tracer)
+        trace = KernelObserver(testbed.server.kernel)
         send_burst(sender, 200)
         testbed.sim.run(until=10 * MS)
         vanilla_order = trace.device_order()[:6]
-        trace.clear()
+        trace.polls.clear()
         # Operator switches to PRISM at runtime through procfs.
         testbed.server.kernel.procfs.write("/proc/prism/mode", "batch")
         send_burst(sender, 200)

@@ -73,3 +73,22 @@ class TestGating:
         assert observer._callbacks == []
         for point in (TracePoint.SPAN_BEGIN, TracePoint.QUEUE_WAIT):
             assert not observer.tracer.has_subscribers(point)
+
+
+class TestDropInstants:
+    def test_every_counted_drop_reaches_the_recorder(self):
+        """Kernel.count_drop is the one DROP emit site, so fault drops
+        (``fault:<ring>``) are recorded like overflow drops."""
+        from repro.bench.experiment import run_traced_experiment
+        from repro.prism.mode import StackMode
+        from tests.test_fastpath_golden import _config
+
+        config = _config(StackMode.PRISM_SYNC, "overlay", "loss:eth:0.02")
+        traced = run_traced_experiment(config)
+        drops = traced.observer.kernel.drops
+        assert any(site.startswith("fault:") for site in drops)
+        recorder = traced.recorder
+        assert recorder.evicted == 0
+        instants = [e for e in recorder.events()
+                    if e.ph == "i" and e.track == "drops"]
+        assert len(instants) == sum(drops.values())

@@ -7,28 +7,30 @@ container overlay flow under sustained load:
   batch N is delayed behind stage 1 of batch N+1 (interleaving);
 - PRISM (Fig. 6b): ``eth, br, veth, eth, br, veth, ...`` — streamlined,
   with poll-list snapshots [br, eth], [veth, eth], [eth] repeating.
+
+The poll order is recorded by the kernel observer from the ``napi_poll``
+tracepoint (the paper's eBPF methodology).
 """
 
 import pytest
 
 from repro.apps.remote import RemoteRequestSender
 from repro.bench.testbed import build_testbed
+from repro.obs import KernelObserver
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
-from repro.trace.pollorder import PollOrderTracer
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import TracePoint
 
 
 def run_burst(mode, n_packets=200, mark_high=True):
     """Send a burst so the eth ring stays backlogged across NAPI rounds."""
-    tracer = Tracer()
-    testbed = build_testbed(mode=mode, tracer=tracer)
+    testbed = build_testbed(mode=mode)
     server_cont = testbed.add_server_container("srv", "10.0.0.10")
     client_cont = testbed.add_client_container("cli", "10.0.0.100")
     server_cont.udp_socket(5000, core_id=1)
     if mark_high:
         testbed.mark_high_priority("10.0.0.10", 5000)
-    poll_trace = PollOrderTracer(tracer)
+    poll_trace = KernelObserver(testbed.server.kernel)
     sender = RemoteRequestSender(testbed.client, testbed.overlay,
                                  client_cont, "10.0.0.10")
     for _ in range(n_packets):
@@ -70,7 +72,7 @@ class TestPrismPollOrder:
 
     def test_poll_list_snapshots_match_fig6b(self):
         trace, _testbed = run_burst(StackMode.PRISM_BATCH)
-        snapshots = [record.poll_list for record in trace.records[:3]]
+        snapshots = [record.poll_list for record in trace.polls[:3]]
         assert snapshots == [("br", "eth"), ("veth", "eth"), ("eth",)]
 
     def test_low_priority_flow_in_prism_behaves_like_vanilla_order(self):
@@ -97,21 +99,24 @@ class TestPrismPollOrder:
 
 
 class TestPollOrderTracerApi:
+    """The observer's poll-order surface: table render, detach, reset."""
+
     def test_as_table_renders(self):
         trace, _testbed = run_burst(StackMode.PRISM_BATCH)
-        table = trace.as_table(limit=3)
+        table = trace.poll_table(limit=3)
         assert "eth" in table and "br" in table
         assert table.count("\n") == 3  # header + 3 rows
 
     def test_stop_detaches(self):
-        tracer = Tracer()
-        trace = PollOrderTracer(tracer)
-        trace.stop()
-        from repro.trace.tracer import TracePoint
+        testbed = build_testbed()
+        trace = KernelObserver(testbed.server.kernel)
+        trace.detach()
+        tracer = testbed.server.kernel.tracer
         assert not tracer.has_subscribers(TracePoint.NAPI_POLL)
+        assert not tracer.active
 
     def test_clear(self):
         trace, _testbed = run_burst(StackMode.VANILLA)
-        assert trace.records
-        trace.clear()
-        assert not trace.records
+        assert trace.polls
+        trace.polls.clear()
+        assert not trace.device_order()

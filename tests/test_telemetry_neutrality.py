@@ -13,14 +13,20 @@ accounted softirq time within 0.1%.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.experiment import (
     TelemetryOptions,
+    _run_experiment,
     run_experiment,
     run_instrumented_experiment,
 )
 from repro.bench.runner import result_digest
+from repro.flows import FlowExportConfig
+from repro.obs import KernelObserver
+from repro.telemetry import KernelTelemetry
 from tests.test_fastpath_golden import GOLD, SCENARIOS
 
 
@@ -37,7 +43,7 @@ def test_metered_profiled_run_is_digest_identical(scenario):
 
 
 def test_metered_unprofiled_run_is_digest_identical():
-    """Metering alone (no profiler => untraced fast lanes) is neutral."""
+    """Metering alone (no profiler, so no span subscribers) is neutral."""
     config, untraced, _ = GOLD["overlay-vanilla"]
     instrumented = run_instrumented_experiment(
         config, TelemetryOptions(profile=False))
@@ -45,6 +51,33 @@ def test_metered_unprofiled_run_is_digest_identical():
     stripped = instrumented.result
     stripped.telemetry = None
     assert result_digest(stripped) == untraced
+
+
+@pytest.mark.parametrize("scenario", [
+    "overlay-vanilla", "overlay-prism-batch", "overlay-prism-sync",
+    "overlay-bypass-lossy", "overlay-prism-sync-lossy"])
+def test_all_subscribers_together_are_digest_identical(scenario):
+    """The observer, the telemetry hub and flow export share one tracer
+    in one run, and the measurements still match the plain run's."""
+    config, untraced, _ = GOLD[scenario]
+    holder = {}
+
+    def attach(testbed):
+        kernel = testbed.server.kernel
+        observer = holder["observer"] = KernelObserver(kernel)
+        observer.watch_host(testbed.server)
+        observer.start_gauges()
+        telemetry = KernelTelemetry(kernel).attach()
+        telemetry.watch_host(testbed.server)
+        return telemetry
+
+    flows = FlowExportConfig(sample_rate=4)
+    result = _run_experiment(
+        dataclasses.replace(config, flow_export=flows), attach=attach)
+    assert result.flows["record_count"] > 0
+    assert holder["observer"].completed_packets()
+    plain = dataclasses.replace(result, config=config, flows=None)
+    assert result_digest(plain) == untraced
 
 
 def test_instrumented_runs_are_reproducible():

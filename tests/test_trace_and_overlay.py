@@ -1,18 +1,18 @@
-"""Tests for the tracer, latency probe, wire, remote host, and topology."""
+"""Tests for the tracer, kernel-time probing, wire, remote host, topology."""
 
 import pytest
 
 from repro.bench.testbed import build_testbed
+from repro.kernel.core import Kernel
 from repro.kernel.costs import CostModel
+from repro.obs import KernelObserver
 from repro.overlay.container import docker_mac_for
 from repro.overlay.network import RemoteHost, Wire
 from repro.overlay.topology import OverlayEndpoint, OverlayNetwork
 from repro.packet.addr import Ipv4Address, MacAddress
 from repro.packet.packet import Packet
-from repro.packet.skb import SKBuff
 from repro.sim import Simulator
 from repro.stack.egress import build_udp_packet
-from repro.trace.latency import KernelLatencyProbe
 from repro.trace.tracer import TracePoint, Tracer
 
 
@@ -39,9 +39,12 @@ class TestTracer:
     def test_detach(self):
         tracer = Tracer()
         callback = tracer.attach("p", lambda **kw: None)
+        assert tracer.subscribers("p") == (callback,)
         assert tracer.detach("p", callback)
         assert not tracer.detach("p", callback)
         assert not tracer.has_subscribers("p")
+        assert tracer.subscribers("p") == ()
+        assert not tracer.active
 
     def test_detach_unknown_point(self):
         tracer = Tracer()
@@ -62,58 +65,57 @@ class TestTracer:
 
 
 class TestKernelLatencyProbe:
-    def _emit(self, tracer, sim, socket_name="s", high=False, start=100):
-        skb = SKBuff(Packet(headers=(), payload_len=1))
+    """Ring-to-socket kernel time, as the observer measures it (Fig. 5)."""
+
+    def _observer(self, until=0):
+        kernel = Kernel(Simulator())
+        kernel.sim.run(until=until)
+        return kernel, KernelObserver(kernel)
+
+    def _emit(self, kernel, socket_name="s", high=False, start=100,
+              alloc=True):
+        skb = kernel.skb_pool.alloc(Packet(headers=(), payload_len=1))
         skb.mark("rx_ring", start)
-        if high:
-            skb.classify(0)
-        else:
-            skb.classify(1)
-        tracer.emit(TracePoint.SOCKET_ENQUEUE, socket=socket_name, skb=skb)
+        skb.classify(0 if high else 1)
+        if alloc:
+            kernel.tracer.emit(TracePoint.SKB_ALLOC, device="eth", skb=skb)
+        kernel.tracer.emit(TracePoint.SOCKET_ENQUEUE, socket=socket_name,
+                           skb=skb)
 
     def test_records_ring_to_socket_time(self):
-        sim = Simulator()
-        sim.run(until=500)
-        tracer = Tracer()
-        probe = KernelLatencyProbe(tracer, lambda: sim.now)
-        self._emit(tracer, sim, start=100)
-        assert probe.samples_ns == [400]
+        kernel, observer = self._observer(until=500)
+        self._emit(kernel, start=100)
+        assert [p.kernel_time_ns
+                for p in observer.completed_packets()] == [400]
 
     def test_priority_filter(self):
-        sim = Simulator()
-        tracer = Tracer()
-        probe = KernelLatencyProbe(tracer, lambda: sim.now,
-                                   only_high_priority=True)
-        self._emit(tracer, sim, high=False)
-        self._emit(tracer, sim, high=True)
-        assert len(probe) == 1
+        kernel, observer = self._observer()
+        self._emit(kernel, high=False)
+        self._emit(kernel, high=True)
+        highs = [p for p in observer.completed_packets() if p.high_priority]
+        assert len(highs) == 1
 
     def test_socket_filter(self):
-        sim = Simulator()
-        tracer = Tracer()
-        probe = KernelLatencyProbe(tracer, lambda: sim.now, socket_name="a")
-        self._emit(tracer, sim, socket_name="a")
-        self._emit(tracer, sim, socket_name="b")
-        assert len(probe) == 1
+        kernel, observer = self._observer()
+        self._emit(kernel, socket_name="a")
+        self._emit(kernel, socket_name="b")
+        done = observer.completed_packets()
+        assert [p.socket for p in done] == ["a", "b"]
 
     def test_skb_without_mark_ignored(self):
-        sim = Simulator()
-        tracer = Tracer()
-        probe = KernelLatencyProbe(tracer, lambda: sim.now)
-        skb = SKBuff(Packet(headers=(), payload_len=1))
-        tracer.emit(TracePoint.SOCKET_ENQUEUE, socket="s", skb=skb)
-        assert len(probe) == 0
+        # An skb the observer never saw allocated has no ring milestone.
+        kernel, observer = self._observer()
+        self._emit(kernel, alloc=False)
+        assert observer.completed_packets() == []
 
     def test_stop_and_clear(self):
-        sim = Simulator()
-        tracer = Tracer()
-        probe = KernelLatencyProbe(tracer, lambda: sim.now)
-        self._emit(tracer, sim)
-        probe.clear()
-        assert len(probe) == 0
-        probe.stop()
-        self._emit(tracer, sim)
-        assert len(probe) == 0
+        kernel, observer = self._observer()
+        self._emit(kernel)
+        observer.packets.clear()
+        assert observer.completed_packets() == []
+        observer.detach()
+        self._emit(kernel)
+        assert observer.completed_packets() == []
 
 
 class Endpoint:
