@@ -10,8 +10,8 @@ horizons (exchanging cross-host packets at the barriers in between), and
 only after the last window.
 
 :class:`ExperimentCell` is that separation.  ``run_experiment`` is now a
-thin wrapper (build → run_to(end) → finalize), and the windowed path is
-byte-identical to the monolithic one because
+thin wrapper (build → run_to(end) → finalize), and the windowed path
+measures exactly what the monolithic one does because
 :meth:`~repro.sim.engine.Simulator.run_window` never reorders or drops
 occurrences — the golden-digest tests pin both.
 
@@ -38,8 +38,8 @@ class ExperimentCell:
     Construction performs everything :func:`run_experiment` used to do
     before the simulation started — testbed, fault injector, observer
     attach hook, workload setup, CPU sampler, telemetry binding — in the
-    exact same order, so a cell driven straight to the end produces a
-    byte-identical :class:`ExperimentResult`.
+    exact same order, so a cell driven straight to the end produces an
+    identical :class:`ExperimentResult`.
 
     *attach* runs once the testbed exists and may return a
     :class:`~repro.telemetry.KernelTelemetry` hub; the workload's servers
@@ -58,31 +58,7 @@ class ExperimentCell:
         if config.network not in ("overlay", "host"):
             raise ValueError(f"unknown network type {config.network!r}")
         self.config = config
-        # The topology spec is the source of truth for *where* this runs:
-        # an experiment cell is the two-host testbed, so the spec must
-        # describe a host pair matching the network string; its link
-        # parameters feed the cost model's wire fields when no explicit
-        # cost model pins them (None topology derives the spec *from*
-        # the cost model, so legacy configs build bit-identically).
-        spec = config.topology_spec()
-        network = spec.canonical_network()
-        if network is None:
-            raise ValueError(
-                f"ExperimentCell runs two-host topologies; a "
-                f"{spec.kind!r} fabric of {spec.host_count} hosts runs "
-                f"through repro.shard.run_cluster / Scenario.on(...)")
-        if network != config.network:
-            raise ValueError(
-                f"topology kind {spec.kind!r} contradicts "
-                f"network={config.network!r}")
-        costs = config.costs
-        if config.topology is not None and costs is None:
-            link = spec.links[0]
-            from repro.kernel.costs import CostModel
-            costs = CostModel().replace(
-                wire_latency_ns=link.latency_ns,
-                wire_bytes_per_ns=link.bytes_per_ns)
-        self.testbed = build_testbed(seed=config.seed, costs=costs,
+        self.testbed = build_testbed(seed=config.seed, costs=config.costs,
                                      config=config.kernel_config,
                                      mode=config.mode)
         self.injector: Optional[FaultInjector] = None
@@ -112,8 +88,8 @@ class ExperimentCell:
         if config.flow_export is not None:
             # Sampled flow export: the tap folds 1-in-N packets from the
             # kernel's tracepoints; it never schedules events or touches
-            # the RNG, so the simulation outcome (and every digest) is
-            # identical with export on or off.
+            # the RNG, so the measurements are identical with export on
+            # or off.
             self.flows = FlowCollector(config.flow_export, scope="server",
                                        seed=config.seed)
             KernelFlowTap(self.flows, self.testbed.server.kernel)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.apps.sockperf import (
     SockperfUdpClient,
@@ -21,7 +21,6 @@ from repro.apps.sockperf import (
 )
 from repro.bench.cell import ExperimentCell
 from repro.bench.testbed import Testbed, build_testbed
-from repro.fabric.spec import Topology, TopologySpec
 from repro.faults import FaultInjector, FaultPlan, merge_recovery
 from repro.flows.config import FlowExportConfig
 from repro.kernel.config import KernelConfig
@@ -75,10 +74,9 @@ class ExperimentConfig:
     .. note::
        Prefer building configs through :class:`repro.scenario.Scenario`
        — this dataclass is kept as the thin frozen view the runner,
-       cache, and serialization layers operate on.  Its field set is
-       part of the disk-cache key (:func:`repro.bench.runner.config_key`
-       hashes it), so fields must not be renamed or reordered casually;
-       Scenario produces byte-identical instances.
+       cache, and serialization layers operate on.  Every field is part
+       of the disk-cache key (:func:`repro.bench.runner.config_key`);
+       result digests hash measurements only, never the config.
     """
 
     mode: StackMode = StackMode.VANILLA
@@ -106,48 +104,16 @@ class ExperimentConfig:
     costs: Optional[CostModel] = None
     kernel_config: Optional[KernelConfig] = None
     #: Optional fault-injection plan (loss, bursts, flaps + loss
-    #: recovery).  ``None`` — the canonical, loss-free configuration —
-    #: is *omitted* from the serialized form so that every pre-existing
-    #: config hashes and round-trips byte-identically.
+    #: recovery); ``None`` is the canonical, loss-free configuration.
     faults: Optional[FaultPlan] = None
-    #: Optional explicit :class:`~repro.fabric.spec.TopologySpec`.
-    #: ``None`` means "the canonical two-host topology implied by
-    #: ``network``" — the pre-spec behavior — and is omitted from the
-    #: wire format so legacy cache keys stay byte-identical.  A set
-    #: spec must describe a two-host pair (multi-host fabrics run
-    #: through :func:`repro.shard.run_cluster`); its link parameters
-    #: feed the cost model's wire fields when ``costs`` is unset.
-    topology: Optional[TopologySpec] = None
     #: Optional sampled flow-record export
-    #: (:class:`repro.flows.FlowExportConfig`).  ``None`` — the
-    #: canonical configuration — keeps every flow hook a single
-    #: attribute check and is omitted from the wire format, so all
-    #: pre-flow cache keys and digests stay byte-identical.
+    #: (:class:`repro.flows.FlowExportConfig`); ``None`` keeps every
+    #: flow hook a single attribute check.
     flow_export: Optional[FlowExportConfig] = None
-
-    #: Fields the serialization layers drop when ``None`` (see
-    #: :func:`repro.bench.runner._jsonable` and :meth:`to_dict`).
-    _JSON_OMIT_WHEN_NONE: ClassVar[Tuple[str, ...]] = (
-        "faults", "topology", "flow_export")
 
     def label(self) -> str:
         busy = f"+bg{self.bg_rate_pps / 1000:.0f}k" if self.bg_rate_pps else ""
         return f"{self.network}/{self.mode}{busy}"
-
-    def topology_spec(self) -> TopologySpec:
-        """The :class:`TopologySpec` this experiment runs on.
-
-        Explicit when :attr:`topology` is set; otherwise the canonical
-        two-host spec implied by ``network`` and the cost model's wire
-        parameters — making the spec the single source of truth even
-        for configs built through the legacy string adapter.
-        """
-        if self.topology is not None:
-            return self.topology
-        costs = self.costs or CostModel()
-        return Topology.two_host(
-            self.network, latency_ns=costs.wire_latency_ns,
-            bytes_per_ns=costs.wire_bytes_per_ns)
 
     # ------------------------------------------------------------------
     # Versioned serialization (the disk cache's wire format)
@@ -157,14 +123,11 @@ class ExperimentConfig:
         out: Dict[str, Any] = {"version": SCHEMA_VERSION}
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name in self._JSON_OMIT_WHEN_NONE:
-                continue
             if isinstance(value, StackMode):
                 value = str(value)
             elif isinstance(value, (CostModel, KernelConfig)):
                 value = _frozen_to_dict(value)
-            elif isinstance(value, (FaultPlan, TopologySpec,
-                                    FlowExportConfig)):
+            elif isinstance(value, (FaultPlan, FlowExportConfig)):
                 value = value.to_dict()
             out[f.name] = value
         return out
@@ -184,29 +147,10 @@ class ExperimentConfig:
                 KernelConfig, kwargs["kernel_config"])
         if kwargs.get("faults") is not None:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("topology") is not None:
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])
         if kwargs.get("flow_export") is not None:
             kwargs["flow_export"] = FlowExportConfig.from_dict(
                 kwargs["flow_export"])
         return cls(**kwargs)
-
-
-#: Knob fields added after schema v1 shipped.  They are omitted from the
-#: serialized dict while at their default value so that configs which
-#: never touch them keep their historical byte-exact serialization (the
-#: disk cache keys on it); ``_frozen_from_dict`` tolerates the absence
-#: via the dataclass defaults.
-_OMIT_WHEN_DEFAULT = frozenset({
-    "bypass_stage_overhead_ns",
-    "bypass_stage_cost_scale",
-    "irq_mod_epoch_ns",
-    "irq_mod_min_ns",
-    "irq_mod_max_ns",
-    "irq_mod_up_pps",
-    "irq_mod_down_pps",
-    "irq_moderation",
-})
 
 
 def _frozen_to_dict(value: Union[CostModel, KernelConfig]) -> Dict[str, Any]:
@@ -214,8 +158,6 @@ def _frozen_to_dict(value: Union[CostModel, KernelConfig]) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for f in dataclass_fields(value):
         v = getattr(value, f.name)
-        if f.name in _OMIT_WHEN_DEFAULT and v == f.default:
-            continue
         if isinstance(v, StackMode):
             v = str(v)
         elif isinstance(v, tuple):
@@ -255,8 +197,7 @@ class ExperimentResult:
     #: populated by instrumented runs only.
     telemetry: Optional[Dict[str, Any]] = None
     #: What the injector did (:meth:`FaultInjector.summary`); fault runs
-    #: only — ``None`` stays absent from the wire format so loss-free
-    #: results digest byte-identically to pre-fault-layer code.
+    #: only.
     fault_summary: Optional[Dict[str, Any]] = None
     #: Packet-conservation report (:meth:`PacketLedger.report`):
     #: ``injected == delivered + dropped(by site) + in-flight`` with the
@@ -266,12 +207,8 @@ class ExperimentResult:
     #: per-client stats; fault runs only.
     recovery: Optional[Dict[str, Any]] = None
     #: Sampled flow-record export block (``schema``/``sample_rate``/
-    #: ``records``/counters); flow-export runs only — ``None`` stays
-    #: absent from the wire format like the fault fields.
+    #: ``records``/counters); flow-export runs only.
     flows: Optional[Dict[str, Any]] = None
-
-    _JSON_OMIT_WHEN_NONE: ClassVar[Tuple[str, ...]] = (
-        "fault_summary", "conservation", "recovery", "flows")
 
     def __str__(self) -> str:
         latency = str(self.fg_latency) if self.fg_latency else "no samples"
@@ -294,7 +231,7 @@ class ExperimentResult:
         if self.fg_latency is not None:
             latency = {f.name: getattr(self.fg_latency, f.name)
                        for f in dataclass_fields(self.fg_latency)}
-        out = {
+        return {
             "version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "fg_latency": latency,
@@ -308,12 +245,11 @@ class ExperimentResult:
             "drops": dict(self.drops),
             "stage_breakdown": self.stage_breakdown,
             "telemetry": self.telemetry,
+            "fault_summary": self.fault_summary,
+            "conservation": self.conservation,
+            "recovery": self.recovery,
+            "flows": self.flows,
         }
-        for name in self._JSON_OMIT_WHEN_NONE:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":

@@ -47,6 +47,7 @@ __all__ = [
     "code_version",
     "config_key",
     "default_cache_dir",
+    "measurement_digest",
     "result_digest",
     "run_batch",
     "run_experiments",
@@ -57,7 +58,18 @@ __all__ = [
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Bump to invalidate every cached result regardless of code digest.
 #: v2: entries are versioned JSON (ExperimentResult.to_dict), not pickle.
-CACHE_SCHEMA = 2
+#: v3: configs serialize every field (no omit-when-default keys).
+CACHE_SCHEMA = 3
+
+#: What :func:`result_digest` hashes: the measurements a figure reads
+#: (latency samples, per-class counters, CPU accounting, drops) and, in
+#: fault runs, the injector summary, packet ledger and recovery totals.
+#: Config, stage breakdown, telemetry and flow records are left out, so
+#: a schema or instrumentation change never looks like a behaviour change.
+MEASUREMENT_FIELDS = (
+    "fg_samples_ns", "fg_sent", "fg_replies", "fg_delivered_pps",
+    "bg_delivered_pps", "cpu_utilization", "softirq_fraction", "drops",
+    "fault_summary", "conservation", "recovery")
 
 _code_digest: Optional[str] = None
 
@@ -85,15 +97,8 @@ def _jsonable(value: Any) -> Any:
     """Convert configs/results into a stable, json-serializable structure."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out: Dict[str, Any] = {"__class__": type(value).__name__}
-        # A dataclass may declare optional extension fields that must not
-        # perturb pre-existing hashes while unset (cache keys and result
-        # digests stay byte-stable as the schema grows).
-        omit = getattr(type(value), "_JSON_OMIT_WHEN_NONE", ())
         for f in dataclasses.fields(value):
-            v = getattr(value, f.name)
-            if v is None and f.name in omit:
-                continue
-            out[f.name] = _jsonable(v)
+            out[f.name] = _jsonable(getattr(value, f.name))
         return out
     if isinstance(value, enum.Enum):
         return [type(value).__name__, value.value]
@@ -119,15 +124,23 @@ def config_key(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def result_digest(result: ExperimentResult) -> str:
-    """Content digest of a result — equal digests ⇔ identical measurements.
-
-    Used by the determinism tests to compare serial, parallel, and cached
-    executions byte-for-byte.
-    """
-    blob = json.dumps(_jsonable(result), sort_keys=True,
+def measurement_digest(payload: Dict[str, Any]) -> str:
+    """sha256 of a canonical JSON rendering of *payload*."""
+    blob = json.dumps(_jsonable(payload), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def result_digest(result: ExperimentResult) -> str:
+    """Measurement digest — equal digests ⇔ identical measurements.
+
+    Hashes :data:`MEASUREMENT_FIELDS` only: two configs that simulate
+    the same thing (``costs=None`` vs ``CostModel()``, flow export on or
+    off, a traced or untraced run) digest equally.  The determinism
+    tests use it to compare serial, parallel and cached executions.
+    """
+    return measurement_digest({name: getattr(result, name)
+                               for name in MEASUREMENT_FIELDS})
 
 
 def default_cache_dir() -> Path:

@@ -57,16 +57,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fabric.ecmp import FlowletTable
 from repro.fabric.spec import TopologySpec
-from repro.overlay.wirefmt import (
-    CLS_NAMES,
-    KIND_NAMES,
-    WireBatch,
-    WirePacket,
-)
+from repro.overlay.wirefmt import CLS_NAMES, KIND_NAMES, WireBatch
 
 __all__ = ["FabricNetwork", "equal_cost_paths", "min_path_latency_ns"]
 
@@ -250,20 +245,11 @@ class FabricNetwork:
             self._routes[pair] = paths
         return paths
 
-    def transit(self, packets: Iterable[WirePacket]) -> List[WirePacket]:
-        """Object-level compatibility wrapper over :meth:`transit_batch`.
-
-        Routes one barrier's departures and returns packets with true
-        arrivals, sorted by :func:`~repro.overlay.wirefmt.wire_sort_key`.
-        """
-        return self.transit_batch(WireBatch.from_packets(packets)).packets()
-
     def transit_batch(self, batch: WireBatch) -> WireBatch:
         """Route one barrier's departures, columnar end to end.
 
         The returned batch carries true arrivals and is sorted in
-        :meth:`~repro.overlay.wirefmt.WireBatch.sort_wire` order.  No
-        :class:`WirePacket` is ever materialized.
+        :meth:`~repro.overlay.wirefmt.WireBatch.sort_wire` order.
         """
         n = len(batch)
         if n == 0:
@@ -271,7 +257,7 @@ class FabricNetwork:
         # Flowlet/path assignment walks departures in global time order
         # so idle-gap detection is partition-independent.  The row
         # tuples sort on (departure, wire key, input index) — a stable
-        # departure-major sort, matching the v1 object path.
+        # departure-major sort.
         rows = sorted(zip(batch.departure, batch.arrival, batch.src,
                           batch.dst, batch.cls, batch.kind, batch.seq,
                           range(n), batch.payload_len, batch.sent_at))
@@ -285,8 +271,8 @@ class FabricNetwork:
         for order, row in enumerate(rows):
             departure, _arr, src, dst, cls_code, kind_code = row[:6]
             paths = self._paths_for(src, dst)
-            # The flowlet/ECMP hash must see the v1 string flow key —
-            # codes would change the sha256 input and re-route flows.
+            # The flowlet/ECMP hash sees the string flow key — codes
+            # would change the sha256 input and re-route flows.
             flow = (src, dst, CLS_NAMES[cls_code], KIND_NAMES[kind_code])
             index = assign(flow, departure, len(paths))
             uses = flow_paths.get((src, dst, cls_code, kind_code))
@@ -347,9 +333,8 @@ class FabricNetwork:
                 heappush(heap, (t_next, departed, order, hop))
         self.transited += n
 
-        # Rebuild the batch in completion order (matching the v1 path's
-        # append order), then wire-sort — the stable tie-break is then
-        # byte-identical to v1's out.sort(key=wire_sort_key).
+        # Rebuild the batch in completion order, then wire-sort: rows
+        # with equal wire keys keep their completion order.
         out = WireBatch()
         out.src = [rows[o][2] for o in completed]
         out.dst = [rows[o][3] for o in completed]
@@ -368,8 +353,7 @@ class FabricNetwork:
         """Digest-grade summary of what the fabric did (deterministic).
 
         Flow keys are stringified here — once per run, not per packet —
-        and sorted as strings, so the output is byte-identical to the
-        v1 per-packet f-string bookkeeping.
+        and sorted as strings.
         """
         named = {f"{src}->{dst}:{CLS_NAMES[cls_code]}:{KIND_NAMES[kind_code]}":
                  uses
@@ -378,9 +362,8 @@ class FabricNetwork:
         multipath = {flow: uses for flow, uses in named.items()
                      if len(uses) > 1}
         # Per-(link, direction) counters are dense-int keyed in the hot
-        # loop; fold them onto direction *names* here, because v1
-        # counted by name and parallel links sharing endpoints must keep
-        # merging for the digest to stay byte-identical.
+        # loop; fold them onto direction *names* here, so parallel links
+        # sharing endpoints count as one direction.
         dir_names = self._dir_names
         link_by_name: Dict[str, int] = {}
         for key, count in self._link_packets.items():

@@ -5,9 +5,8 @@ A :class:`TopologySpec` is a frozen, hashable, versioned value object
 describing hosts, switches, links, per-host containers, and the ECMP
 policy of the network an experiment runs on.  Everything that used to be
 implied by the ``network="overlay"/"host"`` string or the hardwired
-two-host :func:`~repro.bench.testbed.build_testbed` is now *derivable
-from a spec*, and the legacy forms are thin adapters emitting canonical
-specs (see :meth:`repro.scenario.Scenario.on`).
+two-host :func:`~repro.bench.testbed.build_testbed` is *derivable
+from a spec* (see :meth:`repro.scenario.Scenario.on`).
 
 Design rules:
 
@@ -17,10 +16,11 @@ Design rules:
 - **Versioned wire format.**  :meth:`TopologySpec.to_dict` /
   :meth:`~TopologySpec.from_dict` round-trip exactly;
   ``TOPOLOGY_SCHEMA_VERSION`` gates forward compatibility.
-- **Canonical legacy forms.**  ``Topology.two_host()`` (kinds
-  ``"two-host"`` / ``"host-pair"``) describes exactly the scenario the
-  two-host testbed builds; adapters map it back onto the legacy config
-  fields so cache keys and digests are byte-identical to pre-spec code.
+- **One encoding of the two-host pair.**  ``Topology.two_host()``
+  (kinds ``"two-host"`` / ``"host-pair"``) describes exactly the
+  scenario the two-host testbed builds; :meth:`Scenario.on` maps it
+  onto ``ExperimentConfig.network`` plus the cost model's wire fields,
+  which is the only way an experiment config names the pair.
 
 Build specs through the :class:`Topology` factory::
 
@@ -162,8 +162,8 @@ class TopologySpec:
         return len(self.hosts)
 
     def canonical_network(self) -> Optional[str]:
-        """The legacy ``network`` string this spec is the canonical form
-        of, or ``None`` for genuinely multi-host fabrics."""
+        """The ``ExperimentConfig.network`` string of a two-host spec, or
+        ``None`` for genuinely multi-host fabrics."""
         if self.kind == "two-host":
             return "overlay"
         if self.kind == "host-pair":
@@ -239,7 +239,7 @@ class Topology:
         overlay; ``"host"`` serves from root-namespace sockets.  The
         default link parameters equal the two-host
         :class:`~repro.kernel.costs.CostModel` wire defaults, so the
-        canonical spec maps onto an unmodified legacy config.
+        default spec maps onto an unmodified cost model.
         """
         if network not in ("overlay", "host"):
             raise ValueError(f"unknown network type {network!r}; "

@@ -26,7 +26,7 @@ This package makes loss a first-class, *seeded* experiment axis:
 
 With no plan configured nothing here is ever consulted from a hot path
 beyond one ``is not None`` gate — the golden-digest tests pin that a
-fault-free run is byte-identical to a build without this package.
+fault-free run measures exactly what a build without this package does.
 """
 
 from repro.faults.conservation import PacketLedger

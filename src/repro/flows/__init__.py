@@ -33,9 +33,8 @@ Determinism contract: collectors are per-host-cell (cells are always
 one simulator per host) or executor-owned (the fabric), expiry runs at
 the shard-window barriers whose horizon sequence is a pure function of
 the config — so the merged record set is byte-identical at any shard
-count and for in-process vs subprocess workers.  With export disabled
-nothing subscribes and all digests and cache keys stay byte-identical
-to an export-free build.
+count and for in-process vs subprocess workers.  Export only observes:
+measurement digests are equal with export on or off.
 """
 
 from repro.flows.cache import FlowCache

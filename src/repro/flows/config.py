@@ -4,10 +4,9 @@
 ``ExperimentConfig.flow_export`` / ``ClusterConfig.flow_export``.  Like
 ``FaultPlan`` and ``TopologySpec`` it is frozen and hashable (it rides
 inside frozen configs and cache keys) and serializes via versioned
-``to_dict``/``from_dict``.  Both host configs treat the field as
-omit-when-``None``: a disabled run's wire format — and therefore every
-golden digest and disk-cache key — is byte-identical to a build that
-predates flow export.
+``to_dict``/``from_dict``.  Flow export only observes: measurement
+digests hash no config and no flow records, so a run digests the same
+with export on or off.
 """
 
 import dataclasses

@@ -22,15 +22,7 @@ from repro.overlay.topology import (
     OverlayNetwork,
     register_remote_container,
 )
-from repro.overlay.wirefmt import (
-    EMPTY_FRAME,
-    WireBatch,
-    WirePacket,
-    decode_batch,
-    from_wire,
-    to_wire,
-    wire_sort_key,
-)
+from repro.overlay.wirefmt import EMPTY_FRAME, WireBatch
 
 __all__ = [
     "Container",
@@ -43,10 +35,5 @@ __all__ = [
     "RemoteHost",
     "Wire",
     "WireBatch",
-    "WirePacket",
-    "decode_batch",
-    "from_wire",
     "register_remote_container",
-    "to_wire",
-    "wire_sort_key",
 ]

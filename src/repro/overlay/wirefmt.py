@@ -15,28 +15,24 @@ Wire format v2 is *columnar*: a whole (shard, window) of departures is
 one :class:`WireBatch` — nine parallel columns, one per field — and the
 encoded frame carries each integer column as an ``array('q')`` and the
 two enum-like fields (``cls``, ``kind``) as packed small-int code
-bytes.  Encoding happens once per window instead of once per packet,
-the executor sorts and routes on the columns without ever
-rematerializing a :class:`WirePacket`, and the pipe pickles a handful
-of flat buffers instead of thousands of tuples.  v1 per-packet frames
-are rejected with a version error.
+bytes.  Encoding happens once per window, the executor sorts and routes
+on the columns without building a per-packet object, and the pipe
+pickles a handful of flat buffers instead of thousands of tuples.
+Frames of any other version are rejected with a version error.
 
 Determinism contract: the executor collects every shard's outbox for a
-window, concatenates them, and sorts by the batch-level equivalent of
-:func:`wire_sort_key` (:meth:`WireBatch.sort_wire`) before routing.
-The key is a pure function of simulation-visible fields, so the
+window, concatenates them, and sorts with :meth:`WireBatch.sort_wire`
+before routing.  The sort key — (arrival, src, dst, cls, kind, seq),
+stable — is a pure function of simulation-visible fields, so the
 injection order at any destination is independent of how hosts were
-partitioned into shards — the basis for "same digest at any shard
-count".  The ``cls``/``kind`` code assignments below are chosen so
-integer code order equals lexicographic string order, which keeps the
-columnar sort byte-identical to the v1 object sort.
+partitioned into shards: the basis for "same digest at any shard
+count".
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "WIRE_VERSION",
@@ -44,69 +40,21 @@ __all__ = [
     "KIND_NAMES",
     "CLS_CODE",
     "KIND_CODE",
-    "WirePacket",
     "WireBatch",
     "EMPTY_FRAME",
-    "decode_batch",
-    "wire_sort_key",
-    "to_wire",
-    "from_wire",
 ]
 
 #: Bump when the frame layout changes; workers refuse mismatched frames.
-#: v1 shipped one pickled tuple per packet; v2 ships one columnar batch
-#: frame per (shard, window).
+#: v2 ships one columnar batch frame per (shard, window).
 WIRE_VERSION = 2
 
-#: Code tables for the two enum-like fields.  The orderings are chosen
-#: so that *code order == string sort order* ("hi" < "lo",
-#: "reply" < "req") — sorting on codes is then byte-identical to
-#: sorting on the strings, which the digest contract depends on.
+#: Code tables for the two enum-like fields.  Code order equals string
+#: order ("hi" < "lo", "reply" < "req"), so sorting on codes orders
+#: rows as sorting on the names would.
 CLS_NAMES: Tuple[str, ...] = ("hi", "lo")
 KIND_NAMES: Tuple[str, ...] = ("reply", "req")
 CLS_CODE = {name: code for code, name in enumerate(CLS_NAMES)}
 KIND_CODE = {name: code for code, name in enumerate(KIND_NAMES)}
-
-
-@dataclass(frozen=True)
-class WirePacket:
-    """One flow-level packet crossing a shard boundary.
-
-    ``arrival_ns`` is the virtual time the packet reaches the
-    destination host's NIC (fabric serialization + propagation already
-    applied by the sender-side fabric model); the conservative-lookahead
-    invariant guarantees it is strictly after the barrier at which the
-    record is exchanged.
-    """
-
-    src_host: int        #: index of the sending host
-    dst_host: int        #: index of the receiving host
-    cls: str             #: flow class: "hi" (latency) or "lo" (flood)
-    kind: str            #: "req" (client -> server) or "reply"
-    seq: int             #: per-(src,dst,cls) sequence number
-    departure_ns: int    #: virtual time the packet left the source host
-    arrival_ns: int      #: virtual time it reaches the destination NIC
-    payload_len: int     #: application payload bytes
-    sent_at: int         #: original send timestamp (latency accounting)
-
-    def validate(self) -> None:
-        if self.arrival_ns < self.departure_ns:
-            raise ValueError(
-                f"wire packet arrives at {self.arrival_ns} before it "
-                f"departs at {self.departure_ns}")
-        if self.src_host == self.dst_host:
-            raise ValueError(
-                f"host {self.src_host} packet routed to itself")
-
-
-def wire_sort_key(wp: WirePacket) -> Tuple[int, int, int, str, str, int]:
-    """Total order over cross-shard packets, partition-independent.
-
-    Arrival time first (simulation causality), then stable flow
-    identity fields to break ties deterministically.  ``seq`` last so
-    same-flow packets stay in send order.
-    """
-    return (wp.arrival_ns, wp.src_host, wp.dst_host, wp.cls, wp.kind, wp.seq)
 
 
 class WireBatch:
@@ -148,18 +96,6 @@ class WireBatch:
         self.payload_len.append(payload_len)
         self.sent_at.append(sent_at)
 
-    def append_packet(self, wp: WirePacket) -> None:
-        self.append(wp.src_host, wp.dst_host, CLS_CODE[wp.cls],
-                    KIND_CODE[wp.kind], wp.seq, wp.departure_ns,
-                    wp.arrival_ns, wp.payload_len, wp.sent_at)
-
-    @classmethod
-    def from_packets(cls, packets: Iterable[WirePacket]) -> "WireBatch":
-        batch = cls()
-        for wp in packets:
-            batch.append_packet(wp)
-        return batch
-
     def extend(self, other: "WireBatch") -> None:
         """Concatenate *other*'s columns onto this batch (C-speed)."""
         self.src.extend(other.src)
@@ -177,13 +113,10 @@ class WireBatch:
 
     # -- ordering -------------------------------------------------------
     def sort_wire(self) -> None:
-        """Sort columns by the v1 :func:`wire_sort_key` order, stably.
+        """Stable sort of the rows by (arrival, src, dst, cls, kind, seq).
 
-        The row tuples sort on (arrival, src, dst, cls, kind, seq) and
-        then on the pre-sort position — exactly a stable sort by the v1
-        key, so batch ordering is byte-compatible with the object path.
-        Code order equals string order for ``cls``/``kind`` by
-        construction (:data:`CLS_NAMES` / :data:`KIND_NAMES`).
+        The row tuples carry the pre-sort position right after the key,
+        so equal keys keep their input order.
         """
         n = len(self.src)
         if n <= 1:
@@ -209,18 +142,6 @@ class WireBatch:
         out.payload_len = [self.payload_len[i] for i in indices]
         out.sent_at = [self.sent_at[i] for i in indices]
         return out
-
-    # -- rematerialization (destination-cell ingress only) --------------
-    def packet(self, i: int) -> WirePacket:
-        return WirePacket(
-            src_host=self.src[i], dst_host=self.dst[i],
-            cls=CLS_NAMES[self.cls[i]], kind=KIND_NAMES[self.kind[i]],
-            seq=self.seq[i], departure_ns=self.departure[i],
-            arrival_ns=self.arrival[i], payload_len=self.payload_len[i],
-            sent_at=self.sent_at[i])
-
-    def packets(self) -> List[WirePacket]:
-        return [self.packet(i) for i in range(len(self.src))]
 
     # -- framing --------------------------------------------------------
     def encode(self) -> tuple:
@@ -274,39 +195,7 @@ class WireBatch:
         return batch
 
 
-def decode_batch(frame: tuple) -> WireBatch:
-    """Module-level alias for :meth:`WireBatch.decode`."""
-    return WireBatch.decode(frame)
-
-
 #: The (shared, immutable) frame of an empty window — the executor and
 #: workers compare against / reuse it so empty windows skip encoding,
 #: decoding, and sorting entirely.
 EMPTY_FRAME = WireBatch().encode()
-
-
-def to_wire(wp: WirePacket) -> tuple:
-    """Flatten one packet to a plain versioned tuple.
-
-    Retained for tests and tooling; bulk traffic travels as
-    :class:`WireBatch` frames (one per window), never per-packet tuples.
-    """
-    return (WIRE_VERSION, wp.src_host, wp.dst_host, wp.cls, wp.kind,
-            wp.seq, wp.departure_ns, wp.arrival_ns, wp.payload_len,
-            wp.sent_at)
-
-
-def from_wire(frame: tuple) -> WirePacket:
-    """Inverse of :func:`to_wire`; checks the version tag."""
-    if not frame or frame[0] != WIRE_VERSION:
-        raise ValueError(
-            f"bad wire frame version: {frame[:1]!r} "
-            f"(this executor speaks wire format v{WIRE_VERSION})")
-    (_v, src_host, dst_host, cls, kind, seq, departure_ns, arrival_ns,
-     payload_len, sent_at) = frame
-    wp = WirePacket(src_host=src_host, dst_host=dst_host, cls=cls,
-                    kind=kind, seq=seq, departure_ns=departure_ns,
-                    arrival_ns=arrival_ns, payload_len=payload_len,
-                    sent_at=sent_at)
-    wp.validate()
-    return wp

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
 from repro.packet.addr import Ipv4Address, MacAddress
-from repro.packet.flow import FlowKey
+from repro.packet.flow import FlowKey, rss_hash
 from repro.packet.headers import (
     ETHERTYPE_IPV4,
     IPPROTO_UDP,
@@ -248,14 +248,17 @@ def vxlan_encapsulate(inner: Packet, vni: int, *,
     """Wrap *inner* in a VXLAN envelope (outer Ethernet/IPv4/UDP/VXLAN).
 
     The outer UDP source port defaults to a hash of the inner flow
-    (standard VXLAN entropy for ECMP); the destination port is the IANA
-    VXLAN port 4789.
+    (standard VXLAN entropy for ECMP) — the process-stable CRC32
+    :func:`~repro.packet.flow.rss_hash`, so outer flow identities do not
+    depend on ``PYTHONHASHSEED``; the destination port is the IANA VXLAN
+    port 4789.
     """
     vxlan = VxlanHeader(vni=vni)
     inner_len = inner.wire_len + vxlan.LENGTH
     if src_port is None:
         inner_key = inner.flow_key()
-        src_port = 49152 + ((hash(inner_key) if inner_key else inner.packet_id) & 0x3FFF)
+        src_port = 49152 + ((rss_hash(inner_key) if inner_key
+                             else inner.packet_id) & 0x3FFF)
     udp = UdpHeader(src_port=src_port, dst_port=VXLAN_PORT, payload_length=inner_len)
     ip_total = IPv4Header.LENGTH + udp.total_length
     ip = IPv4Header(src=outer_src_ip, dst=outer_dst_ip, protocol=IPPROTO_UDP,

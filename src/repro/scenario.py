@@ -19,15 +19,13 @@ Benches, examples, and the CLI all build their workloads through
 A Scenario is **immutable**: every fluent call returns a new one, so
 partial scenarios can be shared and forked freely (sweeps, mode
 comparisons).  :meth:`build` produces the underlying frozen
-``ExperimentConfig`` — byte-identical to one constructed directly, so
-the disk cache keys (which hash the config) are unaffected by which API
-built it.
+``ExperimentConfig`` — equal to one constructed directly, so the disk
+cache keys (which hash the config) do not depend on which API built it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from repro.bench.experiment import (
@@ -91,31 +89,14 @@ class Scenario:
 
     __slots__ = ("_config",)
 
-    def __init__(self, mode: Union[StackMode, str] = StackMode.VANILLA,
-                 *args: str, network: Optional[str] = None, seed: int = 1,
+    def __init__(self, mode: Union[StackMode, str] = StackMode.VANILLA, *,
+                 network: str = "overlay", seed: int = 1,
                  config: Optional[ExperimentConfig] = None) -> None:
-        if args:
-            # Positional network is deprecated: topology is a *place*,
-            # not a string — build through Scenario.on(Topology.…) or
-            # pass network= by keyword (the documented thin adapter).
-            if len(args) > 1:
-                raise TypeError(f"Scenario() takes at most 2 positional "
-                                f"arguments ({1 + len(args) + 1} given)")
-            if network is not None:
-                raise TypeError("Scenario() got network both positionally "
-                                "and by keyword")
-            warnings.warn(
-                "passing network positionally is deprecated; use "
-                "Scenario.on(Topology.two_host(network=...)) or the "
-                "network= keyword", DeprecationWarning, stacklevel=2)
-            network = args[0]
         if config is not None:
             self._config = config
             return
         if isinstance(mode, str):
             mode = StackMode.parse(mode)
-        if network is None:
-            network = "overlay"
         if network not in ("overlay", "host"):
             raise ValueError(f"unknown network type {network!r}; "
                              "expected 'overlay' or 'host'")
@@ -230,7 +211,7 @@ class Scenario:
     # Execution
     # ------------------------------------------------------------------
     def build(self) -> ExperimentConfig:
-        """The frozen config this scenario describes (cache-key stable)."""
+        """The frozen config this scenario describes."""
         return self._config
 
     def run(self) -> ExperimentResult:
@@ -265,14 +246,12 @@ class Scenario:
         runs; this dispatches on its structure:
 
         - ``Topology.two_host(...)`` → a :class:`Scenario` on the classic
-          pair.  The adapter **canonicalizes**: the returned scenario's
-          config carries the legacy ``network`` string (and maps
-          non-default link parameters onto the cost model's wire
-          fields), so its cache key is byte-identical to a config built
-          before specs existed.
+          pair.  The pair has one encoding: the ``network`` string plus
+          the cost model's wire fields (non-default link parameters map
+          onto ``wire_latency_ns``/``wire_bytes_per_ns``).
         - ``Topology.mesh(...)`` → a :class:`ClusterScenario` on the
-          PR 6 coarse single-hop fabric (again canonicalized:
-          ``fabric_latency_ns``/``fabric_bytes_per_ns``, digest-stable).
+          coarse single-hop fabric (link parameters map onto
+          ``fabric_latency_ns``/``fabric_bytes_per_ns``).
         - Anything with switches (``Topology.fat_tree(k=4)``, …) → a
           :class:`ClusterScenario` carrying the spec, routed through the
           simulated multi-hop :class:`~repro.fabric.network.FabricNetwork`.
@@ -301,8 +280,8 @@ class Scenario:
             bandwidths = {l.bytes_per_ns for l in spec.links}
             if len(latencies) != 1 or len(bandwidths) != 1:
                 raise ValueError(
-                    "heterogeneous mesh links have no canonical legacy "
-                    "form; use an explicit fabric topology instead")
+                    "heterogeneous mesh links do not fit the coarse "
+                    "fabric; use an explicit fabric topology instead")
             return ClusterScenario(
                 spec.host_count, mode=mode,
                 seed=0 if seed is None else seed,

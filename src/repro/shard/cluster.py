@@ -10,19 +10,19 @@ propagation latency — the latency that also serves as the conservative
 lookahead horizon for the sharded executor.
 
 :class:`ClusterResult` is the deterministic merge of all per-host
-results.  Its digest intentionally excludes anything that depends on
-*how* the run was executed (shard count, process placement, wall-clock
-timings): equal digests ⇔ identical simulation outcomes.
+results.  Its digest hashes the measurements only — per-host results,
+merged latency, per-class totals, fabric conservation and fabric
+statistics — never the config or anything that depends on *how* the run
+was executed (shard count, process placement, wall-clock timings):
+equal digests ⇔ identical simulation outcomes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.runner import _jsonable
+from repro.bench.runner import _jsonable, measurement_digest
 from repro.fabric.spec import TopologySpec
 from repro.faults.plan import FaultPlan
 from repro.flows.config import FlowExportConfig
@@ -35,6 +35,11 @@ __all__ = ["ClusterConfig", "ClusterResult", "cluster_digest"]
 #: (outer+inner Ethernet/IP/UDP plus VXLAN), used for serialization
 #: timing on the inter-host fabric.
 CROSS_HEADER_BYTES = 90
+
+#: What :func:`cluster_digest` hashes (``fabric`` is ``None`` on the
+#: coarse single-hop fabric).
+CLUSTER_MEASUREMENTS = ("hosts", "fg_latency", "totals", "conservation",
+                        "fabric")
 
 
 @dataclass(frozen=True)
@@ -65,17 +70,15 @@ class ClusterConfig:
     fabric_bytes_per_ns: float = 12.5
     faults: Optional[FaultPlan] = None
     #: Optional multi-hop fabric spec (e.g. ``Topology.fat_tree(k=4)``).
-    #: ``None`` keeps the PR 6 coarse single-hop fabric — and is omitted
-    #: from :meth:`to_dict`, so every pre-existing cluster digest stays
-    #: byte-identical.  When set, cross-host packets route through a
+    #: ``None`` keeps the coarse single-hop fabric.  When set, cross-host
+    #: packets route through a
     #: :class:`~repro.fabric.network.FabricNetwork` (ECMP + flowlets)
     #: and the lookahead horizon is the spec's minimum path latency.
     topology: Optional[TopologySpec] = None
     #: Optional sampled flow-record export
     #: (:class:`repro.flows.FlowExportConfig`).  ``None`` (the default)
-    #: leaves every hook a single attribute check and — like
-    #: ``topology`` — omits the key from :meth:`to_dict`, keeping all
-    #: pre-flow digests byte-identical.  When set, per-host collectors
+    #: leaves every hook a single attribute check.  When set, per-host
+    #: collectors
     #: plus an executor-owned fabric collector sample 1-in-N packets
     #: into :class:`~repro.flows.records.FlowRecord` sets merged onto
     #: :attr:`ClusterResult.flows`.
@@ -140,7 +143,7 @@ class ClusterConfig:
     # Serde (CLI / JSON reports)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "hosts": self.hosts,
             "users": self.users,
             "hi_fraction": self.hi_fraction,
@@ -156,15 +159,10 @@ class ClusterConfig:
             "fabric_latency_ns": self.fabric_latency_ns,
             "fabric_bytes_per_ns": self.fabric_bytes_per_ns,
             "faults": self.faults.to_dict() if self.faults else None,
+            "topology": self.topology.to_dict() if self.topology else None,
+            "flow_export": (self.flow_export.to_dict()
+                            if self.flow_export else None),
         }
-        # Unlike faults (always present, None-valued), the topology and
-        # flow_export keys only appear when set: pre-existing cluster
-        # digests hash to_dict() output and must stay byte-identical.
-        if self.topology is not None:
-            out["topology"] = self.topology.to_dict()
-        if self.flow_export is not None:
-            out["flow_export"] = self.flow_export.to_dict()
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
@@ -187,9 +185,10 @@ class ClusterConfig:
 class ClusterResult:
     """The deterministic merge of every host's measurements.
 
-    ``shards`` and ``timing`` describe *how* the run executed and are
-    excluded from the digest — a 1-shard and an 8-shard run of the same
-    config must hash identically.
+    The digest covers :data:`CLUSTER_MEASUREMENTS`.  ``config`` is left
+    out (it describes the run, it was not measured), and ``shards`` and
+    ``timing`` describe *how* the run executed — a 1-shard and an
+    8-shard run of the same config must hash identically.
     """
 
     config: Dict[str, Any]
@@ -202,14 +201,12 @@ class ClusterResult:
     #: Cross-shard fabric conservation accounting (exact).
     conservation: Dict[str, Any]
     #: Multi-hop fabric statistics (ECMP spread, flowlet switches,
-    #: per-link counts) — ``None`` on the coarse single-hop fabric, and
-    #: then absent from the digest payload so legacy digests are
-    #: untouched.  Deterministic, so it *is* digested when present.
+    #: per-link counts) — ``None`` on the coarse single-hop fabric.
+    #: Deterministic, so it is digested.
     fabric: Optional[Dict[str, Any]] = None
     #: Merged sampled flow records (``None`` unless the config enabled
     #: :attr:`ClusterConfig.flow_export`).  Excluded from the digest:
-    #: the digest contract is "equal ⇔ identical simulation outcome",
-    #: and flow records are *derived* observability data whose own
+    #: flow records are *derived* observability data whose own
     #: shard-independence is pinned by a separate record digest
     #: (``flows["record_digest"]``) and the determinism tests.
     flows: Optional[Dict[str, Any]] = None
@@ -217,34 +214,20 @@ class ClusterResult:
     shards: int = 1
     timing: Dict[str, Any] = field(default_factory=dict)
 
-    def digest_payload(self) -> Dict[str, Any]:
-        out = {
-            "config": _jsonable(self.config),
-            "hosts": _jsonable(self.hosts),
-            "fg_latency": _jsonable(self.fg_latency),
-            "totals": _jsonable(self.totals),
-            "conservation": _jsonable(self.conservation),
-        }
-        if self.fabric is not None:
-            out["fabric"] = _jsonable(self.fabric)
-        return out
-
     def to_dict(self) -> Dict[str, Any]:
-        out = self.digest_payload()
+        out = {name: _jsonable(getattr(self, name))
+               for name in ("config", *CLUSTER_MEASUREMENTS, "shards",
+                            "timing")}
         out["digest"] = cluster_digest(self)
-        out["shards"] = self.shards
-        out["timing"] = _jsonable(self.timing)
-        if self.flows is not None:
-            # Summary only — counters and the record digest; the full
-            # record list goes to a sink, not into run reports.
-            out["flows"] = {key: _jsonable(value)
-                            for key, value in self.flows.items()
-                            if key != "records"}
+        # Flow summary only — counters and the record digest; the full
+        # record list goes to a sink, not into run reports.
+        out["flows"] = None if self.flows is None else {
+            key: _jsonable(value) for key, value in self.flows.items()
+            if key != "records"}
         return out
 
 
 def cluster_digest(result: ClusterResult) -> str:
-    """Content digest — equal ⇔ identical merged simulation outcome."""
-    blob = json.dumps(result.digest_payload(), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Measurement digest — equal ⇔ identical merged simulation outcome."""
+    return measurement_digest({name: getattr(result, name)
+                               for name in CLUSTER_MEASUREMENTS})

@@ -10,10 +10,10 @@ the union with the partition-independent batch-level wire key, and
 routes every packet to the shard owning its destination for delivery at
 the next step.
 
-The barrier is the cross-shard hot path, so it never rematerializes a
-:class:`~repro.overlay.wirefmt.WirePacket`: frames decode into column
-lists, the global sort runs over zipped row tuples at C speed, the
-fabric transit rewrites the arrival column in place, and the routed
+The barrier is the cross-shard hot path, so it never builds a
+per-packet object: frames decode into column lists, the global sort
+runs over zipped row tuples at C speed, the fabric transit rewrites the
+arrival column, and the routed
 split is a per-destination-shard ``take`` over the columns.  Windows
 with no cross-shard traffic skip decode/sort/routing entirely (the
 shared ``EMPTY_FRAME`` makes them free), which matters at scale: most

@@ -25,8 +25,7 @@ serialization (per-destination FIFO, computed locally —
 partition-independent) plus the fabric propagation latency, which the
 executor uses as its conservative lookahead horizon.  Ingress is
 columnar too: routed rows are scheduled straight from the batch
-columns, so no :class:`~repro.overlay.wirefmt.WirePacket` object exists
-anywhere on the steady-state cross-host path.
+columns, so no per-packet wire object exists on the cross-host path.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from repro.bench.testbed import build_testbed
 from repro.faults import FaultInjector
 from repro.flows import FlowCollector, KernelFlowTap
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder
-from repro.overlay.wirefmt import (CLS_CODE, CLS_NAMES, KIND_CODE,
-                                   WireBatch, WirePacket)
+from repro.overlay.wirefmt import CLS_CODE, CLS_NAMES, KIND_CODE, WireBatch
 from repro.shard.cluster import CROSS_HEADER_BYTES, ClusterConfig
 from repro.sim.rng import SeededRng
 
@@ -87,8 +85,7 @@ class HostCell:
         # --- server side: the kernel under test -----------------------
         # Container placement comes from the topology spec when one is
         # given (first container = hi service, second = lo service);
-        # the legacy coarse fabric keeps the single "srv" container so
-        # pre-spec clusters build (and digest) byte-identically.
+        # the coarse fabric uses a single "srv" container.
         placement_spec = (cluster.topology.hosts[host_id].containers
                           if self._fabric_mode else ())
         if placement_spec:
@@ -168,7 +165,7 @@ class HostCell:
 
         # --- cross-boundary accounting (exact) ------------------------
         self.n_outbox = 0      #: packets appended to the outbox, ever
-        self.n_delivered = 0   #: packets handed to deliver()
+        self.n_delivered = 0   #: packets handed to deliver_rows()
         self.n_injected = 0    #: delivered packets whose arrival fired
 
         packet_core = self.testbed.server.kernel.cpu(0)
@@ -176,7 +173,7 @@ class HostCell:
                                              lambda: self.sim.now)
         self._marked = False
 
-        # --- sampled flow export (optional, digest-neutral) -----------
+        # --- sampled flow export (optional, measurement-neutral) ------
         # One collector per cell; cells are one-simulator-per-host, so
         # collector state never depends on shard placement.  The kernel
         # tap adds socket/NIC/drop sites; _fabric_send/_inject_row fold
@@ -267,11 +264,6 @@ class HostCell:
             schedule_at(t, inject, src[i], cls[i], kind[i], seq[i],
                         payload_len[i], sent_at[i])
         self.n_delivered += len(rows)
-
-    def deliver(self, packets: List[WirePacket]) -> None:
-        """Object-level form of :meth:`deliver_rows` (tests/tooling)."""
-        batch = WireBatch.from_packets(packets)
-        self.deliver_rows(batch, list(range(len(batch))))
 
     def _inject_row(self, src: int, cls_code: int, kind_code: int,
                     seq: int, payload_len: int, sent_at: int) -> None:

@@ -132,8 +132,7 @@ class ShardWorker:
         The inbox arrives globally sorted (executor contract); rows are
         delivered per destination in that order, so each cell's event
         insertion order is independent of partitioning.  Delivery is
-        columnar — no :class:`WirePacket` is ever rematerialized on the
-        ingress path.
+        columnar, straight from the batch rows.
         """
         cells = self.cells
         if inbox is not None and len(inbox):

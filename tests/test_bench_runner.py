@@ -56,7 +56,10 @@ class TestCacheKey:
         a = run_experiment(config)
         b = run_experiment(config)
         assert result_digest(a) == result_digest(b)
-        other = run_experiment(dataclasses.replace(config, seed=3))
+        # The digest hashes measurements, not the config: a different
+        # fg rate measures differently.  (A different seed alone would
+        # not — the periodic sockperf cell draws no randomness.)
+        other = run_experiment(dataclasses.replace(config, fg_rate_pps=3_000))
         assert result_digest(a) != result_digest(other)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric import FabricNetwork, Topology, ecmp_index
 from repro.fabric.ecmp import FlowletTable
-from repro.overlay.wirefmt import WirePacket
+from repro.overlay.wirefmt import CLS_CODE, KIND_CODE, WireBatch
 from repro.shard.cluster import ClusterConfig, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.worker import partition_hosts
@@ -20,11 +20,20 @@ def small_config(seed=0, **overrides) -> ClusterConfig:
     return ClusterConfig(**base)
 
 
-def wp(seq, *, src=0, dst=7, departure_ns=0, cls="hi"):
-    return WirePacket(src_host=src, dst_host=dst, cls=cls, kind="req",
-                      seq=seq, departure_ns=departure_ns,
-                      arrival_ns=departure_ns + 50_000, payload_len=64,
-                      sent_at=departure_ns)
+def requests(departures, *, src=0, dst=7, cls="hi", seqs=None):
+    """A batch of 64 B requests, one per departure time."""
+    batch = WireBatch()
+    for i, departure_ns in enumerate(departures):
+        batch.append(src, dst, CLS_CODE[cls], KIND_CODE["req"],
+                     i if seqs is None else seqs[i], departure_ns,
+                     departure_ns + 50_000, 64, departure_ns)
+    return batch
+
+
+def rows(batch):
+    return list(zip(batch.src, batch.dst, batch.cls, batch.kind, batch.seq,
+                    batch.departure, batch.arrival, batch.payload_len,
+                    batch.sent_at))
 
 
 class TestEcmpHash:
@@ -70,31 +79,31 @@ class TestFlowletTable:
 
 class TestFabricNetwork:
     def test_transit_is_deterministic(self):
-        packets = [wp(i, departure_ns=i * 1_000) for i in range(50)]
         outs = []
         for _ in range(2):
             net = FabricNetwork(FAT8, seed=3)
-            outs.append((net.transit(list(packets)), net.stats()))
+            out = net.transit_batch(requests(range(0, 50_000, 1_000)))
+            outs.append((rows(out), net.stats()))
         assert outs[0] == outs[1]
 
     def test_arrivals_respect_the_lookahead(self):
         net = FabricNetwork(FAT8, seed=0)
-        for out in net.transit([wp(i, departure_ns=i * 500)
-                                for i in range(20)]):
-            assert out.arrival_ns >= out.departure_ns + net.lookahead_ns
+        out = net.transit_batch(requests(range(0, 10_000, 500)))
+        for departure, arrival in zip(out.departure, out.arrival):
+            assert arrival >= departure + net.lookahead_ns
 
     def test_bursty_flow_spreads_over_paths(self):
         # One flow sending bursts separated by more than the flowlet
         # gap: ECMP alone would pin it to one path, flowlet switching
         # must spread it.
         net = FabricNetwork(FAT8, seed=1)
-        packets = []
+        departures = []
         t = 0
         for burst in range(12):
             for i in range(3):
-                packets.append(wp(0, departure_ns=t + i * 1_000))
+                departures.append(t + i * 1_000)
             t += 400_000  # idle gap >> flowlet_gap_ns (100 us)
-        net.transit(packets)
+        net.transit_batch(requests(departures, seqs=[0] * len(departures)))
         stats = net.stats()
         assert stats["flowlet_rehashes"] == 11
         (paths,) = stats["flow_paths"].values()
@@ -152,13 +161,13 @@ class TestFabricCluster:
         legacy = ClusterConfig(hosts=4, fabric_latency_ns=70_000)
         assert legacy.lookahead_ns == 70_000
 
-    def test_topology_in_digest_payload_and_round_trip(self):
+    def test_topology_round_trips_through_to_dict(self):
         config = small_config()
-        assert "topology" in config.to_dict()
+        assert config.to_dict()["topology"] == FAT8.to_dict()
         assert ClusterConfig.from_dict(config.to_dict()) == config
-        legacy = ClusterConfig(hosts=4)
-        assert "topology" not in legacy.to_dict()
-        assert ClusterConfig.from_dict(legacy.to_dict()) == legacy
+        coarse = ClusterConfig(hosts=4)
+        assert coarse.to_dict()["topology"] is None
+        assert ClusterConfig.from_dict(coarse.to_dict()) == coarse
 
     def test_host_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="describes 8 hosts"):

@@ -5,12 +5,15 @@ building, per-batch tracepoint gates) is a pure optimization: it must never
 change a single byte of an :class:`ExperimentResult`.  These tests pin
 that contract three ways:
 
-1. **Pinned goldens** — the digest of a canonical Fig. 11 load-sweep
-   cell for each stack mode and network type is hard-coded.  Any change
-   to simulation semantics (intended or not) trips these.  The digests
-   are independent of ``PYTHONHASHSEED`` (verified across randomized
-   and fixed-seed processes) because results are aggregates, not raw
-   object dumps.
+1. **Pinned goldens** — the measurement digest
+   (:func:`repro.bench.runner.result_digest`) of a canonical Fig. 11
+   load-sweep cell for each stack mode and network type is hard-coded,
+   one per cell: traced runs must match it too.  Any change to
+   simulation semantics (intended or not) trips these and names the
+   cell; a config that only *spells* the same scenario differently
+   (explicit default knobs, flow export on) must not.  The digests are
+   independent of ``PYTHONHASHSEED`` because results are aggregates,
+   not raw object dumps.
 2. **Pool-off equivalence** — re-running with the skb free-list pool
    disabled (fresh ``SKBuff`` per packet, like the seed code) must give
    the identical digest, proving recycling reuses objects without
@@ -23,6 +26,7 @@ that contract three ways:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import pytest
@@ -35,6 +39,9 @@ from repro.bench.experiment import (
 )
 from repro.bench.runner import result_digest
 from repro.faults.plan import FaultPlan
+from repro.flows.config import FlowExportConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.costs import CostModel
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 
@@ -51,38 +58,32 @@ def _config(mode: StackMode, network: str,
         faults=None if faults is None else FaultPlan.parse(faults))
 
 
-#: scenario -> (untraced digest, traced digest).  Traced results differ
-#: only by the appended ``stage_breakdown`` — the measurements match.
+#: scenario -> (config, measurement digest).  The digest hashes
+#: measurements only, so traced and untraced runs share it.
 GOLD = {
     "overlay-vanilla": (
         _config(StackMode.VANILLA, "overlay"),
-        "57bc8551582a7e3e31b3ab4694ce8a64f2820195e303d794c89c080b9a2d24c7",
-        "1a29f457449dfcd385663e6490dcdce851946061be41bc604f6d14b003a36cd6",
+        "823f29c344f4c88c0a1f5aa4bc15134786d6a5c0bf7c643b4602893e7a5c12d8",
     ),
     "overlay-prism-batch": (
         _config(StackMode.PRISM_BATCH, "overlay"),
-        "67d4510e4ed4d5aef1c0a9b8e4c108e93221d805a4bd72a173c1ab09a6d8e19a",
-        "911eaa87b9ab44fd1455fcbda3f3f6de9455cf4299137e7f7482c70bc2715f82",
+        "4191cc2ca1cad85c8fde2415f8dca8b12611c8edc04285683aa529739c349436",
     ),
     "overlay-prism-sync": (
         _config(StackMode.PRISM_SYNC, "overlay"),
-        "e3b2216c1cfc8abc68ee89d53b9fb0e4c5b397fbd4d261972bf5eaae7096bd0a",
-        "e27d810003be532272151bf94b8fa6961c0d5cbe7d05f270260f40f298bcb7d4",
+        "ce524a705c3ad5810a8f1724df24cdf0cf27bd36641039feae9e9bcbb12cc17f",
     ),
     "host-vanilla": (
         _config(StackMode.VANILLA, "host"),
-        "e46de6c5374ca2cffffb25d5d79946ea0478102db5f93c6f67d34734e0f8d7d1",
-        "1f149719b54fbcecd5c93f6f7bca0083dc9c6f544c68404d3c3c8980e09d25fe",
+        "ce566ac6d32e3d6eb448e2f869dd29a9b93c5bedc67965df13ba4e8d3b5e41dd",
     ),
     "overlay-bypass-lossy": (
         _config(StackMode.BYPASS, "overlay", LOSSY),
-        "8bce13142904dfb53b0d31a5f42a83f513ef7a58ca89bccb87d0c67b03cd2980",
-        "9da66d99ea6fbba9596c9dc32ff5a156802f82d57debac154bf93294050600db",
+        "4827a4a8ca57f5b753e658c2aeb26d2c323cb417e71743a499d01452b5d68413",
     ),
     "overlay-prism-sync-lossy": (
         _config(StackMode.PRISM_SYNC, "overlay", LOSSY),
-        "db30bdbfdb2980f70e32227ebb94c809df6eb06f720a5797ff5efb9fac94093a",
-        "7ee5902076fa25eb06282eb6b646052b4654b5a51494242f4a4b990a81b09227",
+        "bce281dfed672523c5f1715e264e0b99268fb19935bb489b384a502004486897",
     ),
 }
 
@@ -95,42 +96,68 @@ def _disable_pool(testbed) -> None:
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_untraced_digest_matches_golden(scenario):
-    config, untraced, _ = GOLD[scenario]
-    assert result_digest(run_experiment(config)) == untraced
+    config, golden = GOLD[scenario]
+    assert result_digest(run_experiment(config)) == golden
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_traced_digest_matches_golden(scenario):
-    config, _, traced = GOLD[scenario]
-    assert result_digest(run_traced_experiment(config).result) == traced
+    """Tracing only observes: the traced run measures the same."""
+    config, golden = GOLD[scenario]
+    assert result_digest(run_traced_experiment(config).result) == golden
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_pool_disabled_run_is_identical(scenario):
     """Recycled skbs carry zero observable state: pool off == pool on."""
-    config, untraced, _ = GOLD[scenario]
+    config, golden = GOLD[scenario]
     result = _run_experiment(config, attach=_disable_pool)
-    assert result_digest(result) == untraced
+    assert result_digest(result) == golden
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_digest_ignores_config_spelling(scenario):
+    """Explicit default knobs and flow export simulate the same thing,
+    so they reproduce the golden although the config serializes
+    differently."""
+    config, golden = GOLD[scenario]
+    respelled = dataclasses.replace(
+        config, costs=CostModel(), kernel_config=KernelConfig(),
+        flow_export=FlowExportConfig(sample_rate=1))
+    result = run_experiment(respelled)
+    assert result.flows is not None
+    assert result_digest(result) == golden
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_digest_tracks_a_stage_cost(scenario):
+    """A one-field cost change that moves latency samples moves the
+    digest of the cell."""
+    config, golden = GOLD[scenario]
+    slower = dataclasses.replace(
+        config, costs=CostModel().replace(nic_pkt_ns=800))
+    assert result_digest(run_experiment(slower)) != golden
 
 
 def test_traced_measurements_match_untraced():
-    """Tracing only observes: measurements identical, breakdown added."""
-    config, untraced, _ = GOLD["overlay-vanilla"]
+    """Tracing only observes: the breakdown is added, the measurements
+    (and so the digest) are the untraced run's."""
+    config, golden = GOLD["overlay-vanilla"]
     traced = run_traced_experiment(config).result
-    traced.stage_breakdown = None
-    assert result_digest(traced) == untraced
+    assert traced.stage_breakdown is not None
+    assert result_digest(traced) == golden
 
 
 def test_back_to_back_runs_are_identical():
     """Regression: per-experiment skb ids — no cross-run counter leak."""
-    config, untraced, _ = GOLD["overlay-vanilla"]
+    config, golden = GOLD["overlay-vanilla"]
     first = result_digest(run_experiment(config))
     second = result_digest(run_experiment(config))
-    assert first == second == untraced
+    assert first == second == golden
 
 
 def test_run_after_traced_run_is_identical():
     """A traced run leaves no state behind that skews the next run."""
-    config, untraced, _ = GOLD["overlay-prism-batch"]
+    config, golden = GOLD["overlay-prism-batch"]
     run_traced_experiment(config)
-    assert result_digest(run_experiment(config)) == untraced
+    assert result_digest(run_experiment(config)) == golden

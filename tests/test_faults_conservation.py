@@ -4,7 +4,10 @@ stack mode, through the real experiment pipeline, must balance exactly.
 The invariant ``injected == delivered + dropped(by site) + in_flight``
 is the subsystem's correctness anchor: a leak anywhere in the kernel
 path (an unaccounted drop, a double-counted retransmit) fails loudly
-with per-site detail.
+with per-site detail.  Most plans drop before the modes diverge (eth,
+wire, skb allocation); the lost-IRQ cells and the overload cell reach
+the places where they differ — interrupt-driven vs polled rings, and a
+ring overflow that depends on how fast each mode drains it.
 """
 
 import itertools
@@ -27,7 +30,12 @@ SPECS = [
     "skbfail:0.02; retries=5; timeout=2ms",
     "burst@25ms x2; retries=5; timeout=2ms",
     "loss:wire:0.03; flap@10ms+2ms; retries=5; timeout=2ms",
+    "irqloss:0.05; retries=5; timeout=2ms",
 ]
+#: Plans that lose packets for good, so the client must retry.  A burst
+#: is instantaneous — whether it catches a foreground ping in flight
+#: depends on the mode's timing — and a lost IRQ only delays packets.
+LOSSY = ("loss:", "skbfail:")
 MODES = [StackMode.VANILLA, StackMode.PRISM_SYNC, StackMode.BYPASS]
 
 
@@ -48,19 +56,46 @@ def test_conservation_holds_under_fault(spec, mode):
     result = run_experiment(config)
     conservation = result.conservation
     assert conservation is not None
-    assert conservation["balanced"], conservation
-    assert conservation["residual"] == 0
-    # The fault actually fired (the grid is not vacuous)...
-    assert sum(result.fault_summary["forced"].values()) > 0
-    # ...and the foreground client recovered through it.  (A burst is
-    # instantaneous — whether it catches a foreground ping in flight
-    # depends on the mode's timing — so only sustained probabilistic
-    # loss guarantees retries.)
+    _balanced_exactly(conservation)
+    # The fault actually fired (the grid is not vacuous) — except a
+    # lost IRQ under poll-mode bypass, which takes no interrupts...
+    if not (spec.startswith("irqloss") and mode is StackMode.BYPASS):
+        assert sum(result.fault_summary["forced"].values()) > 0
+    # ...and the foreground client recovered through it.
     recovery = result.recovery
-    if not spec.startswith("burst"):
+    if spec.startswith(LOSSY):
         assert recovery["retries_total"] > 0
     assert recovery["gave_up"] == 0
     assert result.fg_replies > 0
+
+
+def _balanced_exactly(conservation):
+    assert conservation["balanced"], conservation
+    assert conservation["residual"] == 0
+    assert conservation["injected"] == (
+        conservation["delivered"] + conservation["dropped"]
+        + conservation["in_processing"] + conservation["queued"])
+    assert conservation["dropped"] == sum(
+        conservation["dropped_by_site"].values())
+
+
+@pytest.mark.slow
+def test_overload_drops_depend_on_the_mode():
+    """A 600 kpps flood overflows the rx ring at rates that depend on
+    how fast each mode drains it; the ledger must balance in every mode
+    and the per-site drops must tell the modes apart."""
+    spec = "loss:eth:0.02; retries=5; timeout=2ms"
+    drops = {}
+    for mode in MODES:
+        config = ExperimentConfig(
+            mode=mode, faults=FaultPlan.parse(spec),
+            **dict(FAST, bg_rate_pps=600_000))
+        conservation = run_experiment(config).conservation
+        _balanced_exactly(conservation)
+        drops[mode] = conservation["dropped_by_site"]
+    assert any(by_site.get("eth:ring") for by_site in drops.values()), drops
+    distinct = {tuple(sorted(by_site.items())) for by_site in drops.values()}
+    assert len(distinct) == len(MODES), drops
 
 
 @pytest.mark.slow

@@ -117,13 +117,13 @@ class TestPlanValueSemantics:
 
 
 class TestConfigIntegration:
-    """The faults field must not perturb loss-free configs."""
+    """The faults field serializes like every other field."""
 
-    def test_none_is_omitted_from_to_dict(self):
-        assert "faults" not in ExperimentConfig().to_dict()
+    def test_none_is_written_to_to_dict(self):
+        assert ExperimentConfig().to_dict()["faults"] is None
 
-    def test_none_is_omitted_from_jsonable(self):
-        assert "faults" not in _jsonable(ExperimentConfig())
+    def test_none_is_written_to_jsonable(self):
+        assert _jsonable(ExperimentConfig())["faults"] is None
 
     def test_config_round_trips_with_plan(self):
         config = ExperimentConfig(faults=FaultPlan.parse("burst@1ms"))

@@ -1,22 +1,23 @@
 """Flow export's two determinism contracts, pinned end to end.
 
-1. **Off ⇒ invisible.**  With ``flow_export=None`` (the default) the
-   config wire format carries no ``flow_export`` key, so every
-   pre-existing digest and disk-cache key is byte-identical to a build
-   without the flows package; and with export *on*, the simulation
-   outcome (digests, measurements) is still byte-identical — sampling
-   observes, it never perturbs.
+1. **Export only observes.**  With export on, the measurements (and
+   so the measurement digests, which hash neither config nor flow
+   records) are identical to an export-free run — sampling observes, it
+   never perturbs.
 
-2. **On ⇒ shard-count independent.**  The merged record set (order-
-   normalized, pinned by ``flows["record_digest"]``) is identical at
-   shards 1/2/4, for in-process vs subprocess workers, and lands
-   byte-identically through the JSONL and SQLite sinks.
+2. **On ⇒ reproducible.**  The merged record set (order-normalized,
+   pinned by ``flows["record_digest"]``) is identical at shards 1/2/4,
+   for in-process vs subprocess workers, under any ``PYTHONHASHSEED``,
+   and lands byte-identically through the JSONL and SQLite sinks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,10 +52,10 @@ def _fat_tree(**overrides) -> ClusterConfig:
 # ----------------------------------------------------------------------
 # Contract 1: export off/on never changes the simulation
 # ----------------------------------------------------------------------
-def test_export_off_omits_config_key():
-    assert "flow_export" not in _cluster(flow_export=None).to_dict()
-    assert "flow_export" not in ExperimentConfig().to_dict()
-    # ... and absent keys round-trip back to None.
+def test_export_off_writes_none_config_key():
+    assert _cluster(flow_export=None).to_dict()["flow_export"] is None
+    assert ExperimentConfig().to_dict()["flow_export"] is None
+    # ... and the None key round-trips back to None.
     assert ClusterConfig.from_dict(
         _cluster(flow_export=None).to_dict()).flow_export is None
 
@@ -62,19 +63,14 @@ def test_export_off_omits_config_key():
 def test_export_off_result_omits_flows():
     result = run_cluster(_cluster(flow_export=None), shards=1)
     assert result.flows is None
-    assert "flows" not in result.to_dict()
+    assert result.to_dict()["flows"] is None
 
 
 def test_cluster_digest_identical_with_export_on():
     off = run_cluster(_cluster(flow_export=None), shards=1)
     on = run_cluster(_cluster(), shards=1)
-    # Config differs (the flow_export key), so compare everything else.
-    payload_off = off.digest_payload()
-    payload_on = on.digest_payload()
-    payload_off.pop("config")
-    payload_on.pop("config")
-    assert json.dumps(payload_off, sort_keys=True) == \
-        json.dumps(payload_on, sort_keys=True)
+    # The digest hashes measurements, not the config that differs.
+    assert cluster_digest(off) == cluster_digest(on)
 
 
 def test_experiment_digest_identical_with_export_on():
@@ -82,8 +78,7 @@ def test_experiment_digest_identical_with_export_on():
                               duration_ns=8 * MS, warmup_ns=2 * MS)
     off = run_experiment(config)
     on = run_experiment(dataclasses.replace(config, flow_export=FLOWS))
-    assert result_digest(off) == result_digest(
-        dataclasses.replace(on, config=config, flows=None))
+    assert result_digest(off) == result_digest(on)
     assert on.flows["record_count"] > 0
 
 
@@ -92,8 +87,8 @@ def test_golden_digest_unchanged_by_flows_machinery():
     the flows wiring (attribute checks on the packet path) are free."""
     from tests.test_fastpath_golden import GOLD
 
-    config, untraced, _ = GOLD["overlay-vanilla"]
-    assert result_digest(run_experiment(config)) == untraced
+    config, golden = GOLD["overlay-vanilla"]
+    assert result_digest(run_experiment(config)) == golden
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +122,31 @@ def test_fat_tree_records_identical_and_cover_links():
                   for record in one.flows["records"]
                   for site in record["sites"] if site.startswith("link:")}
     assert link_sites, "fabric collector produced no link sites"
+
+
+_OVERLAY_RECORD_DIGEST = """
+from repro.bench.experiment import ExperimentConfig, run_experiment
+from repro.flows import FlowExportConfig
+from repro.sim.units import MS
+config = ExperimentConfig(bg_rate_pps=50_000.0, duration_ns=4 * MS,
+                          warmup_ns=1 * MS,
+                          flow_export=FlowExportConfig(sample_rate=1))
+print(run_experiment(config).flows["record_digest"])
+"""
+
+
+def test_overlay_records_independent_of_hash_seed():
+    """The VXLAN outer source port is part of the ``eth:ring`` records'
+    flow identity; it must come from a process-stable hash."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _OVERLAY_RECORD_DIGEST],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_records_reproducible_and_seed_sensitive():

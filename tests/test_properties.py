@@ -2,7 +2,7 @@
 
 These drive randomized workloads through the full pipeline and check
 conservation and determinism properties that must hold for *any*
-workload, in every stack mode.
+workload, in every stack mode — including any fault plan.
 """
 
 from hypothesis import given, settings
@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from repro.apps.remote import RemoteRequestSender
 from repro.apps.sockperf import SockperfUdpClient, SockperfUdpServer
+from repro.bench.experiment import ExperimentConfig, run_experiment
 from repro.bench.testbed import build_testbed
+from repro.faults.plan import (
+    FaultPlan,
+    IrqLoss,
+    PacketLoss,
+    RetryPolicy,
+    RingBurst,
+    SkbAllocFailure,
+)
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 
@@ -77,6 +86,50 @@ class TestConservation:
         for socket in sockets:
             ids = [skb.packet.packet_id for skb in list(socket.rcvbuf._items)]
             assert ids == sorted(ids)
+
+
+#: Loss sites: the rx ring, the bridge and backlog queues (names are
+#: prefix-matched), and both directions of the physical link.
+LOSS_SITES = ("eth", "br", "backlog", "wire", "wire:tx")
+FAULT_WARMUP_NS = 2 * MS
+FAULT_WINDOW_NS = 8 * MS
+
+
+@st.composite
+def fault_plans(draw):
+    """Random loss sites and rates, skb-alloc failure, lost IRQs and a
+    ring burst inside the 10 ms run."""
+    probability = st.floats(0.005, 0.2)
+    losses = tuple(PacketLoss(site=draw(st.sampled_from(LOSS_SITES)),
+                              p=draw(probability))
+                   for _ in range(draw(st.integers(0, 2))))
+    skb_alloc = draw(st.none() | st.builds(SkbAllocFailure, p=probability))
+    irq_loss = draw(st.none() | st.builds(IrqLoss, p=probability))
+    end = FAULT_WARMUP_NS + FAULT_WINDOW_NS
+    bursts = tuple(RingBurst(at_ns=draw(st.integers(0, end - 1)),
+                             factor=draw(st.floats(0.5, 3.0)))
+                   for _ in range(draw(st.integers(0, 1))))
+    return FaultPlan(seed=draw(st.integers(1, 1_000)), ring_bursts=bursts,
+                     losses=losses, skb_alloc=skb_alloc, irq_loss=irq_loss,
+                     retry=RetryPolicy(timeout_ns=2 * MS))
+
+
+class TestFaultConservation:
+    @settings(max_examples=10, deadline=None)
+    @given(MODES, fault_plans(), st.sampled_from([50_000, 300_000]))
+    def test_any_fault_plan_balances_exactly(self, mode, plan, bg_rate_pps):
+        config = ExperimentConfig(
+            mode=mode, fg_rate_pps=2_000, bg_rate_pps=bg_rate_pps,
+            warmup_ns=FAULT_WARMUP_NS, duration_ns=FAULT_WINDOW_NS,
+            faults=plan)
+        conservation = run_experiment(config).conservation
+        assert conservation["balanced"], conservation
+        assert conservation["residual"] == 0
+        assert conservation["injected"] == (
+            conservation["delivered"] + conservation["dropped"]
+            + conservation["in_processing"] + conservation["queued"])
+        assert conservation["dropped"] == sum(
+            conservation["dropped_by_site"].values())
 
 
 class TestDeterminism:

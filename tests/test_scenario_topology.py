@@ -1,4 +1,4 @@
-"""Scenario.on / Topology adapters: canonicalization and cache keys."""
+"""Scenario.on / Topology: the two-host pair has one encoding."""
 
 import warnings
 
@@ -25,7 +25,6 @@ class TestTwoHostAdapter:
     def test_custom_link_maps_onto_the_cost_model(self):
         spec = Topology.two_host(latency_ns=5_000, bytes_per_ns=25.0)
         config = Scenario.on(spec).build()
-        assert config.topology is None  # canonicalized, not carried
         assert config.costs.wire_latency_ns == 5_000
         assert config.costs.wire_bytes_per_ns == 25.0
 
@@ -41,12 +40,7 @@ class TestTwoHostAdapter:
 
 
 class TestPositionalNetworkDeprecation:
-    def test_warns_and_builds_the_same_config(self):
-        with pytest.deprecated_call():
-            old = Scenario("vanilla", "host")
-        assert old.build() == Scenario(network="host").build()
-        assert config_key(old.build()) == config_key(
-            Scenario(network="host").build())
+    """The deprecated positional ``network`` argument is gone."""
 
     def test_keyword_form_does_not_warn(self):
         with warnings.catch_warnings():
@@ -55,10 +49,10 @@ class TestPositionalNetworkDeprecation:
             Scenario.on(Topology.two_host())
 
     def test_conflicting_forms_rejected(self):
-        with pytest.raises(TypeError, match="positionally and by keyword"):
-            Scenario("vanilla", "host", network="overlay")
         with pytest.raises(TypeError, match="positional"):
-            Scenario("vanilla", "host", "extra")
+            Scenario("vanilla", "host")
+        with pytest.raises(TypeError, match="positional"):
+            Scenario("vanilla", "host", network="overlay")
 
 
 class TestClusterDispatch:
@@ -98,20 +92,19 @@ class TestClusterDispatch:
 
 class TestExperimentConfigSerde:
     def test_topology_absent_when_none(self):
+        # The pair is named by ``network`` alone: no topology field.
         assert "topology" not in ExperimentConfig().to_dict()
+        assert not hasattr(ExperimentConfig(), "topology")
 
     def test_round_trip_with_topology(self):
-        config = ExperimentConfig(topology=Topology.two_host())
+        # A config built from a two-host spec round-trips as the
+        # network string plus the cost model's wire fields.
+        config = Scenario.on(Topology.two_host("host",
+                                               latency_ns=9_000)).build()
         data = config.to_dict()
-        assert data["topology"]["kind"] == "two-host"
+        assert data["network"] == "host"
+        assert data["costs"]["wire_latency_ns"] == 9_000
         assert ExperimentConfig.from_dict(data) == config
-
-    def test_topology_spec_defaults_to_the_network_string(self):
-        assert (ExperimentConfig(network="host").topology_spec()
-                == Topology.two_host("host"))
-        explicit = Topology.two_host(latency_ns=9_000)
-        assert (ExperimentConfig(topology=explicit).topology_spec()
-                is explicit)
 
 
 class TestClusterCli:

