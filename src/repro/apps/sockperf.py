@@ -24,7 +24,6 @@ from typing import Dict, Optional
 
 from repro.faults.plan import RetryPolicy
 from repro.faults.recovery import RetryTracker
-from repro.kernel.cpu import Work
 from repro.metrics.recorder import LatencyRecorder, ThroughputMeter
 from repro.overlay.container import Container
 from repro.overlay.network import RemoteContainer, RemoteHost
@@ -62,7 +61,7 @@ class SockperfUdpServer:
         self.container = container
         self.port = port
         self.reply = reply
-        self.app_work_ns = app_work_ns
+        self.app_work_ns = int(app_work_ns)
         self.socket = container.udp_socket(port, core_id=core_id)
         self.received = ThroughputMeter(f"sockperf-server:{port}")
         if telemetry is not None:
@@ -85,7 +84,7 @@ class SockperfUdpServer:
             # goes back to the kernel's free list before the app "work".
             packet = skb.packet
             pool.recycle(skb)
-            yield Work(self.app_work_ns)
+            yield self.app_work_ns
             if not self.reply:
                 continue
             ip = packet.ip

@@ -25,7 +25,6 @@ from repro.faults import FaultInjector, FaultPlan, merge_recovery
 from repro.flows.config import FlowExportConfig
 from repro.kernel.config import KernelConfig
 from repro.kernel.costs import CostModel
-from repro.kernel.cpu import Work
 from repro.metrics.recorder import (
     CpuUtilizationSampler,
     LatencyRecorder,
@@ -298,7 +297,7 @@ def _host_network_setup(testbed: Testbed, config: ExperimentConfig,
             fg_meter.record(sim.now, skb.wire_len)
             packet = skb.packet
             pool.recycle(skb)
-            yield Work(600)
+            yield 600
             if config.fg_kind != "pingpong" or packet.ip is None:
                 continue
             yield from server.egress.udp_send(
@@ -350,7 +349,7 @@ def _host_network_setup(testbed: Testbed, config: ExperimentConfig,
                 skb = yield from bg_socket.recv()
                 bg_meter.record(sim.now, skb.wire_len)
                 pool.recycle(skb)
-                yield Work(400)
+                yield 400
 
         server.spawn(bg_server(), core_id=2, name="bg-host-server")
 

@@ -19,11 +19,13 @@ Two modelling decisions keep the simulation honest *and* cheap:
   ``cstate_wakeups`` stays 0 — which is exactly what makes the Fig. 11
   power comparison meaningful for this mode.
 - **Reuse of the driver poll.**  The PMD drives the existing
-  :meth:`NicNapi.poll` generator and charges each yielded duration as
-  USER time (DPDK packet processing is user-space work).  Every fault
-  hook, ledger movement, tracepoint, and telemetry counter on the NAPI
-  path therefore behaves identically in bypass mode — conservation
-  under a :class:`~repro.faults.plan.FaultPlan` needs no special cases.
+  :meth:`NicNapi.poll` generator — whose hand-off runs every later stage
+  inline, since ``Kernel.bypass`` is set — and charges each yielded
+  duration as USER time (DPDK packet processing is user-space work).
+  Every fault hook, ledger movement, tracepoint, and telemetry counter
+  on the NAPI path therefore behaves identically in bypass mode —
+  conservation under a :class:`~repro.faults.plan.FaultPlan` needs no
+  special cases.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class PollModeDriver:
         sim = kernel.sim
         napi = self.napi
         stats = self.cpu.stats
+        user = CpuContext.USER
+        ns = stats.ns
         tracer = kernel.tracer
         weight = kernel.config.napi_weight
         track = f"pmd:{self.nic.name}"
@@ -88,7 +92,7 @@ class PollModeDriver:
                     while True:
                         duration = int(duration)
                         if duration > 0:
-                            stats.add(CpuContext.USER, duration)
+                            ns[user] += duration
                             # Run-ahead (Simulator._ra_refresh): skip the
                             # event queue when this wake-up is next anyway.
                             time = sim.now + duration

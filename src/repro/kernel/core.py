@@ -9,7 +9,9 @@ tracer subscribers; the kernel holds no other observation hook).
 
 The stack mode (vanilla / prism-batch / prism-sync) is a *runtime*
 property, switchable through procfs mid-simulation, exactly like the
-paper's prototype.
+paper's prototype.  Switching binds the per-mode behaviour once — the
+``prism`` / ``sync`` / ``bypass`` switches the receive path reads and the
+``net_rx_action`` variant — so no per-packet path compares modes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.kernel.config import KernelConfig
-from repro.kernel.costs import CostModel
+from repro.kernel.costs import CostModel, StageCostTable
 from repro.kernel.cpu import CpuCore
 from repro.kernel.net_rx_prism import net_rx_action_prism
 from repro.kernel.net_rx_vanilla import net_rx_action_vanilla
@@ -50,6 +52,7 @@ class Kernel:
         self.config = config or KernelConfig()
         self.tracer = tracer or Tracer()
         self.mode: StackMode = self.config.initial_mode
+        self._bind_mode()
 
         self.priority_db = PriorityDatabase()
         self.classifier = PriorityClassifier(self.priority_db, self.costs)
@@ -99,9 +102,36 @@ class Kernel:
         return (skb.priority_level is not None
                 and skb.priority_level <= self.config.high_priority_max_level)
 
+    def stage_costs(self, base_ns: int, *,
+                    is_copy_stage: bool = False) -> StageCostTable:
+        """A pipeline stage's ``wire_len -> cost`` table.
+
+        The bypass datapath discounts the fixed part of every stage; it
+        is chosen at build time, so the discount is fixed here.
+        """
+        costs = self.costs
+        if self.bypass:
+            base_ns = costs.bypass_stage_base(base_ns)
+        return StageCostTable(costs, base_ns, is_copy_stage)
+
     # ------------------------------------------------------------------
     # Mode switching
     # ------------------------------------------------------------------
+    def _bind_mode(self) -> None:
+        """Resolve the per-mode behaviour the receive path reads."""
+        mode = self.mode
+        #: Either PRISM mode: classification, dual queues, head scheduling.
+        self.prism = mode.is_prism
+        #: PRISM-sync: high-class skbs run every later stage inline.
+        self.sync = mode is StackMode.PRISM_SYNC
+        #: Kernel bypass: every skb runs every stage inline (build time).
+        self.bypass = mode is StackMode.BYPASS
+        # BYPASS shares the vanilla handler: the PMD never raises NET_RX
+        # for the physical NIC, but RPS re-steering can still land skbs
+        # in a remote backlog, which drains FIFO.
+        self._net_rx_action = (net_rx_action_prism if self.prism
+                               else net_rx_action_vanilla)
+
     def _set_mode(self, mode: StackMode) -> None:
         if mode is not self.mode and StackMode.BYPASS in (mode, self.mode):
             # BYPASS is a build-time datapath: the poll-mode driver owns
@@ -112,6 +142,7 @@ class Kernel:
                 f"cannot switch between {self.mode} and {mode} at runtime; "
                 "bypass is selected at build time (config.initial_mode)")
         self.mode = mode
+        self._bind_mode()
 
     def set_mode(self, mode: StackMode) -> None:
         """Switch the stack mode at runtime (procfs-equivalent)."""
@@ -122,12 +153,7 @@ class Kernel:
     # ------------------------------------------------------------------
     def _make_net_rx_handler(self, softnet: SoftnetData):
         def handler() -> Generator[int, None, None]:
-            # BYPASS shares the vanilla handler: the PMD never raises
-            # NET_RX for the physical NIC, but RPS re-steering can still
-            # land skbs in a remote backlog, which drains FIFO.
-            if self.mode.is_prism:
-                return net_rx_action_prism(self, softnet)
-            return net_rx_action_vanilla(self, softnet)
+            return self._net_rx_action(self, softnet)
         return handler
 
     def softnet_for(self, cpu_id: int) -> SoftnetData:

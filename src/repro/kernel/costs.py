@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "StageCostTable"]
 
 
 @dataclass(frozen=True)
@@ -185,23 +185,18 @@ class CostModel:
     # experiment, so the tables stay tiny.  The caches are attached via
     # object.__setattr__ (frozen dataclass) and are not dataclass fields:
     # equality, hashing, repr, and serialization are unaffected, and
-    # ``replace()`` builds a fresh instance with fresh caches.
+    # ``replace()`` builds a fresh instance with fresh caches.  Stage
+    # costs are memoized per stage instead (:class:`StageCostTable`).
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_stage_cache", {})
         object.__setattr__(self, "_egress_cache", {})
         object.__setattr__(self, "_wire_cache", {})
 
     def stage_packet_cost(self, stage_base_ns: int, wire_len: int,
                           *, is_copy_stage: bool = False) -> int:
         """Per-packet cost of one stage for a packet of *wire_len* bytes."""
-        key = (stage_base_ns, wire_len, is_copy_stage)
-        cost = self._stage_cache.get(key)
-        if cost is None:
-            per_byte = (self.copy_per_byte_ns if is_copy_stage
-                        else self.touch_per_byte_ns)
-            cost = int(stage_base_ns + per_byte * wire_len)
-            self._stage_cache[key] = cost
-        return cost
+        per_byte = (self.copy_per_byte_ns if is_copy_stage
+                    else self.touch_per_byte_ns)
+        return int(stage_base_ns + per_byte * wire_len)
 
     def bypass_stage_base(self, stage_base_ns: int) -> int:
         """The discounted stage base the poll-mode driver pays.
@@ -226,4 +221,27 @@ class CostModel:
         if cost is None:
             cost = int(self.wire_latency_ns + wire_len / self.wire_bytes_per_ns)
             self._wire_cache[wire_len] = cost
+        return cost
+
+
+class StageCostTable(dict):
+    """``wire_len -> stage_packet_cost(base, wire_len)`` for one stage.
+
+    A dict filled on first use: a stage's per-packet cost lookup is one
+    subscript, answered in C for every wire length seen before.  Built by
+    ``Kernel.stage_costs``, which fixes the stage's base.
+    """
+
+    __slots__ = ("model", "base_ns", "is_copy_stage")
+
+    def __init__(self, model: CostModel, base_ns: int,
+                 is_copy_stage: bool) -> None:
+        super().__init__()
+        self.model = model
+        self.base_ns = base_ns
+        self.is_copy_stage = is_copy_stage
+
+    def __missing__(self, wire_len: int) -> int:
+        cost = self[wire_len] = self.model.stage_packet_cost(
+            self.base_ns, wire_len, is_copy_stage=self.is_copy_stage)
         return cost

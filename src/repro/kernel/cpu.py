@@ -16,7 +16,7 @@ to process, user threads on that core do not run.
 
 Activities express CPU consumption by yielding:
 
-- :class:`Work` (or a bare ``int``) — consume CPU time; user threads are
+- a bare ``int`` (or :class:`Work`) — consume CPU time; user threads are
   preemptible *between* Work items, never inside one;
 - :class:`Block` — go off-CPU until an event fires (user threads only);
 - ``None`` — cooperative round-robin yield.
@@ -58,8 +58,17 @@ class CpuContext(enum.Enum):
     __hash__ = object.__hash__
 
 
+_SOFTIRQ = CpuContext.SOFTIRQ
+_USER = CpuContext.USER
+
+
 class Work:
-    """Yielded by a thread/handler: consume this much CPU time (ns)."""
+    """Yielded by a thread/handler: consume this much CPU time (ns).
+
+    A bare ``int`` means the same and allocates nothing; the hot user
+    threads (socket receive, the sockperf server, the experiment sinks)
+    yield ints.
+    """
 
     __slots__ = ("duration",)
 
@@ -270,11 +279,13 @@ class CpuCore:
         nr = self._pending_softirqs.pop(0)
         handler = self._softirq_handlers[nr]
         sim = self.sim
-        self.stats.softirq_invocations += 1
+        stats = self.stats
+        ns = stats.ns
+        stats.softirq_invocations += 1
         for duration in handler():
             duration = int(duration)
             if duration > 0:
-                self.stats.add(CpuContext.SOFTIRQ, duration)
+                ns[_SOFTIRQ] += duration
                 # Run-ahead (Simulator._ra_refresh): when the wake-up would
                 # be the next occurrence anyway, skip the event queue.
                 time = sim.now + duration
@@ -290,37 +301,43 @@ class CpuCore:
             return
         thread.state = ThreadState.RUNNING
         value, thread._resume_value = thread._resume_value, None
+        send = thread.generator.send
+        ns = self.stats.ns
         while True:
             try:
-                item = thread.generator.send(value)
+                item = send(value)
             except StopIteration as stop:
-                thread._finish(getattr(stop, "value", None))
+                thread._finish(stop.value)
                 return
             value = None
-            if isinstance(item, int):
-                item = Work(item)
-            if isinstance(item, Work):
-                if item.duration > 0:
-                    self.stats.add(CpuContext.USER, item.duration)
-                    yield item.duration
-                if self._pending_softirqs:
-                    # Preempted: softirq has strict priority.  The thread
-                    # stays at the head of the run queue.
-                    thread.state = ThreadState.RUNNABLE
-                    self._run_queue.appendleft(thread)
+            if type(item) is not int:
+                if isinstance(item, int):
+                    item = Work(item)
+                if isinstance(item, Work):
+                    item = item.duration
+                elif isinstance(item, Block):
+                    thread.state = ThreadState.BLOCKED
+                    item.event.add_callback(thread._wake)
                     return
-            elif isinstance(item, Block):
-                thread.state = ThreadState.BLOCKED
-                item.event.add_callback(thread._wake)
-                return
-            elif item is None:
+                elif item is None:
+                    thread.state = ThreadState.RUNNABLE
+                    self._run_queue.append(thread)
+                    return
+                else:
+                    raise TypeError(
+                        f"thread {thread.name!r} yielded unsupported "
+                        f"{item!r}; yield Work/int, Block, or None")
+            elif item < 0:
+                raise ValueError(f"Work duration must be >= 0, got {item}")
+            if item > 0:
+                ns[_USER] += item
+                yield item
+            if self._pending_softirqs:
+                # Preempted: softirq has strict priority.  The thread
+                # stays at the head of the run queue.
                 thread.state = ThreadState.RUNNABLE
-                self._run_queue.append(thread)
+                self._run_queue.appendleft(thread)
                 return
-            else:
-                raise TypeError(
-                    f"thread {thread.name!r} yielded unsupported {item!r}; "
-                    "yield Work/int, Block, or None")
 
     def _idle_wait(self) -> Generator:
         self._wake_event = self.sim.event(name=f"cpu{self.core_id}-wake")

@@ -36,11 +36,12 @@ class GroEngine:
 
     def can_merge(self, held: SKBuff, skb: SKBuff) -> bool:
         """True if *skb* can coalesce into *held*."""
-        config = self.kernel.config
-        held_l4 = held.packet.inner_l4
-        new_l4 = skb.packet.inner_l4
-        if not isinstance(held_l4, TcpHeader) or not isinstance(new_l4, TcpHeader):
+        # The new skb first: a UDP skb (the common case) needs one look.
+        if not isinstance(skb.packet.inner_l4, TcpHeader):
             return False
+        if not isinstance(held.packet.inner_l4, TcpHeader):
+            return False
+        config = self.kernel.config
         if held.packet.inner_flow_key() != skb.packet.inner_flow_key():
             return False
         if held.gro_segments + skb.gro_segments > config.gro_max_segs:

@@ -13,7 +13,7 @@ Enabling RPS here lets experiments explore exactly that claim.
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import Generator, List, TYPE_CHECKING
 
 from repro.packet.flow import rss_hash
 from repro.packet.packet import Packet
@@ -21,6 +21,7 @@ from repro.packet.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
     from repro.kernel.softnet import SoftnetData
+    from repro.packet.skb import SKBuff
 
 __all__ = ["RpsSteering"]
 
@@ -45,3 +46,23 @@ class RpsSteering:
             return self.kernel.softnet_for(self.cpu_ids[0])
         index = rss_hash(key) % len(self.cpu_ids)
         return self.kernel.softnet_for(self.cpu_ids[index])
+
+    def steer(self, skb: "SKBuff", target: "SoftnetData"
+              ) -> Generator[int, None, None]:
+        """Enqueue *skb* to *target*'s backlog and kick its NET_RX (an IPI).
+
+        The driver calls this instead of running its stage when the flow
+        hashes to another CPU; the backlog there runs the driver stage.
+        """
+        kernel = self.kernel
+        self.steered += 1
+        yield kernel.costs.softirq_raise_ns
+        high = kernel.prism and kernel.is_high_class(skb)
+        backlog = target.backlog
+        if backlog.enqueue(skb, high=high):
+            if high:
+                target.napi_schedule_head(backlog)
+            else:
+                target.napi_schedule(backlog)
+        else:
+            kernel.skb_pool.recycle(skb)  # backlog overflow drop

@@ -14,6 +14,9 @@ The generic :meth:`NapiStruct.poll` implements the paper's Fig. 7 (lines
 processed exclusively from it; otherwise from the low-priority queue.
 With an always-empty high queue this degenerates to the vanilla FIFO poll,
 so the same code serves both kernels faithfully.
+
+:func:`hand_off` takes an skb from the stage that just ran to the next
+one — inline, or through the next napi's queues — in every mode.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from repro.trace.tracer import TracePoint
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
     from repro.kernel.cpu import CpuCore
+    from repro.kernel.gro import GroEngine
     from repro.netdev.device import PacketStage
 
-__all__ = ["NapiStruct", "SoftnetData", "NET_RX_SOFTIRQ"]
+__all__ = ["InlineGates", "NapiStruct", "SoftnetData", "NET_RX_SOFTIRQ",
+           "hand_off"]
 
 #: Linux's NET_RX_SOFTIRQ vector number.
 NET_RX_SOFTIRQ = 3
@@ -46,7 +51,8 @@ class NapiStruct:
 
     def __init__(self, name: str, kernel: "Kernel", *,
                  stage: Optional["PacketStage"] = None,
-                 queue_capacity: Optional[int] = None) -> None:
+                 queue_capacity: Optional[int] = None,
+                 gro: Optional["GroEngine"] = None) -> None:
         self.name = name
         self.kernel = kernel
         self.stage = stage
@@ -59,6 +65,9 @@ class NapiStruct:
         self.softnet: Optional["SoftnetData"] = None
         #: Hook invoked on napi_complete (the NIC re-enables its irq here).
         self.on_complete: Optional[Callable[[], None]] = None
+        #: GRO engine that coalesces skbs handed to this napi (the vxlan
+        #: gro_cells); None for every other napi.
+        self.gro = gro
         self.polls = 0
         self.packets_processed = 0
 
@@ -115,10 +124,10 @@ class NapiStruct:
         """Process one batch (paper Fig. 7 napi_poll).  Returns count.
 
         Chooses the high queue if non-empty at entry, else the low queue,
-        and processes up to *batch_size* skbs exclusively from it.
-        Tracepoint gates are read once per batch, so a batch with no
-        per-skb subscriber pays two local bool tests per skb and nothing
-        else.
+        and runs up to *batch_size* skbs exclusively from it, each through
+        its stage and then :func:`hand_off`.  Tracepoint gates are read
+        once per batch, so a batch with no per-skb subscriber pays two
+        local bool tests per skb and nothing else.
         """
         self.polls += 1
         kernel = self.kernel
@@ -128,6 +137,7 @@ class NapiStruct:
         spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
         stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
         traced = trace_waits or spans or stage_done
+        gates = InlineGates(tracer) if active else None
         yield kernel.costs.device_poll_overhead_ns
         queue = self.queue_high if self.queue_high else self.queue_low
         fixed_stage = self.stage
@@ -151,7 +161,10 @@ class NapiStruct:
                     tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                                 name=f"skb:{stage.name}",
                                 hp=skb.is_high_priority)
-            yield from stage.process(skb, softnet)
+            yield stage.cost(skb)
+            napi = stage.run(skb, softnet)
+            if napi is not None:
+                yield from hand_off(napi, skb, gates)
             if traced:
                 if spans:
                     tracer.emit(TracePoint.SPAN_END, track=track,
@@ -165,37 +178,6 @@ class NapiStruct:
             tracer.emit(TracePoint.NAPI_POLL_DONE, napi=self.name,
                         processed=processed)
         return processed
-
-    def process_inline(self, skb: SKBuff) -> Generator[int, None, None]:
-        """PRISM-sync: run this device's stage for *skb* immediately.
-
-        The skb never touches the input queues; per the paper's footnote,
-        the stage still executes in this device's context (same cost).
-        """
-        tracer = self.kernel.tracer
-        active = tracer.active
-        stage = self._stage_for(skb)
-        if active:
-            if tracer.has_subscribers(TracePoint.SYNC_INLINE):
-                tracer.emit(TracePoint.SYNC_INLINE, device=self.name,
-                            skb=skb)
-            # Inline stage chains nest naturally: the inner stage's span
-            # opens and closes inside the outer one.
-            spans = tracer.has_subscribers(TracePoint.SPAN_BEGIN)
-            if spans:
-                track = self._track()
-                tracer.emit(TracePoint.SPAN_BEGIN, track=track,
-                            name=f"skb:{stage.name}",
-                            hp=skb.is_high_priority)
-        yield from stage.process(skb, self.softnet)
-        if active:
-            if spans:
-                tracer.emit(TracePoint.SPAN_END, track=track,
-                            name=f"skb:{stage.name}")
-            if tracer.has_subscribers(TracePoint.STAGE_DONE):
-                tracer.emit(TracePoint.STAGE_DONE, device=self.name,
-                            skb=skb, stage=stage.name)
-        self.packets_processed += 1
 
     def _track(self) -> str:
         """Span track of per-skb stage work: the servicing CPU's."""
@@ -216,6 +198,125 @@ class NapiStruct:
     def __repr__(self) -> str:
         return (f"<NapiStruct {self.name!r} sched={self.scheduled} "
                 f"high={len(self.queue_high)} low={len(self.queue_low)}>")
+
+
+def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
+             ) -> Generator[int, None, None]:
+    """Hand *skb*, whose last stage returned *napi*, to *napi*'s stage.
+
+    The one hand-off loop of the receive pipeline: the stage-transition
+    functions PRISM modifies (§IV-C, ``gro_cells_receive`` /
+    ``netif_rx``) for every mode, read from the switches
+    :meth:`Kernel._bind_mode <repro.kernel.core.Kernel._bind_mode>` sets:
+
+    - **bypass**, and **PRISM-sync** for a high-class skb: after the
+      inline-call overhead the stage runs right here — its cost yielded,
+      then :meth:`~repro.netdev.device.PacketStage.run` called in the
+      napi's context, as ``netif_receive_skb`` is called directly
+      (§III-B1) — and the loop goes on with the napi that stage returns;
+      the skb never touches the napi's queues;
+    - otherwise the skb is coalesced into the tail skb of a GRO napi
+      (``gro_merge_ns`` after the recycle), or enqueued — to the high
+      queue for a PRISM high-class skb — after which the softirq is
+      raised and the napi scheduled, at the head of the poll list when
+      high (§III-A).  An overflow drop recycles the skb.
+
+    The durations it yields, and the side effects between them, are those
+    of the nested per-stage generators this loop replaces.  *gates* is
+    None in an untraced batch; otherwise each inline stage fires
+    ``SYNC_INLINE`` and a ``SPAN_BEGIN``/``SPAN_END`` pair nested inside
+    the previous stage's, and ``STAGE_DONE`` once the stages after it
+    have finished, as a nested call would.
+    """
+    kernel = napi.kernel
+    inline = []
+    while napi is not None:
+        high = kernel.prism and kernel.is_high_class(skb)
+        if kernel.bypass or (high and kernel.sync):
+            # Run-to-completion skips GRO: holding a segment for
+            # coalescing would reintroduce the queueing delay the inline
+            # path exists to remove.
+            costs = kernel.costs
+            yield (costs.bypass_stage_overhead_ns if kernel.bypass
+                   else costs.sync_stage_overhead_ns)
+            stage = napi.stage
+            if stage is None:
+                stage = napi._stage_for(skb)
+            napi.packets_processed += 1
+            if gates is not None:
+                inline.append((napi, stage, gates.begin(napi, stage, skb)))
+            yield stage.cost(skb)
+            napi = stage.run(skb, napi.softnet)
+            continue
+        gro = napi.gro
+        if gro is not None and gro.try_merge_into_queue(
+                napi.queue_high if high else napi.queue_low, skb):
+            if gates is not None and gates.gro_merge:
+                kernel.tracer.emit(TracePoint.GRO_MERGE,
+                                   device=skb.dev.name, skb=skb)
+            ledger = kernel.ledger
+            if ledger is not None:
+                # The absorbed segments are now counted through the held
+                # super-skb's gro_segments (queued weight), so this skb's
+                # in-processing weight moves there.
+                ledger.leave(skb.gro_segments)
+            # The skb's packet now lives in the held super-skb's
+            # gro_list; the emptied metadata can be reused.
+            kernel.skb_pool.recycle(skb)
+            yield kernel.costs.gro_merge_ns
+        elif not napi.enqueue(skb, high=high):
+            kernel.skb_pool.recycle(skb)  # overflow drop, already counted
+        else:
+            softnet = napi.softnet
+            if softnet is None:
+                raise RuntimeError(
+                    f"napi {napi.name!r} is not bound to a softnet")
+            yield kernel.costs.softirq_raise_ns
+            if high:
+                softnet.napi_schedule_head(napi)
+            else:
+                softnet.napi_schedule(napi)
+        break
+    while inline:
+        napi, stage, track = inline.pop()
+        gates.end(napi, stage, skb, track)
+
+
+class InlineGates:
+    """The hand-off's tracepoint gates, read once per traced batch."""
+
+    __slots__ = ("tracer", "sync_inline", "spans", "stage_done", "gro_merge")
+
+    def __init__(self, tracer) -> None:
+        self.tracer = tracer
+        self.sync_inline = tracer.has_subscribers(TracePoint.SYNC_INLINE)
+        self.spans = tracer.has_subscribers(TracePoint.SPAN_BEGIN)
+        self.stage_done = tracer.has_subscribers(TracePoint.STAGE_DONE)
+        self.gro_merge = tracer.has_subscribers(TracePoint.GRO_MERGE)
+
+    def begin(self, napi: NapiStruct, stage: "PacketStage",
+              skb: SKBuff) -> Optional[str]:
+        """An inline stage starts; returns its span track (None: no span)."""
+        tracer = self.tracer
+        if self.sync_inline:
+            tracer.emit(TracePoint.SYNC_INLINE, device=napi.name, skb=skb)
+        if not self.spans:
+            return None
+        track = napi._track()
+        tracer.emit(TracePoint.SPAN_BEGIN, track=track,
+                    name=f"skb:{stage.name}", hp=skb.is_high_priority)
+        return track
+
+    def end(self, napi: NapiStruct, stage: "PacketStage", skb: SKBuff,
+            track: Optional[str]) -> None:
+        """An inline stage and every stage after it have finished."""
+        tracer = self.tracer
+        if track is not None:
+            tracer.emit(TracePoint.SPAN_END, track=track,
+                        name=f"skb:{stage.name}")
+        if self.stage_done:
+            tracer.emit(TracePoint.STAGE_DONE, device=napi.name,
+                        skb=skb, stage=stage.name)
 
 
 class SoftnetData:

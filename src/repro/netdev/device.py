@@ -1,9 +1,11 @@
 """Base classes for network devices and their per-stage processing.
 
 A :class:`PacketStage` is the unit of work NAPI polling executes for one
-skb in one device's context: it charges CPU time (by yielding nanosecond
-durations) and then either hands the skb to the next stage (via the
-mode-aware stage-transition functions) or delivers it to a socket.
+skb in one device's context, as two plain calls: :meth:`~PacketStage.cost`
+gives the CPU time it charges and :meth:`~PacketStage.run` does the work,
+returning the napi to hand the skb to next (or None once the skb is
+delivered to a socket, consumed or dropped).  The hand-off itself —
+inline, enqueue, GRO — is :func:`repro.kernel.softnet.hand_off`.
 
 A :class:`NetDevice` is the ``net_device`` analogue: identity (name, MAC,
 IP), an owning network namespace, and a reference to the stage that
@@ -13,12 +15,13 @@ processes packets received *on* this device.
 from __future__ import annotations
 
 import abc
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.packet.addr import Ipv4Address, MacAddress
 from repro.packet.skb import SKBuff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.kernel.softnet import NapiStruct, SoftnetData
     from repro.stack.netns import NetNamespace
 
 __all__ = ["NetDevice", "PacketStage"]
@@ -31,11 +34,17 @@ class PacketStage(abc.ABC):
     name: str = "stage"
 
     @abc.abstractmethod
-    def process(self, skb: SKBuff, softnet) -> Generator[int, None, None]:
-        """Process one skb in the context of *softnet*'s CPU.
+    def cost(self, skb: SKBuff) -> int:
+        """CPU nanoseconds this stage charges for *skb* (pure)."""
 
-        Yields CPU nanoseconds, then transitions the skb to the next
-        stage or delivers it to a socket.
+    @abc.abstractmethod
+    def run(self, skb: SKBuff, softnet: "SoftnetData"
+            ) -> Optional["NapiStruct"]:
+        """Do the stage's work for *skb* on *softnet*'s CPU.
+
+        Called once the stage's cost has been charged.  Returns the napi
+        whose stage takes the skb next, or None when the skb was
+        delivered, consumed or dropped here.
         """
 
     def __repr__(self) -> str:

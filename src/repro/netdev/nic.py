@@ -23,13 +23,14 @@ stage (which is why PRISM cannot help host flows — Fig. 10).
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.bypass import PollModeDriver
-from repro.kernel.softnet import NapiStruct
+from repro.kernel.costs import StageCostTable
+from repro.kernel.softnet import InlineGates, NapiStruct, hand_off
 from repro.netdev.device import NetDevice, PacketStage
-from repro.prism.mode import StackMode
 from repro.netdev.queues import PacketQueue
 from repro.packet.addr import Ipv4Address, MacAddress
 from repro.packet.packet import Packet, vxlan_decapsulate
@@ -89,48 +90,41 @@ class NicStage(PacketStage):
         inner._cache = layer_cache
         return inner
 
-    def process(self, skb: SKBuff, softnet: "SoftnetData"
-                ) -> Generator[int, None, None]:
+    @functools.cached_property
+    def _decap_costs(self) -> StageCostTable:
+        kernel = self.nic.kernel
+        return kernel.stage_costs(kernel.costs.nic_pkt_ns)
+
+    @functools.cached_property
+    def _host_costs(self) -> StageCostTable:
+        # Host network: the entire pipeline is this one stage.
         kernel = self.nic.kernel
         costs = kernel.costs
+        return kernel.stage_costs(costs.nic_pkt_ns + costs.veth_pkt_ns,
+                                  is_copy_stage=True)
+
+    def cost(self, skb: SKBuff) -> int:
+        if skb.packet.vni in self.nic.vxlan_by_vni:
+            return self._decap_costs[skb.wire_len]
+        return self._host_costs[skb.wire_len]
+
+    def run(self, skb: SKBuff, softnet: "SoftnetData"
+            ) -> Optional[NapiStruct]:
         packet = skb.packet
-        # Receive packet steering: hand the skb to the flow's CPU before
-        # the heavy protocol work.  Re-entry on the target CPU computes
-        # the same target and proceeds (deterministic hash).  Unlike the
-        # generic stage transition this always *enqueues* (never inline):
-        # the whole point is to run the work elsewhere.
-        if kernel.config.rps_enabled and kernel.rps is not None:
-            target = kernel.rps.target_softnet(packet)
-            if target is not softnet:
-                kernel.rps.steered += 1
-                yield costs.softirq_raise_ns
-                high = kernel.mode.is_prism and kernel.is_high_class(skb)
-                if target.backlog.enqueue(skb, high=high):
-                    # IPI to the remote CPU's NET_RX.
-                    if high:
-                        target.napi_schedule_head(target.backlog)
-                    else:
-                        target.napi_schedule(target.backlog)
-                else:
-                    kernel.skb_pool.recycle(skb)  # backlog overflow drop
-                return
-        if packet.is_vxlan:
-            vxlan_dev = self.nic.vxlan_by_vni.get(packet.vxlan.vni)
-            if vxlan_dev is not None:
-                base = costs.nic_pkt_ns
-                if kernel.mode is StackMode.BYPASS:
-                    base = costs.bypass_stage_base(base)
-                yield costs.stage_packet_cost(base, skb.wire_len)
-                skb.packet = self._decap(packet)
-                yield from vxlan_dev.gro_cells_receive(skb, softnet)
-                return
-        # Host network: the entire pipeline is this one stage.
-        base = costs.nic_pkt_ns + costs.veth_pkt_ns
-        if kernel.mode is StackMode.BYPASS:
-            base = costs.bypass_stage_base(base)
-        yield costs.stage_packet_cost(base, skb.wire_len, is_copy_stage=True)
-        if self.nic.netns is not None:
-            protocol_rcv(kernel, self.nic.netns, skb, softnet.cpu)
+        # A VXLAN packet for a registered VNI is decapsulated toward
+        # stage 2; anything else takes the host path.
+        vxlan_dev = self.nic.vxlan_by_vni.get(packet.vni)
+        if vxlan_dev is not None:
+            # gro_cells_receive: stage 2 is the vxlan device's gro cell on
+            # this CPU.
+            skb.packet = self._decap(packet)
+            skb.dev = vxlan_dev
+            vxlan_dev.count_rx(skb)
+            return vxlan_dev.gro_cell_for(softnet)
+        nic = self.nic
+        if nic.netns is not None:
+            protocol_rcv(nic.kernel, nic.netns, skb, softnet.cpu)
+        return None
 
 
 class NicNapi(NapiStruct):
@@ -154,8 +148,10 @@ class NicNapi(NapiStruct):
     def poll(self, batch_size: int) -> Generator[int, None, int]:
         """Driver poll: dequeue descriptors, allocate + classify skbs.
 
-        skbs come from the kernel's free-list pool and the driver stage
-        is dispatched directly; tracepoint gates are read once per batch.
+        skbs come from the kernel's free-list pool and go through
+        receive packet steering, then the driver stage and
+        :func:`~repro.kernel.softnet.hand_off`; tracepoint gates are read
+        once per batch.
         """
         self.polls += 1
         kernel = self.kernel
@@ -166,9 +162,11 @@ class NicNapi(NapiStruct):
         spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
         stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
         traced = trace_allocs or spans or stage_done
+        gates = InlineGates(tracer) if active else None
         pool = kernel.skb_pool
         classify = kernel.classifier.classify
-        mode = kernel.mode
+        prism = kernel.prism
+        rps = kernel.rps if kernel.config.rps_enabled else None
         stage = self.stage
         softnet = self.softnet
         track = self._track() if spans else None
@@ -201,7 +199,7 @@ class NicNapi(NapiStruct):
                 # Ring residency: DMA arrival to driver-poll dequeue.
                 tracer.emit(TracePoint.QUEUE_WAIT, queue=ring.name,
                             skb=skb, since=arrival)
-            lookup_cost = classify(skb, mode)
+            lookup_cost = classify(skb, prism)
             if lookup_cost:
                 yield lookup_cost
             if traced:
@@ -212,7 +210,17 @@ class NicNapi(NapiStruct):
                     tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                                 name=f"skb:{stage.name}",
                                 hp=skb.is_high_priority)
-            yield from stage.process(skb, softnet)
+            # Receive packet steering: hand the skb to the flow's CPU
+            # before the heavy protocol work, always by enqueueing (never
+            # inline): the whole point is to run the work elsewhere.
+            target = softnet if rps is None else rps.target_softnet(packet)
+            if target is not softnet:
+                yield from rps.steer(skb, target)
+            else:
+                yield stage.cost(skb)
+                napi = stage.run(skb, softnet)
+                if napi is not None:
+                    yield from hand_off(napi, skb, gates)
             if traced:
                 if spans:
                     tracer.emit(TracePoint.SPAN_END, track=track,
@@ -276,7 +284,7 @@ class PhysicalNic(NetDevice):
         # has nothing to moderate).
         self._pmd = None
         self._mod_adaptive = False
-        if config.initial_mode is StackMode.BYPASS:
+        if kernel.bypass:
             self._pmd = PollModeDriver(self)
         else:
             self._mod_adaptive = moderation == "adaptive"

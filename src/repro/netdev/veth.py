@@ -10,12 +10,11 @@ the inner protocol stack plus the copy into the socket receive buffer.
 
 from __future__ import annotations
 
-from typing import Generator, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.netdev.device import NetDevice, PacketStage
 from repro.packet.addr import Ipv4Address, MacAddress
 from repro.packet.skb import SKBuff
-from repro.prism.mode import StackMode
 from repro.stack.receive import protocol_rcv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,15 +33,13 @@ class ProtocolStage(PacketStage):
     def __init__(self, kernel: "Kernel", netns: "NetNamespace") -> None:
         self.kernel = kernel
         self.netns = netns
+        self._costs = kernel.stage_costs(kernel.costs.veth_pkt_ns,
+                                         is_copy_stage=True)
 
-    def process(self, skb: SKBuff, softnet: "SoftnetData"
-                ) -> Generator[int, None, None]:
-        costs = self.kernel.costs
-        base = costs.veth_pkt_ns
-        if self.kernel.mode is StackMode.BYPASS:
-            base = costs.bypass_stage_base(base)
-        yield costs.stage_packet_cost(base, skb.wire_len,
-                                      is_copy_stage=True)
+    def cost(self, skb: SKBuff) -> int:
+        return self._costs[skb.wire_len]
+
+    def run(self, skb: SKBuff, softnet: "SoftnetData") -> None:
         protocol_rcv(self.kernel, self.netns, skb, softnet.cpu)
 
 

@@ -2,7 +2,11 @@
 
 Both types are immutable wrappers around an integer, hashable (usable as
 dict keys in FDB / routing tables) and convertible to/from the usual text
-forms.
+forms.  Each computes its hash once, at construction: flow keys, FDB and
+socket lookups hash addresses on every packet.  The hash includes a
+``str``, so it differs between interpreters with different
+``PYTHONHASHSEED``; pickling therefore ships only the integer and the
+receiving process recomputes the hash (``__reduce__``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}$")
 class MacAddress:
     """A 48-bit Ethernet MAC address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     BROADCAST_VALUE = (1 << 48) - 1
 
@@ -32,6 +36,7 @@ class MacAddress:
         if not 0 <= value < (1 << 48):
             raise ValueError(f"MAC address out of range: {value:#x}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("mac", value)))
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -62,7 +67,10 @@ class MacAddress:
         return isinstance(other, MacAddress) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("mac", self.value))
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.value,))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MacAddress is immutable")
@@ -71,7 +79,7 @@ class MacAddress:
 class Ipv4Address:
     """A 32-bit IPv4 address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, str, "Ipv4Address"]) -> None:
         if isinstance(value, Ipv4Address):
@@ -83,6 +91,7 @@ class Ipv4Address:
         if not 0 <= value < (1 << 32):
             raise ValueError(f"IPv4 address out of range: {value:#x}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("ipv4", value)))
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -112,7 +121,10 @@ class Ipv4Address:
         return isinstance(other, Ipv4Address) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self.value))
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.value,))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Ipv4Address is immutable")

@@ -58,7 +58,8 @@ class _LayerCache:
     """
 
     __slots__ = ("headers", "header_len", "eth", "ip", "l4",
-                 "inner_ip", "inner_l4", "vxlan", "inner_key", "outer_key")
+                 "inner_ip", "inner_l4", "vxlan", "vni", "inner_key",
+                 "outer_key")
 
 
 @dataclass
@@ -129,6 +130,9 @@ class Packet:
         cache.inner_ip = inner_ip
         cache.inner_l4 = inner_l4
         cache.vxlan = vxlan
+        cache.vni = (vxlan.vni if vxlan is not None
+                     and isinstance(l4, UdpHeader)
+                     and l4.dst_port == VXLAN_PORT else None)
         cache.inner_key = _UNSET
         cache.outer_key = _UNSET
         self._cache = cache
@@ -145,7 +149,10 @@ class Packet:
     @property
     def wire_len(self) -> int:
         """Total on-wire bytes (headers + payload)."""
-        return self._layers().header_len + self.payload_len
+        cache = self._cache
+        if cache is None or cache.headers is not self.headers:
+            cache = self._scan()
+        return cache.header_len + self.payload_len
 
     # ------------------------------------------------------------------
     # Layer accessors (outermost occurrence of each layer)
@@ -205,11 +212,15 @@ class Packet:
     @property
     def is_vxlan(self) -> bool:
         """True if the outer UDP targets the VXLAN port with a VXLAN header."""
-        cache = self._layers()
-        l4 = cache.l4
-        return (isinstance(l4, UdpHeader)
-                and l4.dst_port == VXLAN_PORT
-                and cache.vxlan is not None)
+        return self._layers().vni is not None
+
+    @property
+    def vni(self) -> Optional[int]:
+        """The VXLAN network identifier if :attr:`is_vxlan`, else None."""
+        cache = self._cache
+        if cache is None or cache.headers is not self.headers:
+            cache = self._scan()
+        return cache.vni
 
     @property
     def vxlan(self) -> Optional[VxlanHeader]:

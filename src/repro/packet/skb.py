@@ -100,7 +100,12 @@ class SKBuff:
     @property
     def wire_len(self) -> int:
         """Bytes this skb represents on the wire (incl. GRO-merged bytes)."""
-        return self.packet.wire_len + self.payload_bytes_merged
+        # Packet.wire_len, inlined: this is read by every stage's cost.
+        packet = self.packet
+        cache = packet._cache
+        if cache is None or cache.headers is not packet.headers:
+            cache = packet._scan()
+        return cache.header_len + packet.payload_len + self.payload_bytes_merged
 
     def mark(self, name: str, time_ns: int) -> None:
         """Record a tracepoint timestamp (first hit wins)."""

@@ -11,11 +11,14 @@ pipelines:
 - :mod:`~repro.prism.procfs` — the ``/proc`` style runtime configuration
   interface the paper exposes;
 - :mod:`~repro.prism.classifier` — per-skb priority stamping at skb
-  allocation time in the physical driver;
-- :mod:`~repro.prism.stage_transition` — the modified stage-transition
-  functions (``gro_cells_receive`` / ``netif_rx``) that implement
-  head-of-list insertion, dual-queue enqueueing, and PRISM-sync
-  run-to-completion (§IV-C).
+  allocation time in the physical driver.
+
+The modified stage-transition functions of §IV-C (the kernel's
+``gro_cells_receive`` / ``netif_rx``: head-of-list insertion, dual-queue
+enqueueing and PRISM-sync run-to-completion) are the kernel's one
+hand-off loop, :func:`repro.kernel.softnet.hand_off`, driven by the
+``prism`` / ``sync`` / ``bypass`` switches ``Kernel`` binds whenever the
+mode is set.
 """
 
 from repro.prism.classifier import PriorityClassifier

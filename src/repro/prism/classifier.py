@@ -5,9 +5,10 @@ the physical driver's poll function (``mlx5e_napi_poll`` in the paper's
 testbed).  The result is stamped into the skb's priority field so no later
 stage re-computes it.
 
-In VANILLA mode the classifier is inert: skbs stay unclassified and are
-treated as low priority everywhere, and no lookup cost is charged —
-matching an unpatched kernel.
+Outside the PRISM modes (vanilla, bypass) the driver still calls the
+classifier with ``prism=False`` and it is inert: skbs stay unclassified
+and are treated as low priority everywhere, and no lookup cost is charged
+— matching an unpatched kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional
 
 from repro.kernel.costs import CostModel
 from repro.packet.skb import SKBuff
-from repro.prism.mode import StackMode
 from repro.prism.priority_db import PriorityDatabase
 
 __all__ = ["PriorityClassifier"]
@@ -44,17 +44,16 @@ class PriorityClassifier:
         self._memo: dict = {}
         self._memo_version = -1
 
-    def classify(self, skb: SKBuff, mode: StackMode) -> int:
+    def classify(self, skb: SKBuff, prism: bool) -> int:
         """Classify *skb*; returns the CPU cost (ns) of the lookup.
 
-        Idempotent per skb (the paper adds the bit to ``sk_buff``
-        precisely to avoid re-computation).
+        *prism* is the kernel's bound ``Kernel.prism`` switch.  Idempotent
+        per skb (the paper adds the bit to ``sk_buff`` precisely to avoid
+        re-computation).
         """
-        if mode is StackMode.VANILLA or mode is StackMode.BYPASS:
+        if not prism or skb.priority_level is not None:
             # Unpatched kernel / poll-mode driver: every packet takes
             # the same path, so classification is pure overhead.
-            return 0
-        if skb.priority_level is not None:
             return 0
         db = self.db
         if self._memo_version != db.version:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
-from repro.kernel.cpu import Block, Work
+from repro.kernel.cpu import Block
 from repro.netdev.queues import PacketQueue
 from repro.packet.addr import Ipv4Address
 from repro.packet.skb import SKBuff
@@ -96,7 +96,7 @@ class UdpSocket:
     # ------------------------------------------------------------------
     def recv(self) -> Generator[Any, Any, SKBuff]:
         """Block until a datagram arrives; returns its skb."""
-        yield Work(self.kernel.costs.syscall_ns)
+        yield int(self.kernel.costs.syscall_ns)
         while self.rcvbuf.is_empty:
             self._waiter = self.kernel.sim.event(name=f"recv:{self.rcvbuf.name}")
             yield Block(self._waiter)

@@ -5,9 +5,11 @@ The invariant ``injected == delivered + dropped(by site) + in_flight``
 is the subsystem's correctness anchor: a leak anywhere in the kernel
 path (an unaccounted drop, a double-counted retransmit) fails loudly
 with per-site detail.  Most plans drop before the modes diverge (eth,
-wire, skb allocation); the lost-IRQ cells and the overload cell reach
-the places where they differ — interrupt-driven vs polled rings, and a
-ring overflow that depends on how fast each mode drains it.
+wire, skb allocation); the lost-IRQ cells, the overload cell and the
+stage-queue cells reach the places where they differ — interrupt-driven
+vs polled rings, a ring overflow that depends on how fast each mode
+drains it, and overflows of the per-stage queues the stage hand-off
+enqueues to.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import pytest
 
 from repro.bench.experiment import ExperimentConfig, run_experiment
 from repro.faults import FaultPlan
+from repro.kernel.config import KernelConfig
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 
@@ -96,6 +99,37 @@ def test_overload_drops_depend_on_the_mode():
     assert any(by_site.get("eth:ring") for by_site in drops.values()), drops
     distinct = {tuple(sorted(by_site.items())) for by_site in drops.values()}
     assert len(distinct) == len(MODES), drops
+
+
+#: Stage queues smaller than the batch that feeds them: a 64-skb NIC
+#: batch overflows the 16-deep gro_cells queue, and a 16-skb gro_cells
+#: batch the 4-deep backlog.
+SMALL_QUEUES = KernelConfig(backlog_capacity=4, napi_queue_capacity=16)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", [StackMode.VANILLA, StackMode.PRISM_BATCH,
+                                  StackMode.PRISM_SYNC, StackMode.BYPASS],
+                         ids=str)
+def test_conservation_holds_at_stage_queue_overflow(mode):
+    """Overflow drops at the stage queues (the hand-off's drop-and-recycle
+    branch) balance exactly; bypass has no stage queues to overflow."""
+    config = ExperimentConfig(
+        mode=mode, kernel_config=SMALL_QUEUES,
+        faults=FaultPlan.parse("loss:eth:0.02; retries=5; timeout=2ms"),
+        **FAST)
+    result = run_experiment(config)
+    conservation = result.conservation
+    _balanced_exactly(conservation)
+    by_site = conservation["dropped_by_site"]
+    if mode is StackMode.BYPASS:
+        assert not any(site.startswith(("backlog:", "br:"))
+                       for site in by_site), by_site
+    else:
+        assert by_site.get("backlog:cpu0:low", 0) > 0, by_site
+        assert by_site.get("br:low", 0) > 0, by_site
+    assert result.recovery["gave_up"] == 0
+    assert result.fg_replies > 0
 
 
 @pytest.mark.slow

@@ -112,6 +112,29 @@ class TestUserThreads:
         assert not handle.alive
         assert handle.done_event.value == 42
 
+    def test_bare_int_yield_is_accounted_as_user_time(self):
+        sim, core = make_core()
+
+        def thread():
+            yield 3_000
+            yield Work(2_000)
+            yield 0
+
+        core.spawn(thread())
+        sim.run()
+        assert core.stats.ns[CpuContext.USER] == 5_000
+
+    def test_negative_int_yield_raises(self):
+        """A negative bare int is rejected as ``Work(-1)`` is."""
+        sim, core = make_core()
+
+        def thread():
+            yield -1
+
+        core.spawn(thread())
+        with pytest.raises(ValueError):
+            sim.run()
+
     def test_bad_yield_type_raises(self):
         sim, core = make_core()
 

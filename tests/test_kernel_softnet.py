@@ -3,10 +3,11 @@
 import pytest
 
 from repro.kernel.core import Kernel
-from repro.kernel.softnet import NET_RX_SOFTIRQ, NapiStruct
+from repro.kernel.softnet import NET_RX_SOFTIRQ, NapiStruct, hand_off
 from repro.netdev.device import PacketStage
 from repro.packet.packet import Packet
 from repro.packet.skb import SKBuff
+from repro.prism.mode import StackMode
 from repro.sim import Simulator
 
 
@@ -15,13 +16,16 @@ class CountingStage(PacketStage):
 
     name = "test"
 
-    def __init__(self, cost=100):
-        self.cost = cost
+    def __init__(self, ns=100):
+        self.ns = ns
         self.processed = []
 
-    def process(self, skb, softnet):
-        yield self.cost
+    def cost(self, skb):
+        return self.ns
+
+    def run(self, skb, softnet):
         self.processed.append(skb)
+        return None
 
 
 def make_kernel():
@@ -94,7 +98,7 @@ class TestNapiStruct:
 
     def test_poll_charges_device_overhead_and_stage_costs(self):
         sim, kernel = make_kernel()
-        stage = CountingStage(cost=100)
+        stage = CountingStage(ns=100)
         napi = NapiStruct("n", kernel, stage=stage)
         napi.softnet = kernel.softnet_for(0)
         for _ in range(3):
@@ -109,20 +113,61 @@ class TestNapiStruct:
         expected = kernel.costs.device_poll_overhead_ns + 3 * 100
         assert sim.now - start == expected
 
-    def test_process_inline_runs_stage_without_queueing(self):
+    def _hand_off(self, mode, level):
+        """Hand one skb to napi "n", whose stage charges 50 ns."""
         sim, kernel = make_kernel()
-        stage = CountingStage()
+        kernel.set_mode(mode)
+        stage = CountingStage(ns=50)
         napi = NapiStruct("n", kernel, stage=stage)
         napi.softnet = kernel.softnet_for(0)
         skb = make_skb()
+        skb.classify(level)
+        done = []
 
         def driver():
-            yield from napi.process_inline(skb)
+            yield from hand_off(napi, skb, None)
+            done.append(sim.now)
 
         sim.process(driver())
         sim.run()
+        return done[0], kernel, napi, stage, skb
+
+    def test_inline_hand_off_runs_stage_without_queueing(self):
+        done, kernel, napi, stage, skb = self._hand_off(
+            StackMode.PRISM_SYNC, level=0)
         assert stage.processed == [skb]
-        assert not napi.has_packets()
+        assert not napi.has_packets() and napi.polls == 0
+        assert napi.packets_processed == 1
+        assert done == kernel.costs.sync_stage_overhead_ns + 50
+
+    def test_hand_off_enqueues_low_class_and_schedules(self):
+        done, kernel, napi, stage, skb = self._hand_off(
+            StackMode.PRISM_SYNC, level=1)
+        assert done == kernel.costs.softirq_raise_ns
+        # The softirq it raised polled "n" and ran its stage.
+        assert stage.processed == [skb]
+        assert napi.polls == 1
+        assert kernel.cpu(0).stats.softirq_invocations == 1
+
+    def test_hand_off_enqueues_high_class_to_high_queue_in_batch_mode(self):
+        sim, kernel = make_kernel()
+        kernel.set_mode(StackMode.PRISM_BATCH)
+        softnet = kernel.softnet_for(0)
+        napi = NapiStruct("n", kernel, stage=CountingStage())
+        napi.softnet = softnet
+        other = NapiStruct("other", kernel, stage=CountingStage())
+        softnet.napi_schedule(other)
+        skb = make_skb()
+        skb.classify(0)
+        step = hand_off(napi, skb, None)
+        assert next(step) == kernel.costs.softirq_raise_ns
+        assert napi.queue_high.peek() is skb and len(napi.queue_high) == 1
+        assert not napi.queue_low
+        assert softnet.poll_list_names() == ["other"]
+        with pytest.raises(StopIteration):
+            next(step)
+        # Head insertion for a high-priority device (§III-A).
+        assert softnet.poll_list_names() == ["n", "other"]
 
     def test_backlog_dispatches_by_skb_device(self):
         sim, kernel = make_kernel()

@@ -92,3 +92,70 @@ class TestDropInstants:
         instants = [e for e in recorder.events()
                     if e.ph == "i" and e.track == "drops"]
         assert len(instants) == sum(drops.values())
+
+
+class TestSyncInlineChain:
+    """The tracepoints one PRISM-sync fg packet fires on the server.
+
+    The inline stages run inside the NIC stage's span: each fires
+    SYNC_INLINE and opens its span nested in the previous one, and they
+    close innermost first, each followed by its STAGE_DONE — the nesting
+    ``obs.StageBreakdown`` and ``render_gantt`` read.  Times are ns after
+    the skb's allocation.
+    """
+
+    EXPECTED = [
+        (0, "skb_alloc", "eth", None, None),
+        (0, "span_begin", None, "cpu0", "skb:eth"),
+        (1150, "sync_inline", "br", None, None),
+        (1150, "span_begin", None, "cpu0", "skb:br"),
+        (2050, "sync_inline", "backlog:cpu0", None, None),
+        (2050, "span_begin", None, "cpu0", "skb:veth"),
+        (3152, "socket_enqueue", "server/fg-server:udp:11111", None, None),
+        (3152, "span_end", None, "cpu0", "skb:veth"),
+        (3152, "stage_done", "backlog:cpu0", None, "veth"),
+        (3152, "span_end", None, "cpu0", "skb:br"),
+        (3152, "stage_done", "br", None, "br"),
+        (3152, "span_end", None, "cpu0", "skb:eth"),
+        (3152, "stage_done", "eth", None, "eth"),
+    ]
+
+    def test_first_fg_packet_after_warmup(self):
+        from repro.bench.cell import ExperimentCell
+        from repro.bench.experiment import ExperimentConfig
+        from repro.prism.mode import StackMode
+
+        ms = 1_000_000
+        config = ExperimentConfig(
+            mode=StackMode.PRISM_SYNC, network="overlay", fg_rate_pps=2_000,
+            bg_rate_pps=120_000.0, duration_ns=1 * ms, warmup_ns=3 * ms)
+        log = []
+
+        def attach(testbed):
+            kernel = testbed.server.kernel
+            for point in (TracePoint.SKB_ALLOC, TracePoint.SYNC_INLINE,
+                          TracePoint.SPAN_BEGIN, TracePoint.SPAN_END,
+                          TracePoint.STAGE_DONE, TracePoint.SOCKET_ENQUEUE):
+                def record(point=point, skb=None, **fields):
+                    # skbs are pooled: keep what they are now.
+                    where = fields.get("device") or fields.get("socket")
+                    log.append((kernel.sim.now, point, where,
+                                fields.get("track"),
+                                fields.get("name") or fields.get("stage"),
+                                None if skb is None else
+                                (skb.skb_id, skb.is_high_priority)))
+                kernel.tracer.attach(point, record)
+
+        cell = ExperimentCell(config, attach=attach)
+        cell.run_to(config.warmup_ns + config.duration_ns)
+        start = next(i for i, (now, point, *_rest, skb) in enumerate(log)
+                     if now >= config.warmup_ns
+                     and point == TracePoint.SKB_ALLOC and skb[1])
+        alloc_at, skb = log[start][0], log[start][5]
+        chain = log[start:start + len(self.EXPECTED)]
+        assert [(now - alloc_at, point, where, track, name)
+                for now, point, where, track, name, _skb in chain] \
+            == self.EXPECTED
+        # Every skb-carrying tracepoint of the chain names the fg skb.
+        assert all(entry[5] == skb for entry in chain
+                   if entry[1] not in ("span_begin", "span_end"))

@@ -95,3 +95,44 @@ class TestIpv4Address:
         ip = Ipv4Address(1)
         with pytest.raises(AttributeError):
             ip.value = 2  # type: ignore[misc]
+
+
+class TestCachedHashAndPickling:
+    """Addresses cache their hash; copies and pickles rebuild it."""
+
+    ADDRESSES = [Ipv4Address("10.0.0.1"), MacAddress("02:42:ac:11:00:02")]
+
+    def test_cached_hash_is_the_value_hash(self):
+        assert hash(Ipv4Address(7)) == hash(("ipv4", 7))
+        assert hash(MacAddress(7)) == hash(("mac", 7))
+
+    @pytest.mark.parametrize("addr", ADDRESSES, ids=type)
+    def test_pickle_and_copies_round_trip(self, addr):
+        import copy
+        import pickle
+
+        for clone in (pickle.loads(pickle.dumps(addr)), copy.copy(addr),
+                      copy.deepcopy(addr)):
+            assert type(clone) is type(addr)
+            assert clone == addr and hash(clone) == hash(addr)
+            assert {clone: 1}[addr] == 1
+
+    def test_unpickled_hash_is_recomputed_under_another_hash_seed(self):
+        """The hash includes a str, so it differs per PYTHONHASHSEED:
+        the pickle carries only the integer."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        code = ("import pickle, sys\n"
+                "from repro.packet import Ipv4Address, MacAddress\n"
+                "sys.stdout.write(pickle.dumps([Ipv4Address('10.0.0.1'), "
+                "MacAddress('02:42:ac:11:00:02')]).hex())\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        clones = pickle.loads(bytes.fromhex(out.stdout))
+        assert clones == self.ADDRESSES
+        assert [hash(c) for c in clones] == [hash(a) for a in self.ADDRESSES]

@@ -136,7 +136,7 @@ class TestClassifier:
         kernel, classifier = self._setup()
         kernel.priority_db.add_endpoint(ip="10.0.0.10", port=5000)
         skb = self._skb()
-        cost = classifier.classify(skb, StackMode.VANILLA)
+        cost = classifier.classify(skb, prism=False)
         assert cost == 0
         assert not skb.classified
 
@@ -144,7 +144,7 @@ class TestClassifier:
         kernel, classifier = self._setup()
         kernel.priority_db.add_endpoint(ip="10.0.0.10", port=5000)
         skb = self._skb()
-        cost = classifier.classify(skb, StackMode.PRISM_BATCH)
+        cost = classifier.classify(skb, prism=True)
         assert cost == kernel.costs.priority_lookup_ns
         assert skb.is_high_priority
         assert classifier.classified_high == 1
@@ -153,7 +153,7 @@ class TestClassifier:
         kernel, classifier = self._setup()
         kernel.priority_db.add_endpoint(ip="10.0.0.99", port=9999, level=2)
         skb = self._skb()
-        classifier.classify(skb, StackMode.PRISM_SYNC)
+        classifier.classify(skb, prism=True)
         assert skb.classified
         assert skb.priority_level == 3  # lowest rule level + 1
 
@@ -161,8 +161,8 @@ class TestClassifier:
         kernel, classifier = self._setup()
         kernel.priority_db.add_endpoint(ip="10.0.0.10", port=5000)
         skb = self._skb()
-        classifier.classify(skb, StackMode.PRISM_BATCH)
-        assert classifier.classify(skb, StackMode.PRISM_BATCH) == 0
+        classifier.classify(skb, prism=True)
+        assert classifier.classify(skb, prism=True) == 0
 
 
 class TestProcFs:

@@ -19,11 +19,14 @@ from repro.sim import Simulator
 class NoopStage(PacketStage):
     name = "noop"
 
-    def __init__(self, cost=100):
-        self.cost = cost
+    def __init__(self, ns=100):
+        self.ns = ns
 
-    def process(self, skb, softnet):
-        yield self.cost
+    def cost(self, skb):
+        return self.ns
+
+    def run(self, skb, softnet):
+        return None
 
 
 def make_loaded_napi(kernel, softnet, name, packets):
