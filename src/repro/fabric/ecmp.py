@@ -10,7 +10,8 @@ Flowlet switching (CONGA/LetFlow-style): a flow that goes idle for
 longer than the configured gap starts a new *flowlet* — its generation
 counter bumps, and the generation feeds the hash, so the flow rehashes
 onto a (possibly different) equal-cost path without reordering packets
-inside a burst.
+inside a burst.  The hash runs only when a flowlet starts: inside one,
+the flow keeps the path index it was given.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ def ecmp_index(salt: int, flow: Tuple, generation: int, n_paths: int) -> int:
 
 
 class FlowletTable:
-    """Per-flow (last-seen, generation, path) state for flowlet ECMP."""
+    """Per-flow (last-seen, generation, path, path count) flowlet state."""
 
     __slots__ = ("gap_ns", "salt", "_flows", "rehashes", "path_changes")
 
     def __init__(self, gap_ns: int, salt: int) -> None:
         self.gap_ns = gap_ns
         self.salt = salt
-        self._flows: Dict[Tuple, Tuple[int, int, int]] = {}
+        self._flows: Dict[Tuple, Tuple[int, int, int, int]] = {}
         #: Idle gaps crossed (generation bumps), whether or not the
         #: rehash landed on a different path.
         self.rehashes = 0
@@ -50,16 +51,19 @@ class FlowletTable:
         state = self._flows.get(flow)
         if state is None:
             generation = 0
+            index = ecmp_index(self.salt, flow, generation, n_paths)
         else:
-            last_ns, generation, last_index = state
+            last_ns, generation, index, last_n_paths = state
             if now_ns - last_ns > self.gap_ns:
+                # A new flowlet: rehash onto a (possibly) new path.
                 generation += 1
                 self.rehashes += 1
-        index = ecmp_index(self.salt, flow, generation, n_paths)
-        if state is not None and generation != state[1] \
-                and index != state[2]:
-            self.path_changes += 1
-        self._flows[flow] = (now_ns, generation, index)
+                index = ecmp_index(self.salt, flow, generation, n_paths)
+                if index != state[2]:
+                    self.path_changes += 1
+            elif n_paths != last_n_paths:
+                index = ecmp_index(self.salt, flow, generation, n_paths)
+        self._flows[flow] = (now_ns, generation, index, n_paths)
         return index
 
     def __len__(self) -> int:

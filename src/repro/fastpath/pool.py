@@ -64,6 +64,7 @@ class SkbPool:
             skb.packet = packet
             skb.dev = dev
             skb.alloc_time = alloc_time
+            skb.wire_len = packet.wire_len
             return skb
         return SKBuff(packet, dev=dev, alloc_time=alloc_time, skb_id=skb_id)
 
@@ -82,7 +83,6 @@ class SkbPool:
         skb.priority_level = PRIORITY_UNCLASSIFIED
         skb.gro_segments = 1
         skb.alloc_time = None
-        skb.payload_bytes_merged = 0
         if skb.marks:
             skb.marks.clear()
         if skb.gro_list:

@@ -120,7 +120,7 @@ class FaultInjector:
             # GRO super-skbs stand for 1 + len(gro_list) wire packets.
             return sum(skb.gro_segments
                        for queue in skb_queues()
-                       for skb in queue._items)
+                       for skb in queue)
 
         ledger.add_queue_provider(weighted_depth)
 

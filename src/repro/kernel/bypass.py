@@ -18,10 +18,11 @@ Two modelling decisions keep the simulation honest *and* cheap:
   core never enters :class:`~repro.kernel.cpu.CpuContext.IDLE`, and
   ``cstate_wakeups`` stays 0 — which is exactly what makes the Fig. 11
   power comparison meaningful for this mode.
-- **Reuse of the driver poll.**  The PMD drives the existing
+- **Reuse of the driver poll.**  The PMD runs the existing
   :meth:`NicNapi.poll` generator — whose hand-off runs every later stage
-  inline, since ``Kernel.bypass`` is set — and charges each yielded
-  duration as USER time (DPDK packet processing is user-space work).
+  inline, since ``Kernel.bypass`` is set — with the polling core's USER
+  charge, so every duration is booked as USER time (DPDK packet
+  processing is user-space work).
   Every fault hook, ledger movement, tracepoint, and telemetry counter
   on the NAPI path therefore behaves identically in bypass mode —
   conservation under a :class:`~repro.faults.plan.FaultPlan` needs no
@@ -70,8 +71,7 @@ class PollModeDriver:
         sim = kernel.sim
         napi = self.napi
         stats = self.cpu.stats
-        user = CpuContext.USER
-        ns = stats.ns
+        charge = self.cpu.charge_user
         tracer = kernel.tracer
         weight = kernel.config.napi_weight
         track = f"pmd:{self.nic.name}"
@@ -82,29 +82,10 @@ class PollModeDriver:
                 if traced:
                     tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                                 name="pmd_batch")
-                # Drive the driver poll ourselves so every yielded
-                # duration lands in USER time on the polling core (the
+                # DPDK packet processing is user-space work: the poll
+                # books its time as USER time on the polling core (the
                 # softirq dispatcher never sees this device).
-                poll = napi.poll(weight)
-                processed = 0
-                try:
-                    duration = next(poll)
-                    while True:
-                        duration = int(duration)
-                        if duration > 0:
-                            ns[user] += duration
-                            # Run-ahead (Simulator._ra_refresh): skip the
-                            # event queue when this wake-up is next anyway.
-                            time = sim.now + duration
-                            if time < (sim._ra_bound
-                                       if sim._ra_seq == sim._seq
-                                       else sim._ra_refresh()):
-                                sim.now = time
-                            else:
-                                yield duration
-                        duration = poll.send(None)
-                except StopIteration as stop:
-                    processed = getattr(stop, "value", None) or 0
+                processed = yield from napi.poll(weight, charge)
                 self.packets += processed
                 if traced:
                     tracer.emit(TracePoint.SPAN_END, track=track,

@@ -22,7 +22,9 @@ Activities express CPU consumption by yielding:
 - ``None`` — cooperative round-robin yield.
 
 Softirq handlers are generators that yield only durations: a softirq never
-blocks (as in the real kernel).
+blocks (as in the real kernel).  A handler books its CPU time through the
+core's :attr:`CpuCore.charge_softirq` and yields only the waits that call
+says it must suspend for (see :meth:`CpuCore._charger`).
 
 C-states: when the core has been idle longer than the cost model's entry
 threshold, the next wake-up pays the C-state exit latency.  This is the
@@ -202,13 +204,21 @@ class CpuCore:
         self._wake_event: Optional[Event] = None
         self._softirq_yield_pending = False
         self._idle_since: Optional[int] = 0
+        #: Book softirq / user CPU time: ``charge(ns)`` returns True only
+        #: when the caller must yield *ns* (see :meth:`_charger`).
+        self.charge_softirq = self._charger(_SOFTIRQ)
+        self.charge_user = self._charger(_USER)
         self._dispatcher = sim.process(self._dispatch_loop(), name=f"cpu{core_id}")
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def register_softirq(self, nr: int, handler: Callable[[], Generator]) -> None:
-        """Install *handler* (a generator factory) for softirq *nr*."""
+        """Install *handler* (a generator factory) for softirq *nr*.
+
+        The handler books its time with :attr:`charge_softirq` and yields
+        a duration only when that call returns True.
+        """
         self._softirq_handlers[nr] = handler
 
     def raise_softirq(self, nr: int) -> None:
@@ -246,10 +256,6 @@ class CpuCore:
         if self.ksoftirqd_fairness:
             self._softirq_yield_pending = True
 
-    @property
-    def softirq_pending(self) -> bool:
-        return bool(self._pending_softirqs)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -262,38 +268,52 @@ class CpuCore:
         if self._wake_event is not None and not self._wake_event.triggered:
             self._wake_event.succeed()
 
+    def _charger(self, context: CpuContext) -> Callable[[int], bool]:
+        """The in-place clock charge for *context* on this core.
+
+        ``charge(ns)`` books *ns* of CPU time to *context* and advances
+        the clock by it.  When the wake-up would be the next occurrence
+        anyway (:meth:`Simulator._ra_refresh
+        <repro.sim.engine.Simulator._ra_refresh>`), the clock moves in
+        place and it returns False: the caller goes straight on.  It
+        returns True when the caller must yield *ns* to the dispatcher,
+        which then suspends for exactly that long.  A non-positive *ns*
+        is no work: nothing is booked and nobody waits.
+
+        This is the one protocol of softirq handlers and of everything
+        they call (polls, the stage hand-off, RPS steering): yield only
+        waits this function has charged.
+        """
+        sim = self.sim
+        ns = self.stats.ns
+
+        def charge(duration: int) -> bool:
+            if duration <= 0:
+                return False
+            ns[context] += duration
+            time = sim.now + duration
+            if time < sim._ra_bound:
+                sim.now = time
+                return False
+            return True
+        return charge
+
     def _dispatch_loop(self) -> Generator:
+        pending = self._pending_softirqs
+        handlers = self._softirq_handlers
+        stats = self.stats
         while True:
-            if self._pending_softirqs and not self._softirq_yield_pending:
-                yield from self._serve_one_softirq()
+            if pending and not self._softirq_yield_pending:
+                stats.softirq_invocations += 1
+                yield from handlers[pending.pop(0)]()
             elif self._run_queue:
                 self._softirq_yield_pending = False
                 yield from self._run_thread_slice()
-            elif self._pending_softirqs:
+            elif pending:
                 # A yield was requested but no thread is runnable.
                 self._softirq_yield_pending = False
             else:
                 yield from self._idle_wait()
-
-    def _serve_one_softirq(self) -> Generator:
-        nr = self._pending_softirqs.pop(0)
-        handler = self._softirq_handlers[nr]
-        sim = self.sim
-        stats = self.stats
-        ns = stats.ns
-        stats.softirq_invocations += 1
-        for duration in handler():
-            duration = int(duration)
-            if duration > 0:
-                ns[_SOFTIRQ] += duration
-                # Run-ahead (Simulator._ra_refresh): when the wake-up would
-                # be the next occurrence anyway, skip the event queue.
-                time = sim.now + duration
-                if time < (sim._ra_bound if sim._ra_seq == sim._seq
-                           else sim._ra_refresh()):
-                    sim.now = time
-                else:
-                    yield duration
 
     def _run_thread_slice(self) -> Generator:
         thread = self._run_queue.popleft()
@@ -302,7 +322,8 @@ class CpuCore:
         thread.state = ThreadState.RUNNING
         value, thread._resume_value = thread._resume_value, None
         send = thread.generator.send
-        ns = self.stats.ns
+        charge = self.charge_user
+        pending = self._pending_softirqs
         while True:
             try:
                 item = send(value)
@@ -329,10 +350,9 @@ class CpuCore:
                         f"{item!r}; yield Work/int, Block, or None")
             elif item < 0:
                 raise ValueError(f"Work duration must be >= 0, got {item}")
-            if item > 0:
-                ns[_USER] += item
+            if charge(item):
                 yield item
-            if self._pending_softirqs:
+            if pending:
                 # Preempted: softirq has strict priority.  The thread
                 # stays at the head of the run queue.
                 thread.state = ThreadState.RUNNABLE

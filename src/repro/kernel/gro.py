@@ -15,7 +15,7 @@ costs for the full merged length.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.netdev.queues import PacketQueue
 from repro.packet.headers import TcpHeader
@@ -57,15 +57,15 @@ class GroEngine:
         held.gro_list.append(skb.packet)
         held.gro_list.extend(skb.gro_list)
         held.gro_segments += skb.gro_segments
-        held.payload_bytes_merged += skb.wire_len
+        held.wire_len += skb.wire_len
         self.merged_segments += skb.gro_segments
 
     def try_merge_into_queue(self, queue: PacketQueue, skb: SKBuff) -> bool:
         """Attempt to merge *skb* into the tail skb of *queue*."""
-        if not self.kernel.config.gro_enabled:
+        if not queue or not self.kernel.config.gro_enabled:
             return False
-        tail: Optional[SKBuff] = queue.tail()
-        if tail is None or not self.can_merge(tail, skb):
+        tail: SKBuff = queue[-1]
+        if not self.can_merge(tail, skb):
             return False
         self.merge(tail, skb)
         return True

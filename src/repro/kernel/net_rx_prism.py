@@ -35,6 +35,7 @@ def net_rx_action_prism(kernel: "Kernel", softnet: SoftnetData
     costs = kernel.costs
     config = kernel.config
     cpu = softnet.cpu
+    charge = cpu.charge_softirq
     tracer = kernel.tracer
     # Hoist the subscriber checks: with nothing attached this function
     # must not build tracepoint field dicts or poll-list snapshots.
@@ -48,7 +49,9 @@ def net_rx_action_prism(kernel: "Kernel", softnet: SoftnetData
     if spans:
         track = f"cpu{cpu.core_id}"
         tracer.emit(TracePoint.SPAN_BEGIN, track=track, name="net_rx_action")
-    yield costs.softirq_dispatch_ns
+    ns = costs.softirq_dispatch_ns
+    if charge(ns):
+        yield ns
 
     processed = 0
     while True:
@@ -59,7 +62,7 @@ def net_rx_action_prism(kernel: "Kernel", softnet: SoftnetData
         if spans:
             tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                         name=f"poll:{napi.name}")
-        processed += yield from napi.poll(config.napi_weight)
+        processed += yield from napi.poll(config.napi_weight, charge)
         if spans:
             tracer.emit(TracePoint.SPAN_END, track=track,
                         name=f"poll:{napi.name}")
@@ -81,7 +84,9 @@ def net_rx_action_prism(kernel: "Kernel", softnet: SoftnetData
 
     # Fig. 7 lines 19-20.
     if softnet.poll_list:
-        yield costs.softirq_raise_ns
+        ns = costs.softirq_raise_ns
+        if charge(ns):
+            yield ns
         cpu.raise_softirq(NET_RX_SOFTIRQ)
         if processed >= config.napi_budget:
             cpu.request_softirq_yield()

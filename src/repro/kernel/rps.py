@@ -13,7 +13,7 @@ Enabling RPS here lets experiments explore exactly that claim.
 
 from __future__ import annotations
 
-from typing import Generator, List, TYPE_CHECKING
+from typing import Callable, Generator, List, TYPE_CHECKING
 
 from repro.packet.flow import rss_hash
 from repro.packet.packet import Packet
@@ -47,17 +47,22 @@ class RpsSteering:
         index = rss_hash(key) % len(self.cpu_ids)
         return self.kernel.softnet_for(self.cpu_ids[index])
 
-    def steer(self, skb: "SKBuff", target: "SoftnetData"
-              ) -> Generator[int, None, None]:
+    def steer(self, skb: "SKBuff", target: "SoftnetData",
+              charge: Callable[[int], bool]) -> Generator[int, None, None]:
         """Enqueue *skb* to *target*'s backlog and kick its NET_RX (an IPI).
 
         The driver calls this instead of running its stage when the flow
         hashes to another CPU; the backlog there runs the driver stage.
+        The IPI's cost goes through the driver poll's *charge*.
         """
         kernel = self.kernel
         self.steered += 1
-        yield kernel.costs.softirq_raise_ns
-        high = kernel.prism and kernel.is_high_class(skb)
+        ns = kernel.costs.softirq_raise_ns
+        if charge(ns):
+            yield ns
+        level = skb.priority_level
+        high = (kernel.prism and level is not None
+                and level <= kernel.config.high_priority_max_level)
         backlog = target.backlog
         if backlog.enqueue(skb, high=high):
             if high:

@@ -17,6 +17,11 @@ so the same code serves both kernels faithfully.
 
 :func:`hand_off` takes an skb from the stage that just ran to the next
 one — inline, or through the next napi's queues — in every mode.
+
+Polls and the hand-off book their CPU time through the servicing core's
+charge function (``charge(ns) -> bool``, see
+:meth:`CpuCore._charger <repro.kernel.cpu.CpuCore._charger>`), passed in
+by whoever drives them, and yield a duration only when it returns True.
 """
 
 from __future__ import annotations
@@ -120,14 +125,17 @@ class NapiStruct:
     # ------------------------------------------------------------------
     # Polling
     # ------------------------------------------------------------------
-    def poll(self, batch_size: int) -> Generator[int, None, int]:
+    def poll(self, batch_size: int, charge: Callable[[int], bool]
+             ) -> Generator[int, None, int]:
         """Process one batch (paper Fig. 7 napi_poll).  Returns count.
 
         Chooses the high queue if non-empty at entry, else the low queue,
         and runs up to *batch_size* skbs exclusively from it, each through
-        its stage and then :func:`hand_off`.  Tracepoint gates are read
-        once per batch, so a batch with no per-skb subscriber pays two
-        local bool tests per skb and nothing else.
+        its stage and then :func:`hand_off`.  CPU time goes through
+        *charge* (the servicing core's softirq charge, or the poll-mode
+        driver's user charge).  Tracepoint gates are read once per batch,
+        so a batch with no per-skb subscriber pays two local bool tests
+        per skb and nothing else.
         """
         self.polls += 1
         kernel = self.kernel
@@ -138,19 +146,27 @@ class NapiStruct:
         stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
         traced = trace_waits or spans or stage_done
         gates = InlineGates(tracer) if active else None
-        yield kernel.costs.device_poll_overhead_ns
+        ns = kernel.costs.device_poll_overhead_ns
+        if charge(ns):
+            yield ns
         queue = self.queue_high if self.queue_high else self.queue_low
         fixed_stage = self.stage
         softnet = self.softnet
         track = self._track() if spans else None
         ledger = kernel.ledger
         processed = 0
+        dequeue = queue.popleft
         while processed < batch_size and queue:
-            skb = queue.dequeue()
+            skb = dequeue()
             if ledger is not None:
                 ledger.enter(skb.gro_segments)
-            stage = (fixed_stage if fixed_stage is not None
-                     else self._stage_for(skb))
+            stage = fixed_stage
+            if stage is None:
+                # The shared backlog: dispatch by the skb's device.
+                dev = skb.dev
+                stage = dev.rx_stage if dev is not None else None
+                if stage is None:
+                    stage = self._stage_for(skb)  # raises
             if traced:
                 if trace_waits:
                     since = skb.marks.get(f"q:{queue.name}")
@@ -161,10 +177,12 @@ class NapiStruct:
                     tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                                 name=f"skb:{stage.name}",
                                 hp=skb.is_high_priority)
-            yield stage.cost(skb)
+            ns = stage.cost(skb)
+            if charge(ns):
+                yield ns
             napi = stage.run(skb, softnet)
             if napi is not None:
-                yield from hand_off(napi, skb, gates)
+                yield from hand_off(napi, skb, gates, charge)
             if traced:
                 if spans:
                     tracer.emit(TracePoint.SPAN_END, track=track,
@@ -200,8 +218,8 @@ class NapiStruct:
                 f"high={len(self.queue_high)} low={len(self.queue_low)}>")
 
 
-def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
-             ) -> Generator[int, None, None]:
+def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"],
+             charge: Callable[[int], bool]) -> Generator[int, None, None]:
     """Hand *skb*, whose last stage returned *napi*, to *napi*'s stage.
 
     The one hand-off loop of the receive pipeline: the stage-transition
@@ -210,7 +228,7 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
     :meth:`Kernel._bind_mode <repro.kernel.core.Kernel._bind_mode>` sets:
 
     - **bypass**, and **PRISM-sync** for a high-class skb: after the
-      inline-call overhead the stage runs right here — its cost yielded,
+      inline-call overhead the stage runs right here — its cost charged,
       then :meth:`~repro.netdev.device.PacketStage.run` called in the
       napi's context, as ``netif_receive_skb`` is called directly
       (§III-B1) — and the loop goes on with the napi that stage returns;
@@ -221,31 +239,43 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
       raised and the napi scheduled, at the head of the poll list when
       high (§III-A).  An overflow drop recycles the skb.
 
-    The durations it yields, and the side effects between them, are those
-    of the nested per-stage generators this loop replaces.  *gates* is
-    None in an untraced batch; otherwise each inline stage fires
+    CPU time goes through *charge*, which the caller's poll was given.
+    The durations it charges, and the side effects between them, are
+    those of the nested per-stage generators this loop replaces.  *gates*
+    is None in an untraced batch; otherwise each inline stage fires
     ``SYNC_INLINE`` and a ``SPAN_BEGIN``/``SPAN_END`` pair nested inside
     the previous stage's, and ``STAGE_DONE`` once the stages after it
     have finished, as a nested call would.
     """
     kernel = napi.kernel
-    inline = []
+    costs = kernel.costs
+    level = skb.priority_level
+    inline = None
     while napi is not None:
-        high = kernel.prism and kernel.is_high_class(skb)
+        # PRISM high class: the skb's level is within the high device
+        # queue's range (the multi-level extension of §VII-3; the
+        # paper's prototype is binary, level 0 = high).
+        high = (kernel.prism and level is not None
+                and level <= kernel.config.high_priority_max_level)
         if kernel.bypass or (high and kernel.sync):
             # Run-to-completion skips GRO: holding a segment for
             # coalescing would reintroduce the queueing delay the inline
             # path exists to remove.
-            costs = kernel.costs
-            yield (costs.bypass_stage_overhead_ns if kernel.bypass
-                   else costs.sync_stage_overhead_ns)
+            ns = (costs.bypass_stage_overhead_ns if kernel.bypass
+                  else costs.sync_stage_overhead_ns)
+            if charge(ns):
+                yield ns
             stage = napi.stage
             if stage is None:
                 stage = napi._stage_for(skb)
             napi.packets_processed += 1
             if gates is not None:
+                if inline is None:
+                    inline = []
                 inline.append((napi, stage, gates.begin(napi, stage, skb)))
-            yield stage.cost(skb)
+            ns = stage.cost(skb)
+            if charge(ns):
+                yield ns
             napi = stage.run(skb, napi.softnet)
             continue
         gro = napi.gro
@@ -263,7 +293,9 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
             # The skb's packet now lives in the held super-skb's
             # gro_list; the emptied metadata can be reused.
             kernel.skb_pool.recycle(skb)
-            yield kernel.costs.gro_merge_ns
+            ns = costs.gro_merge_ns
+            if charge(ns):
+                yield ns
         elif not napi.enqueue(skb, high=high):
             kernel.skb_pool.recycle(skb)  # overflow drop, already counted
         else:
@@ -271,10 +303,12 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"]
             if softnet is None:
                 raise RuntimeError(
                     f"napi {napi.name!r} is not bound to a softnet")
-            yield kernel.costs.softirq_raise_ns
+            ns = costs.softirq_raise_ns
+            if charge(ns):
+                yield ns
             if high:
                 softnet.napi_schedule_head(napi)
-            else:
+            elif not napi.scheduled:
                 softnet.napi_schedule(napi)
         break
     while inline:

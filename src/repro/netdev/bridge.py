@@ -46,7 +46,7 @@ class Bridge(NetDevice):
         Docker's control plane does — so a miss here indicates
         misdelivery and the caller drops and counts it.)
         """
-        eth = skb.packet.eth
+        eth = skb.packet.layers.eth
         if eth is None:
             return None
         if ingress is not None:

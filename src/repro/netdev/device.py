@@ -73,13 +73,5 @@ class NetDevice:
         self.tx_packets = 0
         self.tx_bytes = 0
 
-    def count_rx(self, skb: SKBuff) -> None:
-        self.rx_packets += 1
-        self.rx_bytes += skb.wire_len
-
-    def count_tx(self, wire_len: int) -> None:
-        self.tx_packets += 1
-        self.tx_bytes += wire_len
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

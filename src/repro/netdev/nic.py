@@ -24,16 +24,16 @@ stage (which is why PRISM cannot help host flows — Fig. 10).
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
-from typing import Dict, Generator, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
+from repro.fastpath.headercache import DecapMemo
 from repro.kernel.bypass import PollModeDriver
 from repro.kernel.costs import StageCostTable
 from repro.kernel.softnet import InlineGates, NapiStruct, hand_off
 from repro.netdev.device import NetDevice, PacketStage
 from repro.netdev.queues import PacketQueue
 from repro.packet.addr import Ipv4Address, MacAddress
-from repro.packet.packet import Packet, vxlan_decapsulate
+from repro.packet.packet import Packet
 from repro.packet.skb import SKBuff  # noqa: F401 (re-exported for drivers)
 from repro.stack.receive import protocol_rcv
 from repro.trace.tracer import TracePoint
@@ -58,37 +58,9 @@ class NicStage(PacketStage):
 
     def __init__(self, nic: "PhysicalNic") -> None:
         self.nic = nic
-        #: id(outer headers tuple) -> (outer headers, inner headers,
-        #: inner layer cache), LRU-ordered.  Decapsulation is a pure
-        #: function of the header stack, and senders share stacks per
-        #: flow (see
-        #: :class:`~repro.fastpath.headercache.CachedUdpBuilder`), so the
-        #: slice-and-rescan work is done once per stack.  Keying by
-        #: identity is safe because a live entry holds a strong reference
-        #: to its outer tuple (the id of a memoized stack can never be
-        #: reused; eviction removes key and reference together).  Bounded
-        #: LRU — not insert-only — so a churn of non-shared stacks can't
-        #: permanently crowd out the hot flows.
-        self._decap_memo: "OrderedDict[int, Tuple]" = OrderedDict()
-
-    def _decap(self, packet: Packet) -> Packet:
-        memo = self._decap_memo
-        key = id(packet.headers)
-        entry = memo.get(key)
-        if entry is None:
-            _header, inner = vxlan_decapsulate(packet)
-            memo[key] = (packet.headers, inner.headers, inner._scan())
-            if len(memo) > self.DECAP_MEMO_CAP:
-                memo.popitem(last=False)
-            return inner
-        memo.move_to_end(key)
-        _outer, inner_headers, layer_cache = entry
-        inner = Packet(headers=inner_headers, payload=packet.payload,
-                       payload_len=packet.payload_len,
-                       created_at=packet.created_at,
-                       packet_id=packet.packet_id)
-        inner._cache = layer_cache
-        return inner
+        self._decap_memo = DecapMemo(self.DECAP_MEMO_CAP)
+        #: The inner packet of a VXLAN packet, memoized per outer stack.
+        self._decap = self._decap_memo.decap
 
     @functools.cached_property
     def _decap_costs(self) -> StageCostTable:
@@ -117,9 +89,11 @@ class NicStage(PacketStage):
         if vxlan_dev is not None:
             # gro_cells_receive: stage 2 is the vxlan device's gro cell on
             # this CPU.
-            skb.packet = self._decap(packet)
+            inner = skb.packet = self._decap(packet)
+            skb.wire_len = inner.wire_len
             skb.dev = vxlan_dev
-            vxlan_dev.count_rx(skb)
+            vxlan_dev.rx_packets += 1
+            vxlan_dev.rx_bytes += skb.wire_len
             return vxlan_dev.gro_cell_for(softnet)
         nic = self.nic
         if nic.netns is not None:
@@ -145,12 +119,14 @@ class NicNapi(NapiStruct):
     def has_packets(self) -> bool:
         return self.has_high() or self.has_low()
 
-    def poll(self, batch_size: int) -> Generator[int, None, int]:
+    def poll(self, batch_size: int, charge: Callable[[int], bool]
+             ) -> Generator[int, None, int]:
         """Driver poll: dequeue descriptors, allocate + classify skbs.
 
         skbs come from the kernel's free-list pool and go through
         receive packet steering, then the driver stage and
-        :func:`~repro.kernel.softnet.hand_off`; tracepoint gates are read
+        :func:`~repro.kernel.softnet.hand_off`; CPU time goes through
+        *charge* (see :meth:`NapiStruct.poll`); tracepoint gates are read
         once per batch.
         """
         self.polls += 1
@@ -173,13 +149,16 @@ class NicNapi(NapiStruct):
         sim = kernel.sim
         faults = kernel.faults
         ledger = kernel.ledger
-        yield kernel.costs.device_poll_overhead_ns
+        ns = kernel.costs.device_poll_overhead_ns
+        if charge(ns):
+            yield ns
         ring = (self.nic.ring_high
                 if self.nic.ring_high is not None and self.nic.ring_high
                 else self.nic.ring)
+        dequeue = ring.popleft
         processed = 0
         while processed < batch_size and ring:
-            arrival, packet = ring.dequeue()
+            arrival, packet = dequeue()
             if faults is not None and faults.skb_alloc_fails():
                 # alloc_skb returned NULL: the descriptor is consumed
                 # and the packet is gone.
@@ -199,9 +178,9 @@ class NicNapi(NapiStruct):
                 # Ring residency: DMA arrival to driver-poll dequeue.
                 tracer.emit(TracePoint.QUEUE_WAIT, queue=ring.name,
                             skb=skb, since=arrival)
-            lookup_cost = classify(skb, prism)
-            if lookup_cost:
-                yield lookup_cost
+            ns = classify(skb, prism)
+            if ns and charge(ns):
+                yield ns
             if traced:
                 if trace_allocs:
                     tracer.emit(TracePoint.SKB_ALLOC, device=self.name,
@@ -215,12 +194,14 @@ class NicNapi(NapiStruct):
             # inline): the whole point is to run the work elsewhere.
             target = softnet if rps is None else rps.target_softnet(packet)
             if target is not softnet:
-                yield from rps.steer(skb, target)
+                yield from rps.steer(skb, target, charge)
             else:
-                yield stage.cost(skb)
+                ns = stage.cost(skb)
+                if charge(ns):
+                    yield ns
                 napi = stage.run(skb, softnet)
                 if napi is not None:
-                    yield from hand_off(napi, skb, gates)
+                    yield from hand_off(napi, skb, gates, charge)
             if traced:
                 if spans:
                     tracer.emit(TracePoint.SPAN_END, track=track,
@@ -308,7 +289,8 @@ class PhysicalNic(NetDevice):
         kernel = self.kernel
         if self._mod_adaptive:
             self._mod_observe(kernel.sim.now)
-        ring = self._hardware_steer(packet)
+        ring = (self.ring if self.ring_high is None
+                else self._hardware_steer(packet))
         ledger = kernel.ledger
         if ledger is not None:
             ledger.inject(self.name)
@@ -330,7 +312,7 @@ class PhysicalNic(NetDevice):
                 callback(queue=ring.name, packet=packet)
         if self._pmd is not None:
             self._pmd.notify()
-        else:
+        elif self.irq_enabled and not self.napi.scheduled:
             self._maybe_interrupt()
 
     def _mod_observe(self, now: int) -> None:

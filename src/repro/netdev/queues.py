@@ -8,22 +8,35 @@ behaviour for all of these) and counts the drop.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Optional, TypeVar
+from typing import Optional, TypeVar
 
 T = TypeVar("T")
 
 __all__ = ["PacketQueue"]
 
 
-class PacketQueue(Generic[T]):
-    """A bounded FIFO of packets/skbs with enqueue-drop accounting."""
+class PacketQueue(deque):
+    """A bounded FIFO of packets/skbs with enqueue-drop accounting.
+
+    A :class:`collections.deque` itself, so ``bool()``, ``len()``,
+    iteration and :meth:`dequeue` are C calls on the hot path.  Equality
+    and hashing are by identity, as for any device object: two queues
+    holding the same items are still two queues.
+    """
+
+    __slots__ = ("capacity", "name", "enqueued", "dropped", "max_depth",
+                 "cleared")
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def __init__(self, capacity: int, name: str = "") -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        super().__init__()
         self.capacity = capacity
         self.name = name
-        self._items: Deque[T] = deque()
         self.enqueued = 0
         self.dropped = 0
         #: Deepest the queue has ever been (occupancy high-watermark,
@@ -36,61 +49,39 @@ class PacketQueue(Generic[T]):
 
     def enqueue(self, item: T) -> bool:
         """Append *item*; returns False (and counts a drop) when full."""
-        items = self._items
-        if len(items) >= self.capacity:
+        depth = len(self)
+        if depth >= self.capacity:
             self.dropped += 1
             return False
-        items.append(item)
+        self.append(item)
         self.enqueued += 1
-        if len(items) > self.max_depth:
-            self.max_depth = len(items)
+        if depth >= self.max_depth:
+            self.max_depth = depth + 1
         return True
 
-    def dequeue(self) -> T:
-        """Pop the head.  Raises IndexError when empty."""
-        return self._items.popleft()
+    #: Pop the head.  Raises IndexError when empty.
+    dequeue = deque.popleft
 
     def peek(self) -> Optional[T]:
         """The head item without removing it, or None when empty."""
-        return self._items[0] if self._items else None
-
-    def tail(self) -> Optional[T]:
-        """The tail item without removing it, or None when empty.
-
-        Used by GRO to coalesce into the most recently enqueued skb.
-        """
-        return self._items[-1] if self._items else None
+        return self[0] if self else None
 
     def clear(self) -> None:
         """Discard all queued items, counting them in ``cleared``."""
-        self.cleared += len(self._items)
-        self._items.clear()
+        self.cleared += len(self)
+        deque.clear(self)
 
     def stats(self) -> dict:
         """Counter snapshot (what the telemetry layer scrapes)."""
         return {
-            "depth": len(self._items),
+            "depth": len(self),
             "max_depth": self.max_depth,
             "enqueued": self.enqueued,
             "dropped": self.dropped,
             "cleared": self.cleared,
         }
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return (f"<PacketQueue{label} {len(self._items)}/{self.capacity} "
+        return (f"<PacketQueue{label} {len(self)}/{self.capacity} "
                 f"dropped={self.dropped}>")

@@ -58,7 +58,8 @@ class BridgeStage(PacketStage):
             return None
         # netif_rx: into the per-CPU backlog, in the container end's name.
         skb.dev = peer
-        peer.count_rx(skb)
+        peer.rx_packets += 1
+        peer.rx_bytes += skb.wire_len
         return softnet.backlog
 
     def _drop(self, skb: SKBuff, site: str) -> None:

@@ -73,7 +73,8 @@ class Container:
                  payload, payload_len: int, created_at=None) -> Generator:
         """Send one UDP datagram to a (possibly remote) overlay peer."""
         overlay = self._overlay()
-        dst = Ipv4Address(dst_ip)
+        dst = (dst_ip if dst_ip.__class__ is Ipv4Address
+               else Ipv4Address(dst_ip))
         peer = overlay.overlay.endpoint(dst)
         yield from self.host.egress.udp_send(
             src_mac=self.mac, dst_mac=peer.mac,
@@ -87,7 +88,8 @@ class Container:
                          message) -> Generator:
         """Send one TCP message (TSO-segmented) to an overlay peer."""
         overlay = self._overlay()
-        dst = Ipv4Address(dst_ip)
+        dst = (dst_ip if dst_ip.__class__ is Ipv4Address
+               else Ipv4Address(dst_ip))
         peer = overlay.overlay.endpoint(dst)
         yield from self.host.egress.tcp_send_message(
             src_mac=self.mac, dst_mac=peer.mac,

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.fastpath.headercache import DecapMemo
 from repro.kernel.costs import CostModel
 from repro.packet.addr import Ipv4Address, MacAddress
-from repro.packet.packet import Packet, vxlan_decapsulate
+from repro.packet.packet import Packet
 from repro.sim.engine import Simulator
 
 __all__ = ["Wire", "RemoteHost", "RemoteContainer"]
@@ -36,7 +37,8 @@ class Wire:
         self.sim = sim
         self.costs = costs
         self._endpoints: List[Any] = []
-        self._busy_until: Dict[int, int] = {}
+        #: Per direction: when the link is free again.
+        self._busy_until: List[int] = [0, 0]
         self.packets = 0
         self.bytes = 0
         #: Optional fault-injection hook ``(packet, receiver) -> bool``;
@@ -70,14 +72,20 @@ class Wire:
         if self.fault_hook is not None and self.fault_hook(packet, receiver):
             self.fault_dropped += 1
             return
-        serialization = int(packet.wire_len / self.costs.wire_bytes_per_ns)
-        start = max(self.sim.now, self._busy_until.get(direction, 0))
-        finish = start + serialization
-        self._busy_until[direction] = finish
-        arrival = finish + self.costs.wire_latency_ns
+        wire_len = packet.wire_len
+        costs = self.costs
+        sim = self.sim
+        busy_until = self._busy_until
+        start = busy_until[direction]
+        if start < sim.now:
+            start = sim.now
+        finish = start + int(wire_len / costs.wire_bytes_per_ns)
+        busy_until[direction] = finish
         self.packets += 1
-        self.bytes += packet.wire_len
-        self.sim.schedule_at(arrival, receiver.receive, packet)
+        self.bytes += wire_len
+        # The arrival is never in the past and nothing cancels it, so the
+        # occurrence is pushed directly (schedule_at without its handle).
+        sim._push(finish + costs.wire_latency_ns, receiver.receive, (packet,))
 
 
 class RemoteContainer:
@@ -95,6 +103,9 @@ class RemoteContainer:
 class RemoteHost:
     """The coarse client machine: traffic sources and reply handlers."""
 
+    #: Decap-memo capacity (as the NIC's: every concurrent reply flow).
+    DECAP_MEMO_CAP = 64
+
     def __init__(self, sim: Simulator, costs: CostModel, *,
                  name: str = "client",
                  ip: Ipv4Address, mac: MacAddress) -> None:
@@ -107,6 +118,8 @@ class RemoteHost:
         self._port_handlers: Dict[int, Callable[[Packet], None]] = {}
         self.rx_packets = 0
         self.unhandled = 0
+        #: Replies share header stacks per flow: decap once per stack.
+        self._decap = DecapMemo(self.DECAP_MEMO_CAP).decap
 
     def attach_wire(self, wire: Wire) -> None:
         self.wire = wire
@@ -126,9 +139,9 @@ class RemoteHost:
         """A packet arrives from the wire: demux to a client app."""
         self.rx_packets += 1
         inner = packet
-        if packet.is_vxlan:
-            _header, inner = vxlan_decapsulate(packet)
-        l4 = inner.l4
+        if packet.vni is not None:
+            inner = self._decap(packet)
+        l4 = inner.layers.l4
         handler = self._port_handlers.get(l4.dst_port) if l4 else None
         if handler is None:
             self.unhandled += 1

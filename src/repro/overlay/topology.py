@@ -100,8 +100,9 @@ class HostOverlay:
 
     def encap_to(self, dst_container_ip: object) -> EncapInfo:
         """Egress encapsulation from this host toward a remote container."""
-        return self.overlay.encap_info(
-            self.host.ip, self.host.mac, Ipv4Address(dst_container_ip))
+        dst = (dst_container_ip if dst_container_ip.__class__ is Ipv4Address
+               else Ipv4Address(dst_container_ip))
+        return self.overlay.encap_info(self.host.ip, self.host.mac, dst)
 
     def __repr__(self) -> str:
         return (f"<HostOverlay {self.host.name!r} vni={self.overlay.vni} "

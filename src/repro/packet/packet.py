@@ -12,9 +12,7 @@ evaluates (RFC 7348 framing).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
 from repro.packet.addr import Ipv4Address, MacAddress
@@ -30,7 +28,8 @@ from repro.packet.headers import (
     VxlanHeader,
 )
 
-__all__ = ["Packet", "vxlan_encapsulate", "vxlan_decapsulate", "NotVxlanError"]
+__all__ = ["Layers", "Packet", "vxlan_encapsulate", "vxlan_decapsulate",
+           "NotVxlanError"]
 
 Header = Union[EthernetHeader, IPv4Header, UdpHeader, TcpHeader, VxlanHeader]
 
@@ -41,68 +40,28 @@ class NotVxlanError(ValueError):
     """Raised when decapsulating a packet that is not VXLAN-encapsulated."""
 
 
-#: Sentinel marking a lazily-computed cache slot as "not computed yet"
-#: (``None`` is a legitimate cached value for most of them).
+#: Sentinel marking a lazily-computed record slot as "not computed yet"
+#: (``None`` is a legitimate value for the flow keys).
 _UNSET = object()
 
 
-class _LayerCache:
-    """One-pass scan results over a packet's (immutable) header tuple.
+class Layers:
+    """One-pass scan results over an (immutable) header tuple.
 
-    Every hot-path accessor (``header_len``, ``ip``, ``inner_l4``, flow
-    keys, ...) reads from here instead of re-walking the header stack.
-    The cache remembers which tuple it was computed from; reassigning
-    ``packet.headers`` (tests do) simply makes the next access rescan.
-    Not a dataclass field, so equality, repr, and serialization of
-    :class:`Packet` are unaffected.
+    The layer record of a header stack: sizes, the outermost and innermost
+    layers, the VNI, and the flow keys, computed once.  Packets that share
+    a header stack share its record (the sender's
+    :class:`~repro.fastpath.headercache.CachedUdpBuilder` and the NIC's
+    decap memo hand it to every :class:`Packet` they build), so the
+    per-stack work — including the PRISM classifier's verdict, cached in
+    :attr:`prio` — is done once per stack, not once per packet.
     """
 
     __slots__ = ("headers", "header_len", "eth", "ip", "l4",
                  "inner_ip", "inner_l4", "vxlan", "vni", "inner_key",
-                 "outer_key")
+                 "outer_key", "prio")
 
-
-@dataclass
-class Packet:
-    """A packet on the wire: a header stack (outermost first) + payload.
-
-    Attributes
-    ----------
-    headers:
-        Tuple of header dataclasses, outermost first.
-    payload:
-        Opaque application object (e.g. an app-level request record).
-    payload_len:
-        Payload size in bytes; the simulator charges per-byte costs
-        against ``wire_len`` but never copies real buffers.
-    created_at:
-        Virtual timestamp (ns) when the original sender emitted the
-        packet; used for end-to-end latency measurement.
-    """
-
-    headers: Tuple[Header, ...]
-    payload: Any = None
-    payload_len: int = 0
-    created_at: Optional[int] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-
-    def __post_init__(self) -> None:
-        self.headers = tuple(self.headers)
-        if self.payload_len < 0:
-            raise ValueError("payload_len must be >= 0")
-        self._cache: Optional[_LayerCache] = None
-
-    # ------------------------------------------------------------------
-    # Layer cache
-    # ------------------------------------------------------------------
-    def _layers(self) -> _LayerCache:
-        cache = self._cache
-        if cache is not None and cache.headers is self.headers:
-            return cache
-        return self._scan()
-
-    def _scan(self) -> _LayerCache:
-        headers = self.headers
+    def __init__(self, headers: Tuple[Header, ...]) -> None:
         header_len = 0
         eth = ip = l4 = inner_ip = inner_l4 = vxlan = None
         for header in headers:
@@ -121,22 +80,85 @@ class Packet:
             elif isinstance(header, VxlanHeader):
                 if vxlan is None:
                     vxlan = header
-        cache = _LayerCache()
-        cache.headers = headers
-        cache.header_len = header_len
-        cache.eth = eth
-        cache.ip = ip
-        cache.l4 = l4
-        cache.inner_ip = inner_ip
-        cache.inner_l4 = inner_l4
-        cache.vxlan = vxlan
-        cache.vni = (vxlan.vni if vxlan is not None
-                     and isinstance(l4, UdpHeader)
-                     and l4.dst_port == VXLAN_PORT else None)
-        cache.inner_key = _UNSET
-        cache.outer_key = _UNSET
-        self._cache = cache
-        return cache
+        self.headers = headers
+        self.header_len = header_len
+        self.eth = eth
+        self.ip = ip
+        self.l4 = l4
+        self.inner_ip = inner_ip
+        self.inner_l4 = inner_l4
+        self.vxlan = vxlan
+        self.vni = (vxlan.vni if vxlan is not None
+                    and isinstance(l4, UdpHeader)
+                    and l4.dst_port == VXLAN_PORT else None)
+        self.inner_key = _UNSET
+        self.outer_key = _UNSET
+        #: ``(classifier memo, level)`` once a PRISM classifier has
+        #: classified this stack (see
+        #: :meth:`~repro.prism.classifier.PriorityClassifier.classify`).
+        self.prio = None
+
+
+def _flow_key(ip: Optional[IPv4Header],
+              l4: Optional[Union[UdpHeader, TcpHeader]]) -> Optional[FlowKey]:
+    if ip is None or l4 is None:
+        return None
+    protocol = IPPROTO_UDP if isinstance(l4, UdpHeader) else 6
+    return FlowKey(ip.src, ip.dst, l4.src_port, l4.dst_port, protocol)
+
+
+class Packet:
+    """A packet on the wire: a header stack (outermost first) + payload.
+
+    Plain data, built once: the size and identity fields are computed at
+    construction from the header stack's :class:`Layers` record and never
+    change, so a packet is never re-headered — build a new one instead.
+
+    Attributes
+    ----------
+    headers:
+        Tuple of header dataclasses, outermost first.
+    payload:
+        Opaque application object (e.g. an app-level request record).
+    payload_len:
+        Payload size in bytes; the simulator charges per-byte costs
+        against ``wire_len`` but never copies real buffers.
+    created_at:
+        Virtual timestamp (ns) when the original sender emitted the
+        packet; used for end-to-end latency measurement.
+    packet_id:
+        Unique id (drawn from a process-wide counter when not given).
+    wire_len:
+        Total on-wire bytes (headers + payload).
+    vni:
+        The VXLAN network identifier if the outer UDP targets the VXLAN
+        port with a VXLAN header, else None.
+    layers:
+        The header stack's shared :class:`Layers` record.
+    """
+
+    __slots__ = ("headers", "payload", "payload_len", "created_at",
+                 "packet_id", "wire_len", "vni", "layers")
+
+    def __init__(self, headers: Tuple[Header, ...], payload: Any = None,
+                 payload_len: int = 0, created_at: Optional[int] = None,
+                 packet_id: Optional[int] = None, *,
+                 layers: Optional[Layers] = None) -> None:
+        """*layers*, when given, must be the record of *headers*."""
+        if payload_len < 0:
+            raise ValueError("payload_len must be >= 0")
+        if layers is None:
+            headers = tuple(headers)
+            layers = Layers(headers)
+        self.headers = headers
+        self.payload = payload
+        self.payload_len = payload_len
+        self.created_at = created_at
+        self.packet_id = (next(_packet_ids) if packet_id is None
+                          else packet_id)
+        self.wire_len = layers.header_len + payload_len
+        self.vni = layers.vni
+        self.layers = layers
 
     # ------------------------------------------------------------------
     # Sizes
@@ -144,42 +166,22 @@ class Packet:
     @property
     def header_len(self) -> int:
         """Total bytes of all headers."""
-        return self._layers().header_len
-
-    @property
-    def wire_len(self) -> int:
-        """Total on-wire bytes (headers + payload)."""
-        cache = self._cache
-        if cache is None or cache.headers is not self.headers:
-            cache = self._scan()
-        return cache.header_len + self.payload_len
+        return self.layers.header_len
 
     # ------------------------------------------------------------------
     # Layer accessors (outermost occurrence of each layer)
     # ------------------------------------------------------------------
     @property
     def eth(self) -> Optional[EthernetHeader]:
-        return self._layers().eth
+        return self.layers.eth
 
     @property
     def ip(self) -> Optional[IPv4Header]:
-        return self._layers().ip
+        return self.layers.ip
 
     @property
     def l4(self) -> Optional[Union[UdpHeader, TcpHeader]]:
-        return self._layers().l4
-
-    def _first(self, kind: type) -> Any:
-        for header in self.headers:
-            if isinstance(header, kind):
-                return header
-        return None
-
-    def _last(self, kind: type) -> Any:
-        for header in reversed(self.headers):
-            if isinstance(header, kind):
-                return header
-        return None
+        return self.layers.l4
 
     # ------------------------------------------------------------------
     # Innermost layers (the application-level view of an encapsulated
@@ -187,69 +189,42 @@ class Packet:
     # ------------------------------------------------------------------
     @property
     def inner_ip(self) -> Optional[IPv4Header]:
-        return self._layers().inner_ip
+        return self.layers.inner_ip
 
     @property
     def inner_l4(self) -> Optional[Union[UdpHeader, TcpHeader]]:
-        return self._layers().inner_l4
+        return self.layers.inner_l4
 
     def inner_flow_key(self) -> Optional[FlowKey]:
         """5-tuple of the *innermost* IP/L4 layers, or None if not IP."""
-        cache = self._layers()
-        key = cache.inner_key
+        layers = self.layers
+        key = layers.inner_key
         if key is _UNSET:
-            ip = cache.inner_ip
-            l4 = cache.inner_l4
-            if ip is None or l4 is None:
-                key = None
-            else:
-                protocol = IPPROTO_UDP if isinstance(l4, UdpHeader) else 6
-                key = FlowKey(ip.src, ip.dst, l4.src_port, l4.dst_port,
-                              protocol)
-            cache.inner_key = key
+            key = layers.inner_key = _flow_key(layers.inner_ip,
+                                               layers.inner_l4)
         return key
 
     @property
     def is_vxlan(self) -> bool:
         """True if the outer UDP targets the VXLAN port with a VXLAN header."""
-        return self._layers().vni is not None
-
-    @property
-    def vni(self) -> Optional[int]:
-        """The VXLAN network identifier if :attr:`is_vxlan`, else None."""
-        cache = self._cache
-        if cache is None or cache.headers is not self.headers:
-            cache = self._scan()
-        return cache.vni
+        return self.vni is not None
 
     @property
     def vxlan(self) -> Optional[VxlanHeader]:
         """The VXLAN header, if any."""
-        return self._layers().vxlan
+        return self.layers.vxlan
 
     def flow_key(self) -> Optional[FlowKey]:
         """5-tuple of the *outermost* IP/L4 layers, or None if not IP."""
-        cache = self._layers()
-        key = cache.outer_key
+        layers = self.layers
+        key = layers.outer_key
         if key is _UNSET:
-            ip = cache.ip
-            l4 = cache.l4
-            if ip is None or l4 is None:
-                key = None
-            else:
-                protocol = IPPROTO_UDP if isinstance(l4, UdpHeader) else 6
-                key = FlowKey(ip.src, ip.dst, l4.src_port, l4.dst_port,
-                              protocol)
-            cache.outer_key = key
+            key = layers.outer_key = _flow_key(layers.ip, layers.l4)
         return key
 
     def __repr__(self) -> str:
         layers = "/".join(type(h).__name__.replace("Header", "") for h in self.headers)
         return f"<Packet #{self.packet_id} {layers} len={self.wire_len}>"
-
-
-def _sized_udp(udp: UdpHeader, payload_len: int) -> UdpHeader:
-    return dataclasses.replace(udp, payload_length=payload_len)
 
 
 def vxlan_encapsulate(inner: Packet, vni: int, *,

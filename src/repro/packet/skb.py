@@ -49,13 +49,17 @@ class SKBuff:
     gro_segments:
         Number of wire packets coalesced into this skb by GRO (1 if not
         coalesced).
+    wire_len:
+        Bytes this skb represents on the wire, GRO-merged bytes included.
+        Set from the packet at allocation and kept current by whoever
+        changes what the skb carries (VXLAN decap, GRO merge).
     marks:
         Tracepoint timestamps (name -> virtual ns), written by
         :mod:`repro.trace` probes for in-kernel latency measurement.
     """
 
     __slots__ = ("skb_id", "packet", "dev", "priority_level", "gro_segments",
-                 "marks", "alloc_time", "payload_bytes_merged", "gro_list")
+                 "marks", "alloc_time", "wire_len", "gro_list")
 
     def __init__(self, packet: Packet, dev: Any = None,
                  alloc_time: Optional[int] = None,
@@ -67,7 +71,7 @@ class SKBuff:
         self.gro_segments: int = 1
         self.marks: Dict[str, int] = {}
         self.alloc_time = alloc_time
-        self.payload_bytes_merged: int = 0
+        self.wire_len: int = packet.wire_len
         #: Packets GRO-merged into this skb (excludes :attr:`packet`).
         self.gro_list: list = []
 
@@ -93,19 +97,6 @@ class SKBuff:
         if level < 0:
             raise ValueError(f"priority level must be >= 0, got {level}")
         self.priority_level = level
-
-    # ------------------------------------------------------------------
-    # Sizes
-    # ------------------------------------------------------------------
-    @property
-    def wire_len(self) -> int:
-        """Bytes this skb represents on the wire (incl. GRO-merged bytes)."""
-        # Packet.wire_len, inlined: this is read by every stage's cost.
-        packet = self.packet
-        cache = packet._cache
-        if cache is None or cache.headers is not packet.headers:
-            cache = packet._scan()
-        return cache.header_len + packet.payload_len + self.payload_bytes_merged
 
     def mark(self, name: str, time_ns: int) -> None:
         """Record a tracepoint timestamp (first hit wins)."""

@@ -28,12 +28,16 @@ _MISS = object()
 class PriorityClassifier:
     """Stamps skb priorities against the global database.
 
-    Per-flow results are memoized: classification of a repeat flow is a
-    single dict probe on its (cached) :class:`~repro.packet.flow.FlowKey`
-    instead of a header walk plus several index probes.  The memo is
-    invalidated whenever the database's ``version`` changes, so runtime
-    rule updates through procfs behave exactly as before — including the
-    best-effort fallback level, which is a function of the rule set.
+    Results are memoized at two levels.  The verdict for a header stack
+    is cached on its shared layer record
+    (:attr:`~repro.packet.packet.Layers.prio`), so a repeat stack costs
+    one attribute read; a new stack of a known flow costs one dict probe
+    on its :class:`~repro.packet.flow.FlowKey`.  Both are invalidated
+    whenever the database's ``version`` changes — the per-flow memo is
+    replaced by a fresh dict, and a layer record's verdict only counts
+    while it names the current memo — so runtime rule updates through
+    procfs behave exactly as before, including the best-effort fallback
+    level, which is a function of the rule set.
     """
 
     def __init__(self, db: PriorityDatabase, costs: CostModel) -> None:
@@ -56,26 +60,37 @@ class PriorityClassifier:
             # the same path, so classification is pure overhead.
             return 0
         db = self.db
+        memo = self._memo
         if self._memo_version != db.version:
-            self._memo.clear()
+            memo = self._memo = {}
             self._memo_version = db.version
-        key = skb.packet.inner_flow_key()
-        level = self._memo.get(key, _MISS)
-        if level is _MISS:
-            matched: Optional[int] = db.classify_packet(skb.packet)
-            if matched is None:
-                # No rule matched: best effort, one level below the
-                # lowest configured rule (or "low" for the binary case).
-                matched = max((rule.level for rule in db.rules),
-                              default=0) + 1
-            level = matched
-            self._memo[key] = level
-        else:
+        layers = skb.packet.layers
+        verdict = layers.prio
+        if verdict is not None and verdict[0] is memo:
+            level = verdict[1]
             # The paper's per-packet database probe still "happens".
             db.lookups += 1
+        else:
+            key = skb.packet.inner_flow_key()
+            level = memo.get(key, _MISS)
+            if level is _MISS:
+                matched: Optional[int] = db.classify_packet(skb.packet)
+                if matched is None:
+                    # No rule matched: best effort, one level below the
+                    # lowest configured rule (or "low" for the binary
+                    # case).
+                    matched = max((rule.level for rule in db.rules),
+                                  default=0) + 1
+                level = matched
+                memo[key] = level
+            else:
+                db.lookups += 1
+            layers.prio = (memo, level)
         if level == 0:
             self.classified_high += 1
         else:
             self.classified_low += 1
-        skb.classify(level)
+        # Levels come from the database's rules (validated >= 0) or the
+        # fallback above, so SKBuff.classify's range check is moot here.
+        skb.priority_level = level
         return self.costs.priority_lookup_ns

@@ -34,7 +34,8 @@ that is within the horizon and strictly earlier than every queued entry
 resumes in place instead of being pushed and popped (see
 :meth:`Simulator._ra_refresh`).  That entry would have been the next pop,
 so the schedule is unchanged; :meth:`Simulator.run_window` counts queue
-pops only.
+pops only.  The bound is kept current as the queue changes (set after
+every pop, lowered by every push), so checking it is one comparison.
 
 Determinism: occurrences at the same timestamp run in the order they were
 scheduled (a monotonically increasing sequence number breaks ties).  Given
@@ -195,6 +196,11 @@ class PeriodicCall:
 class Simulator:
     """A deterministic discrete-event simulator with an integer-ns clock."""
 
+    #: Resume sleeps in place when they are next anyway (see
+    #: :meth:`_ra_refresh`).  The schedule is identical either way; a
+    #: subclass turns it off to get the reference engine.
+    _RUN_AHEAD = True
+
     def __init__(self) -> None:
         self.now: int = 0
         self._seq = 0
@@ -211,11 +217,9 @@ class Simulator:
         self._drain_sn = 0  # absolute level-0 slot number feeding _cur
         self._n_cancelled = 0
         self._n_processed = 0
-        # Run-ahead bound (see _ra_refresh): valid while _ra_seq == _seq.
-        self._ra_seq = -1
-        self._ra_bound = 0
+        # Run-ahead bound and horizon (see _ra_refresh).
+        self._ra_bound: float = 0
         self._ra_horizon: float = 0
-        self._ra_hold = False  # set while later callbacks of an event wait
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -260,6 +264,8 @@ class Simulator:
     def _push(self, time: int, fn: Callable[..., Any], args: tuple) -> list:
         self._seq += 1
         entry = [time, self._seq, fn, args]
+        if time < self._ra_bound:
+            self._ra_bound = time
         if not self._l0_count and not self._l1_count and not self._cur:
             # Wheel empty: re-anchor it at the clock so short delays keep
             # landing in cheap slots after long quiet gaps.
@@ -358,27 +364,27 @@ class Simulator:
             return cur
         return heap if heap else None
 
-    def _ra_refresh(self) -> float:
-        """Recompute the run-ahead bound and return it.
+    def _ra_refresh(self) -> None:
+        """Recompute the run-ahead bound ``_ra_bound`` from the queue.
 
         A process about to sleep until ``t`` may resume in place (set
-        ``now = t`` and continue, no push, no pop) iff ``t < bound``:
+        ``now = t`` and continue, no push, no pop) iff ``t < _ra_bound``:
         ``t`` is within the run horizon and strictly earlier than every
         queued entry, so the entry it would have pushed is exactly the
         one the loop would pop next.  Two things make the bound 0, which
         no resume time is below: being outside :meth:`run` (so
-        ``step()`` keeps its one-occurrence meaning), and ``_ra_hold``,
-        set by :meth:`Event._process` while further callbacks of the same
-        event still have to run.  An empty ``_cur`` is refilled from the
-        wheel first, as the loop would do next; cancelled entries only
-        make the bound conservative.
+        ``step()`` keeps its one-occurrence meaning), and
+        :meth:`Event._process` holding it there while further callbacks
+        of the same event still have to run.  An empty ``_cur`` is
+        refilled from the wheel first, as the loop would do next;
+        cancelled entries only make the bound conservative.
 
-        The bound is cached against ``_seq``: during a run-ahead chain
-        nothing pops and a push can only lower it.  :meth:`run`
-        invalidates the cache on every pop.
+        The bound is kept current rather than recomputed on demand:
+        :meth:`run` sets it after every pop (this computation, inlined),
+        :meth:`_push` lowers it, and nothing else can lower the earliest
+        queued time.
         """
-        self._ra_seq = self._seq
-        bound = 0 if self._ra_hold else self._ra_horizon
+        bound = self._ra_horizon
         if bound:  # inside run(): the horizon is until + 1 >= 1
             cur = self._cur
             if not cur and (self._l0_count or self._l1_count):
@@ -390,7 +396,6 @@ class Simulator:
             if heap and heap[0][_TIME] < bound:
                 bound = heap[0][_TIME]
         self._ra_bound = bound
-        return bound
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -496,10 +501,13 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._ra_horizon = _NO_HORIZON if until is None else until + 1
+        limit = _NO_HORIZON if until is None else until
+        horizon = self._ra_horizon = (
+            limit + 1 if self._RUN_AHEAD else 0)
         # The heap list object is stable (compaction filters in place),
         # so hoist the attribute loads out of the hot loop.
         heap = self._heap
+        popped = 0
         try:
             while True:
                 cur = self._cur
@@ -513,26 +521,36 @@ class Simulator:
                 else:
                     break
                 entry = src[0]
-                fn = entry[_FN]
+                fn = entry[2]  # _FN
                 if fn is None:
                     heappop(src)
                     self._n_cancelled -= 1
                     continue
-                if until is not None and entry[_TIME] > until:
+                if entry[0] > limit:  # _TIME
                     break
                 heappop(src)
-                entry[_FN] = None
-                self.now = entry[_TIME]
-                self._n_processed += 1
-                self._ra_seq = -1  # the pop may have raised the bound
-                fn(*entry[_ARGS])
+                entry[2] = None
+                self.now = entry[0]
+                popped += 1
+                # The pop raised the run-ahead bound: _ra_refresh, inlined.
+                cur = self._cur
+                if not cur and (self._l0_count or self._l1_count):
+                    self._advance()
+                    cur = self._cur
+                bound = horizon
+                if cur and cur[0][0] < bound:
+                    bound = cur[0][0]
+                if heap and heap[0][0] < bound:
+                    bound = heap[0][0]
+                self._ra_bound = bound
+                fn(*entry[3])  # _ARGS
             if until is not None and until > self.now:
                 self.now = until
         finally:
+            self._n_processed += popped
             self._running = False
-            self._ra_seq = -1
             self._ra_horizon = 0
-            self._ra_hold = False
+            self._ra_bound = 0
 
     def __repr__(self) -> str:
         return f"<Simulator now={self.now} pending={self.pending_count}>"

@@ -133,12 +133,10 @@ class Event:
             # a process resumed by an earlier one must not run ahead of
             # them (see Simulator._ra_refresh).
             sim = self.sim
-            sim._ra_hold = True
-            sim._ra_seq = -1
+            sim._ra_bound = 0
             for callback in callbacks[:-1]:
                 callback(self)
-            sim._ra_hold = False
-            sim._ra_seq = -1
+            sim._ra_refresh()
         callbacks[-1](self)
 
     def __repr__(self) -> str:

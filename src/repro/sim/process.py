@@ -22,9 +22,10 @@ the simulator queue instead of building a Timeout.  The push consumes the
 same sequence number a Timeout's would, so event ordering is bit-identical
 to the allocating path.  When the resume would be the very next
 occurrence anyway (inside ``run()``, within the horizon, strictly before
-everything queued), :meth:`Process._dispatch` skips the queue altogether:
-it advances the clock and sends the generator on in a loop, for as long as
-the generator keeps yielding such delays.
+everything queued), the process skips the queue altogether: it advances
+the clock and sends the generator on in a loop
+(:meth:`Process._sleep_resume`), for as long as the generator keeps
+yielding such delays.
 """
 
 from __future__ import annotations
@@ -100,11 +101,31 @@ class Process(Event):
         self._dispatch(target)
 
     def _sleep_resume(self) -> None:
-        """Resume after a plain delay (pushed directly, no Event)."""
+        """Resume after a plain delay (pushed directly, no Event).
+
+        The hot path: while the generator yields plain integer delays,
+        each one either runs ahead in place (the resume is the next
+        occurrence anyway, see :meth:`Simulator._ra_refresh
+        <repro.sim.engine.Simulator._ra_refresh>`) or is pushed straight
+        onto the queue, without a call into :meth:`_dispatch`.
+        """
         if not self._alive:
             return
+        send = self._generator.send
+        sim = self.sim
         try:
-            target = self._generator.send(None)
+            target = send(None)
+            while target.__class__ is int:
+                if target < 0:
+                    raise ValueError(
+                        f"process {self.name!r} yielded a negative delay "
+                        f"{target}")
+                time = sim.now + target
+                if time >= sim._ra_bound:
+                    sim._push(time, self._sleep_resume, ())
+                    return
+                sim.now = time
+                target = send(None)
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None))
             return
@@ -115,31 +136,21 @@ class Process(Event):
 
     def _dispatch(self, target: Any) -> None:
         """Arrange to resume once *target* is due."""
-        if target.__class__ is int:  # hot path: plain integer sleep
+        if target.__class__ is int:
+            if target < 0:
+                raise ValueError(
+                    f"process {self.name!r} yielded a negative delay "
+                    f"{target}")
             sim = self.sim
-            while True:
-                if target < 0:
-                    raise ValueError(
-                        f"process {self.name!r} yielded a negative delay "
-                        f"{target}")
-                time = sim.now + target
-                if time >= (sim._ra_bound if sim._ra_seq == sim._seq
-                            else sim._ra_refresh()):
-                    sim._push(time, self._sleep_resume, ())
-                    return
-                # Run-ahead: this resume is the next occurrence anyway, so
-                # take it in place (see Simulator._ra_refresh).
+            time = sim.now + target
+            if time >= sim._ra_bound:
+                sim._push(time, self._sleep_resume, ())
+            else:
+                # Run-ahead: this resume is the next occurrence anyway,
+                # so take it in place.
                 sim.now = time
-                try:
-                    target = self._generator.send(None)
-                except StopIteration as stop:
-                    self._finish(getattr(stop, "value", None))
-                    return
-                except ProcessKilled:
-                    self._finish(None)
-                    return
-                if target.__class__ is not int:
-                    break
+                self._sleep_resume()
+            return
         if target is None:
             sim = self.sim
             sim._push(sim.now, self._sleep_resume, ())

@@ -18,38 +18,49 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Fdb"]
 
 
+_BROADCAST = MacAddress.BROADCAST_VALUE
+
+
 class Fdb:
-    """MAC address -> bridge port map with learning."""
+    """MAC address -> bridge port map with learning.
+
+    Keyed by the address's integer value: an int hashes in C, and both
+    lookups of a forwarded packet (source learn, destination lookup) hit
+    the table.
+    """
 
     def __init__(self) -> None:
-        self._table: Dict[MacAddress, "NetDevice"] = {}
+        self._table: Dict[int, "NetDevice"] = {}
         self.learned = 0
         self.lookups = 0
         self.misses = 0
 
     def learn(self, mac: MacAddress, port: "NetDevice") -> None:
         """Record that *mac* was seen behind *port*."""
-        if mac.is_broadcast:
+        value = mac.value
+        if value == _BROADCAST:
             return
-        if self._table.get(mac) is not port:
-            self._table[mac] = port
+        table = self._table
+        if table.get(value) is not port:
+            table[value] = port
             self.learned += 1
 
     def lookup(self, mac: MacAddress) -> Optional["NetDevice"]:
         """Egress port for *mac*, or None (flood) when unknown/broadcast."""
         self.lookups += 1
-        if mac.is_broadcast:
+        value = mac.value
+        if value == _BROADCAST:
             return None
-        port = self._table.get(mac)
+        port = self._table.get(value)
         if port is None:
             self.misses += 1
         return port
 
     def forget(self, mac: MacAddress) -> bool:
-        return self._table.pop(mac, None) is not None
+        return self._table.pop(mac.value, None) is not None
 
     def entries(self) -> List[MacAddress]:
-        return list(self._table)
+        return [MacAddress(value) for value in self._table]
 
     def __len__(self) -> int:
         return len(self._table)

@@ -26,8 +26,8 @@ def protocol_rcv(kernel: "Kernel", netns: "NetNamespace", skb: SKBuff,
 
     Returns True if the packet reached a socket's receive buffer.
     """
-    packet = skb.packet
-    ip = packet.ip
+    layers = skb.packet.layers
+    ip = layers.ip
     if ip is None:
         _drop(kernel, netns, skb, "non-ip")
         return False
@@ -39,7 +39,7 @@ def protocol_rcv(kernel: "Kernel", netns: "NetNamespace", skb: SKBuff,
         _drop(kernel, netns, skb, "not-local")
         return False
 
-    l4 = packet.l4
+    l4 = layers.l4
     if isinstance(l4, UdpHeader):
         socket = netns.sockets.lookup_udp(ip.dst, l4.dst_port)
         if socket is None:

@@ -97,7 +97,7 @@ class UdpSocket:
     def recv(self) -> Generator[Any, Any, SKBuff]:
         """Block until a datagram arrives; returns its skb."""
         yield int(self.kernel.costs.syscall_ns)
-        while self.rcvbuf.is_empty:
+        while not self.rcvbuf:
             self._waiter = self.kernel.sim.event(name=f"recv:{self.rcvbuf.name}")
             yield Block(self._waiter)
         return self.rcvbuf.dequeue()

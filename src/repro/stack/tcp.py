@@ -163,7 +163,7 @@ class TcpEndpoint:
     def recv(self) -> Generator[Any, Any, Tuple[TcpMessage, FlowKey]]:
         """Block until a whole message arrives; returns (message, peer)."""
         yield Work(self.kernel.costs.syscall_ns)
-        while self.rcvbuf.is_empty:
+        while not self.rcvbuf:
             self._waiter = self.kernel.sim.event(name=f"recv:{self.rcvbuf.name}")
             yield Block(self._waiter)
         return self.rcvbuf.dequeue()

@@ -1,6 +1,8 @@
 """Fabric behavior: ECMP determinism, flowlets, cluster integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric import FabricNetwork, Topology, ecmp_index
 from repro.fabric.ecmp import FlowletTable
@@ -75,6 +77,38 @@ class TestFlowletTable:
         assert table.rehashes == 40
         assert table.path_changes > 0
         assert len(seen) > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2),          # flow
+                              st.integers(0, 250_000),    # gap to last send
+                              st.sampled_from([1, 2, 4, 8])),  # paths
+                    max_size=60))
+    def test_hashing_once_per_flowlet_matches_hashing_every_packet(
+            self, trace):
+        """Reusing a flowlet's index is exactly hashing every packet."""
+        gap, salt = 100_000, 3
+        table = FlowletTable(gap_ns=gap, salt=salt)
+        flows = [(0, 7, "hi", "req"), (1, 7, "lo", "req"),
+                 (7, 0, "hi", "rep")]
+        last = {}  # flow -> (last departure, generation, index)
+        rehashes = path_changes = 0
+        now = 0
+        for flow_no, delta, n_paths in trace:
+            now += delta
+            flow = flows[flow_no]
+            state = last.get(flow)
+            generation = 0 if state is None else state[1]
+            if state is not None and now - state[0] > gap:
+                generation += 1
+                rehashes += 1
+            index = ecmp_index(salt, flow, generation, n_paths)
+            if state is not None and generation != state[1] \
+                    and index != state[2]:
+                path_changes += 1
+            last[flow] = (now, generation, index)
+            assert table.assign(flow, now, n_paths) == index
+        assert (table.rehashes, table.path_changes) == (rehashes,
+                                                         path_changes)
 
 
 class TestFabricNetwork:

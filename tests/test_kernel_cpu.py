@@ -11,6 +11,12 @@ from repro.sim.units import MS, US
 NO_CSTATES = CostModel().replace(cstate_levels=())
 
 
+def softirq_work(core, ns):
+    """A softirq handler's CPU time: charged, yielded only when told to."""
+    if core.charge_softirq(ns):
+        yield ns
+
+
 def make_core(costs=None, core_id=0):
     sim = Simulator()
     core = CpuCore(sim, core_id, costs or NO_CSTATES)
@@ -153,7 +159,7 @@ class TestSoftirqPriority:
 
         def handler():
             log.append("softirq")
-            yield 1_000
+            yield from softirq_work(core, 1_000)
 
         def thread():
             yield Work(1_000)
@@ -171,7 +177,7 @@ class TestSoftirqPriority:
 
         def handler():
             log.append(("softirq", sim.now))
-            yield 500
+            yield from softirq_work(core, 500)
 
         def thread():
             yield Work(1_000)
@@ -199,7 +205,7 @@ class TestSoftirqPriority:
 
         def handler():
             runs.append(sim.now)
-            yield 100
+            yield from softirq_work(core, 100)
 
         core.register_softirq(3, handler)
         core.raise_softirq(3)
@@ -215,7 +221,7 @@ class TestSoftirqPriority:
             runs.append(sim.now)
             if len(runs) < 3:
                 core.raise_softirq(3)
-            yield 100
+            yield from softirq_work(core, 100)
 
         core.register_softirq(3, handler)
         core.raise_softirq(3)
@@ -226,7 +232,7 @@ class TestSoftirqPriority:
         sim, core = make_core()
 
         def handler():
-            yield 2_000
+            yield from softirq_work(core, 2_000)
 
         core.register_softirq(3, handler)
         core.raise_softirq(3)
@@ -251,7 +257,7 @@ class TestSoftirqPriority:
 
         def handler():
             rounds.append(sim.now)
-            yield 1_000
+            yield from softirq_work(core, 1_000)
             if len(rounds) < 2:
                 core.raise_softirq(3)
                 core.request_softirq_yield()

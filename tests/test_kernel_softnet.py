@@ -67,7 +67,7 @@ class TestNapiStruct:
         napi.enqueue(high, high=True)
 
         def driver():
-            count = yield from napi.poll(batch_size=64)
+            count = yield from napi.poll(64, kernel.cpu(0).charge_softirq)
             results.append(count)
 
         results = []
@@ -87,7 +87,7 @@ class TestNapiStruct:
             napi.enqueue(make_skb(), high=False)
 
         def driver():
-            count = yield from napi.poll(batch_size=4)
+            count = yield from napi.poll(4, kernel.cpu(0).charge_softirq)
             results.append(count)
 
         results = []
@@ -105,7 +105,7 @@ class TestNapiStruct:
             napi.enqueue(make_skb(), high=False)
 
         def driver():
-            yield from napi.poll(batch_size=64)
+            yield from napi.poll(64, kernel.cpu(0).charge_softirq)
 
         start = sim.now
         sim.process(driver())
@@ -125,7 +125,8 @@ class TestNapiStruct:
         done = []
 
         def driver():
-            yield from hand_off(napi, skb, None)
+            yield from hand_off(napi, skb, None,
+                                kernel.cpu(0).charge_softirq)
             done.append(sim.now)
 
         sim.process(driver())
@@ -159,7 +160,7 @@ class TestNapiStruct:
         softnet.napi_schedule(other)
         skb = make_skb()
         skb.classify(0)
-        step = hand_off(napi, skb, None)
+        step = hand_off(napi, skb, None, kernel.cpu(0).charge_softirq)
         assert next(step) == kernel.costs.softirq_raise_ns
         assert napi.queue_high.peek() is skb and len(napi.queue_high) == 1
         assert not napi.queue_low
@@ -187,7 +188,7 @@ class TestNapiStruct:
         softnet.backlog.enqueue(skb_b, high=False)
 
         def driver():
-            yield from softnet.backlog.poll(batch_size=64)
+            yield from softnet.backlog.poll(64, softnet.cpu.charge_softirq)
 
         sim.process(driver())
         sim.run()
@@ -201,7 +202,7 @@ class TestNapiStruct:
         softnet.backlog.enqueue(skb, high=False)
 
         def driver():
-            yield from softnet.backlog.poll(batch_size=64)
+            yield from softnet.backlog.poll(64, softnet.cpu.charge_softirq)
 
         sim.process(driver())
         with pytest.raises(RuntimeError):

@@ -260,7 +260,8 @@ class TestRecorders:
         core = CpuCore(sim, 0, CostModel().replace(cstate_levels=()))
 
         def handler():
-            yield 30_000
+            if core.charge_softirq(30_000):
+                yield 30_000
 
         core.register_softirq(3, handler)
         sampler = CpuUtilizationSampler(core, lambda: sim.now)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kernel.gro import GroEngine
 from repro.packet import (
     EthernetHeader,
     IPPROTO_UDP,
@@ -167,8 +168,8 @@ class TestSKBuff:
     def test_wire_len_includes_gro_merged_bytes(self):
         skb = SKBuff(make_inner(payload_len=100))
         base = skb.wire_len
-        skb.payload_bytes_merged += 1400
-        skb.gro_segments += 1
+        GroEngine(kernel=None).merge(skb, SKBuff(make_inner(payload_len=1358)))
+        assert skb.gro_segments == 2
         assert skb.wire_len == base + 1400
 
     def test_mark_first_hit_wins(self):

@@ -84,7 +84,7 @@ class TestConservation:
         PRISM reorders *between* priority classes, never within one."""
         testbed, sockets, _sent = run_plan(mode, plan, mark_high)
         for socket in sockets:
-            ids = [skb.packet.packet_id for skb in list(socket.rcvbuf._items)]
+            ids = [skb.packet.packet_id for skb in list(socket.rcvbuf)]
             assert ids == sorted(ids)
 
 
@@ -188,8 +188,8 @@ class TestPriorityInvariants:
         assert high_sock.delivered == n_low
         assert low_sock.delivered == n_low
         high_last = max(skb.marks["socket_enqueue"]
-                        for skb in list(high_sock.rcvbuf._items))
+                        for skb in list(high_sock.rcvbuf))
         low_first_batch = [skb.marks["socket_enqueue"]
-                           for skb in list(low_sock.rcvbuf._items)]
+                           for skb in list(low_sock.rcvbuf)]
         # The last high packet lands no later than the last low packet.
         assert high_last <= max(low_first_batch)

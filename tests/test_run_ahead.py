@@ -27,10 +27,7 @@ N_CORES = 2
 class NoRunAhead(Simulator):
     """The reference engine: every sleep goes through the event queue."""
 
-    def _ra_refresh(self) -> int:
-        self._ra_seq = self._seq
-        self._ra_bound = 0  # no resume time is below 0
-        return 0
+    _RUN_AHEAD = False
 
 
 # Delays cover zero, equal-time ties, level-0/level-1 slot edges
@@ -90,12 +87,15 @@ def execute(sim_cls, spec):
 
     cores = []
     for c, durations in enumerate(spec["softirqs"]):
-        def handler(c=c, durations=durations):
+        core = CpuCore(sim, c, NO_CSTATES)
+
+        def handler(c=c, durations=durations, charge=core.charge_softirq):
+            # The softirq protocol: charge, yield only when told to.
             log(f"irq{c}")
             for step, duration in enumerate(durations):
-                yield duration
+                if charge(duration):
+                    yield duration
                 log(f"irq{c}.{step}")
-        core = CpuCore(sim, c, NO_CSTATES)
         core.register_softirq(0, handler)
         cores.append(core)
 

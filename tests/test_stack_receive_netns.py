@@ -39,7 +39,8 @@ def udp_skb(dst=LOCAL_IP, dport=5000, ttl=64):
     if ttl != 64:
         headers = list(packet.headers)
         headers[1] = dataclasses.replace(headers[1], ttl=ttl)
-        packet.headers = tuple(headers)
+        packet = Packet(tuple(headers), packet.payload, packet.payload_len,
+                        packet.created_at)
     return SKBuff(packet)
 
 

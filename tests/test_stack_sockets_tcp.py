@@ -208,7 +208,7 @@ class TestTcpEndpoint:
         head = skbs[0]
         for skb in skbs[1:]:
             head.gro_list.append(skb.packet)
-            head.payload_bytes_merged += skb.wire_len
+            head.wire_len += skb.wire_len
             head.gro_segments += 1
         assert endpoint.receive_skb(head, kernel.cpu(0))
         assert endpoint.messages_delivered == 1
