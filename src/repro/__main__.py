@@ -179,7 +179,7 @@ def _flows_query(args, parser) -> int:
 
 def _cluster_run(args) -> int:
     """Run an N-host sharded cluster scenario and print the merge."""
-    from repro.scenario import Scenario
+    from repro.scenario import Scenario, Topology
     from repro.shard.cluster import cluster_digest
     from repro.sim.units import MS
 
@@ -189,11 +189,12 @@ def _cluster_run(args) -> int:
                         warmup_ns=int(args.cluster_ms * MS) // 4)
                 .shards(args.shards))
     if args.topology == "fat-tree":
-        from repro.fabric.spec import Topology
         spec = Topology.fat_tree(
             args.fat_tree_k, hosts=args.cluster,
             flowlet_gap_ns=int(args.flowlet_gap_us * 1_000))
-        scenario = scenario.topology(spec)
+    else:
+        spec = Topology.mesh(args.cluster)
+    scenario = scenario.topology(spec)
     if args.faults:
         scenario = scenario.with_faults(args.faults)
     if args.flows:
@@ -215,15 +216,14 @@ def _cluster_run(args) -> int:
           f"in_flight={c['cross_in_flight_fabric']} "
           f"injected={c['cross_injected']} windows={c['windows']} "
           f"exact={c['exact']}")
-    if result.fabric is not None:
-        f = result.fabric
-        print(f"fabric: packets={f['packets']} flows={f['flows']} "
-              f"multipath={f['flows_multipath']} "
-              f"paths_max={f['paths_used_max']} "
-              f"flowlet_rehashes={f['flowlet_rehashes']} "
-              f"path_changes={f['flowlet_path_changes']} "
-              f"links_used={f['links_used']} "
-              f"link_pkts_max={f['link_packets_max']}")
+    f = result.fabric
+    print(f"fabric: packets={f['packets']} flows={f['flows']} "
+          f"multipath={f['flows_multipath']} "
+          f"paths_max={f['paths_used_max']} "
+          f"flowlet_rehashes={f['flowlet_rehashes']} "
+          f"path_changes={f['flowlet_path_changes']} "
+          f"links_used={f['links_used']} "
+          f"link_pkts_max={f['link_packets_max']}")
     print(f"wall: build={timing['build_s']:.2f}s run={timing['run_s']:.2f}s "
           f"(processes={timing['processes']})")
     if args.flows:
@@ -308,8 +308,8 @@ def main(argv=None) -> int:
                         "simulated milliseconds (default: 40)")
     parser.add_argument("--topology", choices=("mesh", "fat-tree"),
                         default="mesh",
-                        help="cluster fabric: 'mesh' is the coarse "
-                        "single-hop all-pairs fabric; 'fat-tree' routes "
+                        help="cluster fabric: 'mesh' links every host "
+                        "pair directly (one hop); 'fat-tree' routes "
                         "cross-host packets hop-by-hop through a k-ary "
                         "fat-tree with ECMP and flowlet switching "
                         "(default: mesh)")

@@ -32,7 +32,6 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.metrics.recorder import LatencyRecorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.units import SEC
 
 __all__ = ["FlowClassLedger", "AggregatedClientPopulation"]
 
@@ -197,14 +196,6 @@ class AggregatedClientPopulation:
             # the closed loop (the PR 5 single-drop deadlock).
             self._think_then_send()
         self._arm_reaper()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def offered_rate_pps(self) -> float:
-        """Steady-state offered load if every request completed by think."""
-        return self.ledger.users * SEC / self.think_ns
 
     def stop(self) -> None:
         self._launcher.kill()

@@ -170,12 +170,6 @@ class TopologySpec:
             return "host"
         return None
 
-    def host_by_name(self, name: str) -> HostSpec:
-        for host in self.hosts:
-            if host.name == name:
-                return host
-        raise KeyError(name)
-
     # ------------------------------------------------------------------
     # Versioned serialization
     # ------------------------------------------------------------------
@@ -282,8 +276,10 @@ class Topology:
     def mesh(hosts: int, *, latency_ns: int = 50_000,
              bytes_per_ns: float = 12.5) -> TopologySpec:
         """A full mesh of direct host-host links (no switches, exactly
-        one path per pair) — the canonical form of the PR 6 coarse
-        cluster fabric (``fabric_latency_ns``/``fabric_bytes_per_ns``).
+        one path per pair) — the default fabric of a
+        :class:`~repro.shard.cluster.ClusterConfig`.  Mesh hosts carry
+        no containers, so each cluster host serves from one ``srv``
+        container.
         """
         if hosts < 2:
             raise ValueError("a mesh needs at least 2 hosts")

@@ -92,16 +92,6 @@ class Kernel:
         self.rps = RpsSteering(self, list(cpu_ids))
         self.config = self.config.replace(rps_enabled=True)
 
-    def is_high_class(self, skb) -> bool:
-        """True if *skb* belongs to the high-priority device queue class.
-
-        The paper's prototype is binary (level 0 = high).  The
-        multi-level extension (§VII-3) collapses levels onto the two
-        device queues via ``config.high_priority_max_level``.
-        """
-        return (skb.priority_level is not None
-                and skb.priority_level <= self.config.high_priority_max_level)
-
     def stage_costs(self, base_ns: int, *,
                     is_copy_stage: bool = False) -> StageCostTable:
         """A pipeline stage's ``wire_len -> cost`` table.

@@ -162,16 +162,6 @@ class CostModel:
     #: explosion.
     cstate_levels: tuple = ((20_000, 3_000), (150_000, 16_000))
 
-    @property
-    def cstate_entry_threshold_ns(self) -> int:
-        """Shallowest C-state entry threshold (compat accessor)."""
-        return self.cstate_levels[0][0] if self.cstate_levels else 0
-
-    @property
-    def cstate_exit_ns(self) -> int:
-        """Shallowest C-state exit latency (compat accessor)."""
-        return self.cstate_levels[0][1] if self.cstate_levels else 0
-
     def replace(self, **changes: object) -> "CostModel":
         """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **changes)

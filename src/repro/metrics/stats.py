@@ -91,16 +91,8 @@ class LatencySummary:
         return self.p50_ns / 1_000
 
     @property
-    def p90_us(self) -> float:
-        return self.p90_ns / 1_000
-
-    @property
     def p99_us(self) -> float:
         return self.p99_ns / 1_000
-
-    @property
-    def p999_us(self) -> float:
-        return self.p999_ns / 1_000
 
     @property
     def max_us(self) -> float:

@@ -249,12 +249,10 @@ class Scenario:
           pair.  The pair has one encoding: the ``network`` string plus
           the cost model's wire fields (non-default link parameters map
           onto ``wire_latency_ns``/``wire_bytes_per_ns``).
-        - ``Topology.mesh(...)`` → a :class:`ClusterScenario` on the
-          coarse single-hop fabric (link parameters map onto
-          ``fabric_latency_ns``/``fabric_bytes_per_ns``).
-        - Anything with switches (``Topology.fat_tree(k=4)``, …) → a
-          :class:`ClusterScenario` carrying the spec, routed through the
-          simulated multi-hop :class:`~repro.fabric.network.FabricNetwork`.
+        - Any other spec (``Topology.mesh(8)``,
+          ``Topology.fat_tree(k=4)``, …) → a :class:`ClusterScenario`
+          carrying the spec, routed through the simulated
+          :class:`~repro.fabric.network.FabricNetwork`.
 
         Extra knobs forward to :class:`ClusterScenario` (``users=``,
         ``shards=``, …) and are rejected for two-host specs.
@@ -275,18 +273,6 @@ class Scenario:
                     wire_latency_ns=link.latency_ns,
                     wire_bytes_per_ns=link.bytes_per_ns)
             return scenario
-        if spec.kind == "mesh" and not spec.switches:
-            latencies = {l.latency_ns for l in spec.links}
-            bandwidths = {l.bytes_per_ns for l in spec.links}
-            if len(latencies) != 1 or len(bandwidths) != 1:
-                raise ValueError(
-                    "heterogeneous mesh links do not fit the coarse "
-                    "fabric; use an explicit fabric topology instead")
-            return ClusterScenario(
-                spec.host_count, mode=mode,
-                seed=0 if seed is None else seed,
-                fabric_latency_ns=latencies.pop(),
-                fabric_bytes_per_ns=bandwidths.pop(), **knobs)
         return ClusterScenario(
             spec.host_count, mode=mode, seed=0 if seed is None else seed,
             topology=spec, **knobs)
@@ -385,25 +371,14 @@ class ClusterScenario:
             mode = StackMode.parse(mode)
         return self._replace(mode=mode)
 
-    def fabric(self, *, latency_ns: Optional[int] = None,
-               bytes_per_ns: Optional[float] = None) -> "ClusterScenario":
-        """Inter-host fabric parameters; the latency is also the
-        conservative lookahead horizon (larger ⇒ fewer barriers)."""
-        changes: dict = {}
-        if latency_ns is not None:
-            changes["fabric_latency_ns"] = int(latency_ns)
-        if bytes_per_ns is not None:
-            changes["fabric_bytes_per_ns"] = float(bytes_per_ns)
-        return self._replace(**changes) if changes else self
-
     def background(self, rate_pps: float) -> "ClusterScenario":
         """Per-host local one-way background flood."""
         return self._replace(local_bg_pps=float(rate_pps))
 
     def topology(self, spec: Optional[TopologySpec]) -> "ClusterScenario":
-        """Route cross-host traffic over an explicit multi-hop fabric
-        spec (host count follows the spec); ``None`` returns to the
-        coarse single-hop fabric."""
+        """Route cross-host traffic over an explicit fabric spec (host
+        count follows the spec); ``None`` returns to the default
+        ``Topology.mesh(hosts)``."""
         hosts = self._config.hosts if spec is None else spec.host_count
         return self._replace(topology=spec, hosts=hosts)
 
@@ -420,7 +395,7 @@ class ClusterScenario:
                    config: Optional[FlowExportConfig] = None
                    ) -> "ClusterScenario":
         """Enable sampled flow-record export on every host collector
-        (plus the fabric collector in multi-hop mode).  See
+        plus the fabric's link collector.  See
         :meth:`Scenario.with_flows`; the merged record set is pinned
         identical at every shard count."""
         return self._replace(flow_export=_flow_config(

@@ -4,10 +4,11 @@ A :class:`ClusterConfig` describes an N-host scenario: every host runs a
 fully simulated server (the same kernel/stack under test as the
 two-machine testbed) *and* originates aggregated closed-loop client
 populations toward every other host, split into a high-priority ("hi")
-and a low-priority ("lo") flow class.  Hosts are connected by a coarse
-inter-host fabric with per-(src, dst) FIFO serialization and a fixed
-propagation latency — the latency that also serves as the conservative
-lookahead horizon for the sharded executor.
+and a low-priority ("lo") flow class.  Hosts are connected by the
+fabric a :class:`~repro.fabric.spec.TopologySpec` describes (a full
+mesh of direct links by default), transited hop by hop by
+:class:`~repro.fabric.network.FabricNetwork`; the spec's minimum path
+latency is the conservative lookahead horizon for the sharded executor.
 
 :class:`ClusterResult` is the deterministic merge of all per-host
 results.  Its digest hashes the measurements only — per-host results,
@@ -19,11 +20,12 @@ equal digests ⇔ identical simulation outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.runner import _jsonable, measurement_digest
-from repro.fabric.spec import TopologySpec
+from repro.fabric.network import min_path_latency_ns
+from repro.fabric.spec import Topology, TopologySpec
 from repro.faults.plan import FaultPlan
 from repro.flows.config import FlowExportConfig
 from repro.prism.mode import StackMode
@@ -36,8 +38,7 @@ __all__ = ["ClusterConfig", "ClusterResult", "cluster_digest"]
 #: timing on the inter-host fabric.
 CROSS_HEADER_BYTES = 90
 
-#: What :func:`cluster_digest` hashes (``fabric`` is ``None`` on the
-#: coarse single-hop fabric).
+#: What :func:`cluster_digest` hashes.
 CLUSTER_MEASUREMENTS = ("hosts", "fg_latency", "totals", "conservation",
                         "fabric")
 
@@ -63,17 +64,13 @@ class ClusterConfig:
     mode: StackMode = StackMode.VANILLA
     #: Per-host local one-way background flood (0 disables it).
     local_bg_pps: float = 0.0
-    #: Inter-host fabric propagation latency — also the conservative
-    #: lookahead horizon: a packet departing in one window can never
-    #: arrive before the next barrier.
-    fabric_latency_ns: int = 50_000
-    fabric_bytes_per_ns: float = 12.5
     faults: Optional[FaultPlan] = None
-    #: Optional multi-hop fabric spec (e.g. ``Topology.fat_tree(k=4)``).
-    #: ``None`` keeps the coarse single-hop fabric.  When set, cross-host
-    #: packets route through a
-    #: :class:`~repro.fabric.network.FabricNetwork` (ECMP + flowlets)
-    #: and the lookahead horizon is the spec's minimum path latency.
+    #: The fabric spec cross-host packets route through (a
+    #: :class:`~repro.fabric.network.FabricNetwork`: per-link FIFO
+    #: serialization, ECMP + flowlets where paths fan out).  ``None``
+    #: means ``Topology.mesh(hosts)``, filled in at construction, so the
+    #: field is never ``None`` afterwards.  The spec's minimum path
+    #: latency is the lookahead horizon.
     topology: Optional[TopologySpec] = None
     #: Optional sampled flow-record export
     #: (:class:`repro.flows.FlowExportConfig`).  ``None`` (the default)
@@ -91,18 +88,16 @@ class ClusterConfig:
             raise ValueError("users must be positive")
         if not (0.0 <= self.hi_fraction <= 1.0):
             raise ValueError("hi_fraction must be in [0, 1]")
-        if self.fabric_latency_ns <= 0:
-            raise ValueError("fabric_latency_ns must be positive "
-                             "(it is the lookahead horizon)")
-        if self.topology is not None:
-            if self.topology.host_count != self.hosts:
-                raise ValueError(
-                    f"topology describes {self.topology.host_count} hosts "
-                    f"but the cluster has {self.hosts}")
-            if self.topology.canonical_network() is not None:
-                raise ValueError(
-                    "two-host specs run through Scenario.on(...) / "
-                    "run_experiment, not the cluster executor")
+        if self.topology is None:
+            object.__setattr__(self, "topology", Topology.mesh(self.hosts))
+        if self.topology.host_count != self.hosts:
+            raise ValueError(
+                f"topology describes {self.topology.host_count} hosts "
+                f"but the cluster has {self.hosts}")
+        if self.topology.canonical_network() is not None:
+            raise ValueError(
+                "two-host specs run through Scenario.on(...) / "
+                "run_experiment, not the cluster executor")
 
     @property
     def end_ns(self) -> int:
@@ -113,10 +108,7 @@ class ClusterConfig:
         """The conservative lookahead horizon this cluster's fabric
         guarantees: no cross-host packet arrives sooner than this after
         departing."""
-        if self.topology is not None:
-            from repro.fabric.network import min_path_latency_ns
-            return min_path_latency_ns(self.topology)
-        return self.fabric_latency_ns
+        return min_path_latency_ns(self.topology)
 
     # ------------------------------------------------------------------
     # Deterministic user placement
@@ -156,10 +148,8 @@ class ClusterConfig:
             "seed": self.seed,
             "mode": self.mode.value,
             "local_bg_pps": self.local_bg_pps,
-            "fabric_latency_ns": self.fabric_latency_ns,
-            "fabric_bytes_per_ns": self.fabric_bytes_per_ns,
             "faults": self.faults.to_dict() if self.faults else None,
-            "topology": self.topology.to_dict() if self.topology else None,
+            "topology": self.topology.to_dict(),
             "flow_export": (self.flow_export.to_dict()
                             if self.flow_export else None),
         }
@@ -167,6 +157,14 @@ class ClusterConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
         data = dict(data)
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            # Fabric link knobs live on the spec, not on the config.
+            raise ValueError(
+                f"unknown cluster config keys {unknown}; link latency "
+                f"and bandwidth belong to the fabric spec, e.g. "
+                f"topology=Topology.mesh(n, latency_ns=..., "
+                f"bytes_per_ns=...)")
         if data.get("mode") is not None:
             data["mode"] = StackMode(data["mode"])
         if data.get("faults"):
@@ -200,10 +198,9 @@ class ClusterResult:
     totals: Dict[str, Dict[str, int]]
     #: Cross-shard fabric conservation accounting (exact).
     conservation: Dict[str, Any]
-    #: Multi-hop fabric statistics (ECMP spread, flowlet switches,
-    #: per-link counts) — ``None`` on the coarse single-hop fabric.
-    #: Deterministic, so it is digested.
-    fabric: Optional[Dict[str, Any]] = None
+    #: Fabric statistics (ECMP spread, flowlet switches, per-link
+    #: counts).  Deterministic, so it is digested.
+    fabric: Dict[str, Any]
     #: Merged sampled flow records (``None`` unless the config enabled
     #: :attr:`ClusterConfig.flow_export`).  Excluded from the digest:
     #: flow records are *derived* observability data whose own

@@ -1,37 +1,40 @@
 """The space-parallel cluster executor (conservative lookahead).
 
 Hosts are partitioned into shard workers; the executor advances the
-whole cluster in fixed windows of the fabric propagation latency
-``fabric_latency_ns`` — the *lookahead horizon*.  Inside a window every
-shard simulates freely (concurrently, when process-backed); at the
-barrier the executor collects each shard's outbox as one columnar
-:class:`~repro.overlay.wirefmt.WireBatch` frame, concatenates and sorts
-the union with the partition-independent batch-level wire key, and
-routes every packet to the shard owning its destination for delivery at
-the next step.
+whole cluster in fixed windows of the fabric's minimum path latency
+(:attr:`~repro.shard.cluster.ClusterConfig.lookahead_ns`) — the
+*lookahead horizon*.  Inside a window every shard simulates freely
+(concurrently, when process-backed); at the barrier the executor
+collects each shard's outbox as one columnar
+:class:`~repro.overlay.wirefmt.WireBatch` frame, concatenates the
+union, transits it through the one
+:class:`~repro.fabric.network.FabricNetwork` it owns (hop-by-hop FIFO
+serialization; the result comes back sorted by the
+partition-independent wire key), and routes every packet to the shard
+owning its destination for delivery at the next step.
 
 The barrier is the cross-shard hot path, so it never builds a
-per-packet object: frames decode into column lists, the global sort
-runs over zipped row tuples at C speed, the fabric transit rewrites the
-arrival column, and the routed
-split is a per-destination-shard ``take`` over the columns.  Windows
-with no cross-shard traffic skip decode/sort/routing entirely (the
-shared ``EMPTY_FRAME`` makes them free), which matters at scale: most
-windows of a lightly loaded cluster move nothing.
+per-packet object: frames decode into column lists, the transit sort
+runs over zipped row tuples at C speed, the fabric rewrites the arrival
+column, and the routed split is a per-destination-shard ``take`` over
+the columns.  Windows with no cross-shard traffic skip decode, transit
+and routing entirely (the shared ``EMPTY_FRAME`` makes them free),
+which matters at scale: most windows of a lightly loaded cluster move
+nothing.
 
 Correctness of the window width: a packet departing in window
-``(t_{k-1}, t_k]`` has ``arrival = departure + serialization + L`` with
-``L = fabric_latency_ns``, so ``arrival > t_{k-1} + L = t_k`` — at
-barrier *k* every exchanged packet is strictly in every cell's future.
+``(t_{k-1}, t_k]`` crosses links whose latencies sum to at least
+``L = lookahead_ns``, so ``arrival > t_{k-1} + L = t_k`` — at barrier
+*k* every exchanged packet is strictly in every cell's future.
 Delivery can therefore always use ``schedule_at`` and no shard ever
 receives a packet from its past (no rollback needed).
 
-Determinism: cells are always per-host simulators, the routed stream is
-globally sorted before delivery, and fabric serialization is computed
-sender-side — so the merged :class:`~repro.shard.cluster.ClusterResult`
-digest is identical at every shard count and for in-process vs
-process-backed workers.  Exact packet conservation across the fabric is
-*checked*, not assumed: any imbalance raises.
+Determinism: cells are always per-host simulators and the fabric
+transits every shard's departures in one global order — so the
+merged :class:`~repro.shard.cluster.ClusterResult` digest is identical
+at every shard count and for in-process vs process-backed workers.
+Exact packet conservation across the fabric is *checked*, not assumed:
+any imbalance raises.
 """
 
 from __future__ import annotations
@@ -39,10 +42,15 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+from repro.fabric.network import FabricNetwork
 from repro.flows.records import merge_flow_blocks
 from repro.metrics.stats import summarize_ns
-from repro.overlay.wirefmt import WireBatch
-from repro.shard.cluster import ClusterConfig, ClusterResult
+from repro.overlay.wirefmt import CLS_NAMES, WireBatch
+from repro.shard.cluster import (
+    CROSS_HEADER_BYTES,
+    ClusterConfig,
+    ClusterResult,
+)
 from repro.shard.worker import PipeShardWorker, ShardWorker, partition_hosts
 
 __all__ = ["run_cluster"]
@@ -64,28 +72,23 @@ def run_cluster(config: ClusterConfig, *, shards: int = 1,
         processes = shards > 1
     worker_cls = PipeShardWorker if processes else ShardWorker
 
-    fabric = None
-    if config.topology is not None:
-        # One multi-hop fabric instance, owned by the executor: per-link
-        # FIFO state persists across barriers, and routing consumes the
-        # globally sorted union — so arrivals and fabric statistics are
-        # identical at any shard count.
-        from repro.fabric.network import FabricNetwork
-        from repro.shard.cluster import CROSS_HEADER_BYTES
-        fabric = FabricNetwork(config.topology, seed=config.seed,
-                               header_bytes=CROSS_HEADER_BYTES)
-        if config.flow_export is not None:
-            # Executor-owned link collector: samples the globally
-            # sorted transit stream, so its records are shard-count
-            # independent like the fabric stats.
-            from repro.flows import FabricFlowTap, FlowCollector
-            from repro.overlay.wirefmt import CLS_NAMES
-            fabric.flows = FabricFlowTap(
-                FlowCollector(config.flow_export, scope="fabric",
-                              seed=config.seed),
-                host_names=[h.name for h in config.topology.hosts],
-                dir_names=fabric._dir_names,
-                cls_names=CLS_NAMES)
+    # One fabric instance, owned by the executor: per-link FIFO state
+    # persists across barriers, and transit consumes the union of every
+    # shard's departures — so arrivals and fabric statistics are
+    # identical at any shard count.
+    fabric = FabricNetwork(config.topology, seed=config.seed,
+                           header_bytes=CROSS_HEADER_BYTES)
+    if config.flow_export is not None:
+        # Executor-owned link collector: samples the globally sorted
+        # transit stream, so its records are shard-count independent
+        # like the fabric stats.
+        from repro.flows import FabricFlowTap, FlowCollector
+        fabric.flows = FabricFlowTap(
+            FlowCollector(config.flow_export, scope="fabric",
+                          seed=config.seed),
+            host_names=[h.name for h in config.topology.hosts],
+            dir_names=fabric._dir_names,
+            cls_names=CLS_NAMES)
 
     build_start = time.perf_counter()
     workers = [worker_cls(config, block) for block in partitions]
@@ -108,7 +111,7 @@ def run_cluster(config: ClusterConfig, *, shards: int = 1,
         while t < end:
             t = min(t + horizon, end)
             windows += 1
-            if fabric is not None and fabric.flows is not None:
+            if fabric.flows is not None:
                 # Barrier-aligned expiry on the sim clock: the window
                 # sequence is a pure function of the config, so the
                 # fabric collector expires identically at any shard
@@ -134,14 +137,11 @@ def run_cluster(config: ClusterConfig, *, shards: int = 1,
                 # the last window stays on the fabric, counted in-flight.
                 in_flight = len(batch)
                 continue
-            if fabric is not None:
-                # No pre-sort needed: transit re-sorts departure-major
-                # with the full wire key as tie-break (duplicates keep
-                # concatenation order either way, sorts being stable)
-                # and returns the batch already in wire order.
-                batch = fabric.transit_batch(batch)
-            else:
-                batch.sort_wire()
+            # No pre-sort needed: transit re-sorts departure-major with
+            # the full wire key as tie-break (duplicates keep
+            # concatenation order either way, sorts being stable) and
+            # returns the batch already in wire order.
+            batch = fabric.transit_batch(batch)
             routed_total += len(batch)
             if len(workers) == 1:
                 inboxes = [batch]
@@ -160,12 +160,11 @@ def run_cluster(config: ClusterConfig, *, shards: int = 1,
             worker.close()
 
     fabric_flows = None
-    if fabric is not None and fabric.flows is not None:
+    if fabric.flows is not None:
         fabric_flows = fabric.flows.collector.finalize()
     return _merge(config, host_results, shards=shards,
                   routed_total=routed_total, in_flight=in_flight,
-                  windows=windows,
-                  fabric=fabric.stats() if fabric is not None else None,
+                  windows=windows, fabric=fabric.stats(),
                   fabric_flows=fabric_flows,
                   timing={"build_s": build_s, "run_s": run_s,
                           "processes": bool(processes)})
@@ -173,7 +172,7 @@ def run_cluster(config: ClusterConfig, *, shards: int = 1,
 
 def _merge(config: ClusterConfig, host_results: Dict[int, dict], *,
            shards: int, routed_total: int, in_flight: int, windows: int,
-           fabric: Optional[Dict[str, object]],
+           fabric: Dict[str, object],
            timing: Dict[str, object],
            fabric_flows: Optional[dict] = None) -> ClusterResult:
     """Deterministically merge per-host results and check conservation."""

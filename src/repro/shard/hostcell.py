@@ -20,12 +20,11 @@ A cell contains:
   replies back into the outbox.
 
 Cross-host packets leave as rows of a columnar
-:class:`~repro.overlay.wirefmt.WireBatch` with sender-side fabric
-serialization (per-destination FIFO, computed locally —
-partition-independent) plus the fabric propagation latency, which the
-executor uses as its conservative lookahead horizon.  Ingress is
-columnar too: routed rows are scheduled straight from the batch
-columns, so no per-packet wire object exists on the cross-host path.
+:class:`~repro.overlay.wirefmt.WireBatch`; the executor's
+:class:`~repro.fabric.network.FabricNetwork` serializes them hop by hop
+and rewrites their arrivals.  Ingress is columnar too: routed rows are
+scheduled straight from the batch columns, so no per-packet wire object
+exists on the cross-host path.
 """
 
 from __future__ import annotations
@@ -75,19 +74,13 @@ class HostCell:
         if cluster.faults is not None:
             self.injector = FaultInjector(cluster.faults,
                                           self.testbed).install()
-        #: Multi-hop fabric mode: the executor's FabricNetwork models
-        #: every hop (including this host's uplink), so the sender-side
-        #: coarse serialization below is skipped and arrivals are
-        #: rewritten in transit.
-        self._fabric_mode = cluster.topology is not None
         self._lookahead_ns = cluster.lookahead_ns
 
         # --- server side: the kernel under test -----------------------
-        # Container placement comes from the topology spec when one is
-        # given (first container = hi service, second = lo service);
-        # the coarse fabric uses a single "srv" container.
-        placement_spec = (cluster.topology.hosts[host_id].containers
-                          if self._fabric_mode else ())
+        # Container placement comes from the topology spec (first
+        # container = hi service, second = lo service); a host spec
+        # with no containers (a mesh host) gets a single "srv" one.
+        placement_spec = cluster.topology.hosts[host_id].containers
         if placement_spec:
             hi_ct = self.testbed.add_server_container(
                 placement_spec[0].name, placement_spec[0].ip)
@@ -119,7 +112,6 @@ class HostCell:
 
         # --- cross-traffic plumbing -----------------------------------
         self.outbox: WireBatch = WireBatch()
-        self._fabric_busy: Dict[int, int] = {}
         #: Rematerialization senders for incoming requests, one per
         #: (origin host, class): a pseudo remote container per flow so
         #: server replies carry a routable source address.
@@ -178,10 +170,7 @@ class HostCell:
         # collector state never depends on shard placement.  The kernel
         # tap adds socket/NIC/drop sites; _fabric_send/_inject_row fold
         # host-level egress/ingress (with reply RTT) directly.
-        if self._fabric_mode:
-            self._host_labels = [h.name for h in cluster.topology.hosts]
-        else:
-            self._host_labels = [f"h{i}" for i in range(cluster.hosts)]
+        self._host_labels = [h.name for h in cluster.topology.hosts]
         self.flows: Optional[FlowCollector] = None
         if cluster.flow_export is not None:
             self.flows = FlowCollector(cluster.flow_export,
@@ -190,7 +179,7 @@ class HostCell:
             KernelFlowTap(self.flows, self.testbed.server.kernel)
 
     # ------------------------------------------------------------------
-    # Fabric egress (sender-side, partition-independent)
+    # Fabric egress
     # ------------------------------------------------------------------
     def _fabric_send(self, dst: int, cls: str, kind: str, seq: int,
                      sent_at: int, payload_len: int) -> None:
@@ -203,25 +192,14 @@ class HostCell:
                            self._host_labels[dst], 0,
                            HI_PORT if cls == "hi" else LO_PORT, 17, cls,
                            payload_len + CROSS_HEADER_BYTES)
-        if self._fabric_mode:
-            # Multi-hop fabric: serialization and queueing happen hop by
-            # hop in the executor's FabricNetwork, which rewrites the
-            # placeholder arrival.  The placeholder is the lookahead
-            # lower bound, so even an (unexpected) untransited delivery
-            # could never violate causality.
-            self.outbox.append(self.host_id, dst, CLS_CODE[cls],
-                               KIND_CODE[kind], seq, now,
-                               now + self._lookahead_ns,
-                               payload_len, sent_at)
-            self.n_outbox += 1
-            return
-        wire_len = payload_len + CROSS_HEADER_BYTES
-        start = max(now, self._fabric_busy.get(dst, 0))
-        finish = start + int(wire_len / self.cluster.fabric_bytes_per_ns)
-        self._fabric_busy[dst] = finish
+        # Serialization and queueing happen hop by hop in the
+        # executor's FabricNetwork, which rewrites the placeholder
+        # arrival.  The placeholder is the lookahead lower bound, so
+        # even an (unexpected) untransited delivery could never violate
+        # causality.
         self.outbox.append(self.host_id, dst, CLS_CODE[cls],
                            KIND_CODE[kind], seq, now,
-                           finish + self.cluster.fabric_latency_ns,
+                           now + self._lookahead_ns,
                            payload_len, sent_at)
         self.n_outbox += 1
 

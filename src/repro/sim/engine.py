@@ -36,6 +36,8 @@ resumes in place instead of being pushed and popped (see
 so the schedule is unchanged; :meth:`Simulator.run_window` counts queue
 pops only.  The bound is kept current as the queue changes (set after
 every pop, lowered by every push), so checking it is one comparison.
+A popped occurrence earlier than ``now`` — the trace of a resume that
+overtook a queued entry — raises :class:`SimulationError`.
 
 Determinism: occurrences at the same timestamp run in the order they were
 scheduled (a monotonically increasing sequence number breaks ties).  Given
@@ -81,6 +83,13 @@ _NO_HORIZON = float("inf")
 
 class SimulationError(RuntimeError):
     """Raised for invalid simulator operations (e.g. scheduling in the past)."""
+
+
+def _backwards(time: int, now: int) -> SimulationError:
+    """The error for an occurrence that surfaces behind the clock — a
+    run-ahead resume moved ``now`` past an entry still queued."""
+    return SimulationError(
+        f"time ran backwards: occurrence at t={time} popped at now={now}")
 
 
 class ScheduledCall:
@@ -459,6 +468,8 @@ class Simulator:
             if fn is None:
                 self._n_cancelled -= 1
                 continue
+            if entry[_TIME] < self.now:
+                raise _backwards(entry[_TIME], self.now)
             entry[_FN] = None
             self.now = entry[_TIME]
             self._n_processed += 1
@@ -526,11 +537,14 @@ class Simulator:
                     heappop(src)
                     self._n_cancelled -= 1
                     continue
-                if entry[0] > limit:  # _TIME
+                time = entry[0]  # _TIME
+                if time > limit:
                     break
+                if time < self.now:
+                    raise _backwards(time, self.now)
                 heappop(src)
                 entry[2] = None
-                self.now = entry[0]
+                self.now = time
                 popped += 1
                 # The pop raised the run-ahead bound: _ra_refresh, inlined.
                 cur = self._cur

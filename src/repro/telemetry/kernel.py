@@ -149,7 +149,6 @@ class KernelTelemetry:
         self._watched_gro: List[Tuple[str, Any]] = []
         self._watched_overlays: List[Any] = []
         self._watched_recovery: List[Any] = []
-        self._watched_injector: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Attach/detach: subscribe the live hooks to the kernel's tracer
@@ -258,13 +257,6 @@ class KernelTelemetry:
                 all(s is not stats for s in self._watched_recovery):
             self._watched_recovery.append(stats)
 
-    def watch_faults(self, injector: Any) -> None:
-        """Scrape an explicit :class:`FaultInjector` at collect time.
-
-        Usually unnecessary: :meth:`collect` falls back to the injector
-        installed on the kernel (``kernel.faults``)."""
-        self._watched_injector = injector
-
     def register_meter(self, meter: "ThroughputMeter",
                        label: str = "") -> None:
         """Export one :class:`ThroughputMeter` as callback gauges.
@@ -339,9 +331,7 @@ class KernelTelemetry:
                           "duplicates"):
                 self._recovery.labels(stats.name, event).set_total(
                     getattr(stats, event))
-        injector = self._watched_injector
-        if injector is None:
-            injector = getattr(kernel, "faults", None)
+        injector = getattr(kernel, "faults", None)
         if injector is not None:
             for site, count in injector.stats.items():
                 self._fault_forced.labels(site).set_total(count)

@@ -192,16 +192,24 @@ class TestFabricCluster:
 
     def test_lookahead_is_min_path_latency(self):
         assert small_config().lookahead_ns == 50_000  # 2 hops same-ToR
-        legacy = ClusterConfig(hosts=4, fabric_latency_ns=70_000)
-        assert legacy.lookahead_ns == 70_000
+        mesh = ClusterConfig(hosts=4, topology=Topology.mesh(
+            4, latency_ns=70_000))
+        assert mesh.lookahead_ns == 70_000
 
     def test_topology_round_trips_through_to_dict(self):
         config = small_config()
         assert config.to_dict()["topology"] == FAT8.to_dict()
         assert ClusterConfig.from_dict(config.to_dict()) == config
-        coarse = ClusterConfig(hosts=4)
-        assert coarse.to_dict()["topology"] is None
-        assert ClusterConfig.from_dict(coarse.to_dict()) == coarse
+        default = ClusterConfig(hosts=4)
+        assert default.topology == Topology.mesh(4)
+        assert default.to_dict()["topology"] == Topology.mesh(4).to_dict()
+        assert ClusterConfig.from_dict(default.to_dict()) == default
+
+    def test_removed_fabric_knobs_rejected_by_from_dict(self):
+        data = ClusterConfig(hosts=4).to_dict()
+        data["fabric_latency_ns"] = 50_000
+        with pytest.raises(ValueError, match=r"Topology\.mesh"):
+            ClusterConfig.from_dict(data)
 
     def test_host_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="describes 8 hosts"):

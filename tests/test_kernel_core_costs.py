@@ -7,6 +7,7 @@ import pytest
 from repro.kernel.config import KernelConfig
 from repro.kernel.core import Kernel
 from repro.kernel.costs import CostModel
+from repro.kernel.softnet import NapiStruct, hand_off
 from repro.packet.packet import Packet
 from repro.packet.skb import SKBuff
 from repro.prism.mode import StackMode
@@ -48,14 +49,6 @@ class TestCostModel:
         big = costs.wire_time(125_000)
         assert big == costs.wire_latency_ns + int(125_000 / costs.wire_bytes_per_ns)
 
-    def test_cstate_compat_accessors(self):
-        costs = CostModel()
-        assert costs.cstate_entry_threshold_ns == costs.cstate_levels[0][0]
-        assert costs.cstate_exit_ns == costs.cstate_levels[0][1]
-        empty = costs.replace(cstate_levels=())
-        assert empty.cstate_entry_threshold_ns == 0
-        assert empty.cstate_exit_ns == 0
-
 
 class TestKernelConfig:
     def test_linux_defaults(self):
@@ -94,22 +87,30 @@ class TestKernel:
         assert kernel.mode is StackMode.PRISM_SYNC
         assert kernel.procfs.read("/proc/prism/mode") == "prism-sync"
 
-    def test_is_high_class_binary(self):
-        kernel = self._make()
+    def _queue_for(self, level, **kwargs):
+        """The input queue ``hand_off`` puts a PRISM-batch skb of
+        priority *level* (None = unclassified) into."""
+        kernel = self._make(**kwargs)
+        kernel.set_mode(StackMode.PRISM_BATCH)
+        napi = NapiStruct("n", kernel)
+        napi.softnet = kernel.softnet_for(0)
         skb = SKBuff(Packet(headers=(), payload_len=1))
-        assert not kernel.is_high_class(skb)  # unclassified
-        skb.classify(0)
-        assert kernel.is_high_class(skb)
-        skb.classify(1)
-        assert not kernel.is_high_class(skb)
+        if level is not None:
+            skb.classify(level)
+        for _ in hand_off(napi, skb, None, kernel.cpu(0).charge_softirq):
+            pass
+        assert len(napi.queue_high) + len(napi.queue_low) == 1
+        return "high" if napi.queue_high else "low"
+
+    def test_is_high_class_binary(self):
+        assert self._queue_for(None) == "low"  # unclassified
+        assert self._queue_for(0) == "high"
+        assert self._queue_for(1) == "low"
 
     def test_is_high_class_multilevel(self):
-        kernel = self._make(config=KernelConfig(high_priority_max_level=1))
-        skb = SKBuff(Packet(headers=(), payload_len=1))
-        skb.classify(1)
-        assert kernel.is_high_class(skb)
-        skb.classify(2)
-        assert not kernel.is_high_class(skb)
+        config = KernelConfig(high_priority_max_level=1)
+        assert self._queue_for(1, config=config) == "high"
+        assert self._queue_for(2, config=config) == "low"
 
     def test_drop_accounting(self):
         kernel = self._make()

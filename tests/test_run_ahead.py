@@ -11,12 +11,18 @@ ran.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.cell import ExperimentCell
+from repro.bench.experiment import ExperimentConfig
 from repro.kernel.costs import CostModel
 from repro.kernel.cpu import CpuCore
+from repro.prism.mode import StackMode
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
+from repro.sim.units import MS
 
 NO_CSTATES = CostModel().replace(cstate_levels=())
 
@@ -222,3 +228,36 @@ def test_fan_out_wakes_keep_callback_order():
         sim.schedule(5, wake.succeed)
         sim.run()
         assert log == ["a", "b", "a'", "b'"], sim_cls.__name__
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "prism-sync"])
+def test_stale_run_ahead_bound_fails_loudly(mode, monkeypatch):
+    """A ``_push`` that forgets to lower the run-ahead bound lets a
+    sleeper resume past an entry still queued.  The measurement digests
+    of the overlay cells do not move with that fault, so the engine
+    must catch it: the overtaken entry pops behind the clock."""
+    original = Simulator._push
+
+    def push_keeping_bound(self, time, fn, args):
+        bound = self._ra_bound
+        entry = original(self, time, fn, args)
+        self._ra_bound = bound
+        return entry
+
+    monkeypatch.setattr(Simulator, "_push", push_keeping_bound)
+    config = ExperimentConfig(mode=StackMode.parse(mode), fg_rate_pps=1_000,
+                              bg_rate_pps=300_000.0, bg_burst=96,
+                              duration_ns=1 * MS, warmup_ns=1 * MS)
+    cell = ExperimentCell(config)
+    with pytest.raises(SimulationError, match="time ran backwards"):
+        cell.run_to(cell.end_ns)
+
+
+def test_step_refuses_an_entry_behind_the_clock():
+    sim = Simulator()
+    log = []
+    sim.schedule(10, log.append, "late")
+    sim.now = 20  # what an overtaking resume leaves behind
+    with pytest.raises(SimulationError, match="time ran backwards"):
+        sim.step()
+    assert log == []

@@ -65,29 +65,30 @@ class TestClusterDispatch:
         assert config.topology == spec
         assert config.users == 500
 
-    def test_mesh_spec_canonicalizes_to_the_legacy_fabric(self):
-        scenario = Scenario.on(Topology.mesh(4, latency_ns=60_000))
-        config = scenario.build()
-        assert config.topology is None
-        assert config.fabric_latency_ns == 60_000
-        legacy = ClusterScenario(4, fabric_latency_ns=60_000).build()
-        assert config == legacy
+    def test_mesh_spec_is_the_default_cluster_fabric(self):
+        scenario = Scenario.on(Topology.mesh(4))
+        assert isinstance(scenario, ClusterScenario)
+        assert scenario.build() == ClusterScenario(4).build()
+        custom = Scenario.on(Topology.mesh(4, latency_ns=60_000)).build()
+        assert custom.topology == Topology.mesh(4, latency_ns=60_000)
+        assert custom.lookahead_ns == 60_000
 
-    def test_heterogeneous_mesh_rejected(self):
+    def test_heterogeneous_mesh_keeps_its_spec(self):
         spec = Topology.mesh(3)
         links = list(spec.links)
         links[0] = links[0].__class__(links[0].a, links[0].b,
-                                      latency_ns=1, bytes_per_ns=12.5)
+                                      latency_ns=1_000, bytes_per_ns=12.5)
         uneven = spec.__class__(kind=spec.kind, hosts=spec.hosts,
                                 links=tuple(links))
-        with pytest.raises(ValueError, match="heterogeneous"):
-            Scenario.on(uneven)
+        config = Scenario.on(uneven).build()
+        assert config.topology == uneven
+        assert config.lookahead_ns == 1_000
 
     def test_topology_method_follows_the_spec_host_count(self):
         spec = Topology.fat_tree(4, hosts=8)
         scenario = Scenario.cluster(4).topology(spec)
         assert scenario.build().hosts == 8
-        assert scenario.topology(None).build().topology is None
+        assert scenario.topology(None).build().topology == Topology.mesh(8)
 
 
 class TestExperimentConfigSerde:

@@ -4,7 +4,9 @@ The space-parallel executor's one promise: *how* a cluster is executed
 (shard count, in-process vs subprocess workers, window count) never
 changes *what* it computes.  These tests pin that promise:
 
-1. digests identical at ``shards=1/2/4`` (and subprocess == in-process);
+1. digests identical at ``shards=1/2/4`` and, for drawn meshes and a
+   small fat-tree, at 1, 2 and one shard per host (and subprocess ==
+   in-process);
 2. exact cross-fabric packet conservation, loss-free and under faults,
    with per-host kernel :class:`PacketLedger` balance preserved;
 3. back-to-back isolation (mirrors ``test_fastpath_golden``): two runs
@@ -17,10 +19,13 @@ changes *what* it computes.  These tests pin that promise:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.experiment import ExperimentConfig, run_experiment
 from repro.bench.cell import ExperimentCell
 from repro.bench.runner import result_digest
+from repro.fabric.spec import Topology
 from repro.faults.plan import FaultPlan, PacketLoss
 from repro.prism.mode import StackMode
 from repro.shard import (
@@ -50,6 +55,41 @@ def test_digest_identical_across_shard_counts():
                                            processes=False))
         for shards in (1, 2, 4)}
     assert len(set(digests.values())) == 1, digests
+
+
+# Small fabrics: 2-6 host meshes and a truncated k=4 fat-tree.
+TOPOLOGIES = st.one_of(st.integers(2, 6).map(Topology.mesh),
+                       st.just(Topology.fat_tree(4, hosts=8)))
+CLUSTERS = st.builds(
+    lambda spec, users, seed, mode: ClusterConfig(
+        hosts=spec.host_count, users=users, seed=seed, mode=mode,
+        duration_ns=3 * MS, warmup_ns=1 * MS, timeout_ns=5 * MS,
+        topology=spec),
+    TOPOLOGIES, st.integers(1, 400), st.integers(0, 2**16),
+    st.sampled_from(list(StackMode)))
+
+
+def _digests_by_shard_count(config, *, processes):
+    """Digest at 1 shard, 2 shards and one shard per host."""
+    return {shards: cluster_digest(run_cluster(config, shards=shards,
+                                               processes=processes))
+            for shards in (1, 2, config.hosts)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(CLUSTERS)
+def test_digest_independent_of_shard_count_property(config):
+    digests = _digests_by_shard_count(config, processes=False)
+    assert len(set(digests.values())) == 1, digests
+
+
+def test_digest_independent_of_shard_count_in_subprocesses():
+    config = ClusterConfig(hosts=3, users=150, seed=11,
+                           mode=StackMode.PRISM_SYNC, duration_ns=3 * MS,
+                           warmup_ns=1 * MS, timeout_ns=5 * MS)
+    in_process = _digests_by_shard_count(config, processes=False)
+    subprocesses = _digests_by_shard_count(config, processes=True)
+    assert len(set(in_process.values()) | set(subprocesses.values())) == 1
 
 
 def test_subprocess_workers_match_in_process():

@@ -232,6 +232,14 @@ class TestGoldenDigests:
         assert cluster_digest(run_cluster(config, shards=1)) == (
             "441f1accf3aa081a948c604420b507664d7a69edc0f2663115b884eb67fdd68e")
 
+    def test_digest_matches_committed_mesh_baseline(self):
+        # The cross-PR golden of the default fabric, Topology.mesh(4):
+        # one direct link per host pair, one srv container per host.
+        config = ClusterConfig(hosts=4, users=200, duration_ns=8 * MS,
+                               warmup_ns=2 * MS, timeout_ns=5 * MS)
+        assert cluster_digest(run_cluster(config, shards=1)) == (
+            "8d7adad5ee4332c2462c146c0204019b45cf5688f17d379b7c081fb9226fe524")
+
 
 class TestWorkerDeath:
     def _tiny_config(self):
