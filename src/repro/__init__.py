@@ -36,22 +36,10 @@ Package map
 - ``repro.bench`` — per-figure experiment harness.
 """
 
-from repro.bench.testbed import Testbed, build_testbed
+from repro.bench.testbed import build_testbed
 from repro.kernel.config import KernelConfig
-from repro.kernel.core import Kernel
-from repro.kernel.costs import CostModel
 from repro.prism.mode import StackMode
-from repro.sim.engine import Simulator
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CostModel",
-    "Kernel",
-    "KernelConfig",
-    "Simulator",
-    "StackMode",
-    "Testbed",
-    "build_testbed",
-    "__version__",
-]
+__all__ = ["KernelConfig", "StackMode", "build_testbed", "__version__"]

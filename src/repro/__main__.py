@@ -39,9 +39,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.figures import FIGURES, configure, reproduce
-from repro.bench.report import format_experiment_header, format_table
-
 
 def _canonical_scenario(mode: str, bg_rate_pps: float,
                         faults: str = None,
@@ -342,6 +339,9 @@ def main(argv=None) -> int:
                         "like 'burst@80ms x2; loss:eth:0.01; flap@50ms+2ms; "
                         "retries=5; timeout=5ms' (see FaultPlan.parse)")
     args = parser.parse_args(argv)
+    # Loaded after parsing, so --help and bad arguments stay cheap.
+    from repro.bench.figures import FIGURES, configure, reproduce
+    from repro.bench.report import format_experiment_header, format_table
 
     if args.faults:
         from repro.faults import FaultPlan

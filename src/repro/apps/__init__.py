@@ -13,32 +13,16 @@
 - :mod:`~repro.apps.aggregate` — closed-loop client *populations*: all
   users of one (container, priority) flow class as a single aggregated
   arrival process with exact per-class accounting.
+
+The package re-exports the sockperf endpoints every run uses; import the
+other applications from their modules, so a run that does not use them
+does not load them.
 """
 
-from repro.apps.aggregate import AggregatedClientPopulation, FlowClassLedger
-from repro.apps.memcached import MemaslapClient, MemcachedServer
-from repro.apps.remote import RemoteRequestSender, RemoteTcpReassembler
 from repro.apps.sockperf import (
-    PingRecord,
-    SockperfTcpFlood,
     SockperfUdpClient,
     SockperfUdpFlood,
     SockperfUdpServer,
 )
-from repro.apps.webserver import NginxServer, Wrk2Client
 
-__all__ = [
-    "AggregatedClientPopulation",
-    "FlowClassLedger",
-    "MemaslapClient",
-    "MemcachedServer",
-    "NginxServer",
-    "PingRecord",
-    "RemoteRequestSender",
-    "RemoteTcpReassembler",
-    "SockperfTcpFlood",
-    "SockperfUdpClient",
-    "SockperfUdpFlood",
-    "SockperfUdpServer",
-    "Wrk2Client",
-]
+__all__ = ["SockperfUdpClient", "SockperfUdpFlood", "SockperfUdpServer"]

@@ -154,7 +154,8 @@ class AggregatedClientPopulation:
             span = int(think * self.jitter_frac)
             if span > 0:
                 think += self.rng.uniform_int(-span, span)
-        self.sim.schedule(max(1, think), self._send_one)
+        sim = self.sim  # pushed without a handle: nothing cancels it
+        sim._push(sim.now + int(max(1, think)), self._send_one, ())
 
     # ------------------------------------------------------------------
     # Replies and timeouts

@@ -10,32 +10,7 @@
 - :mod:`~repro.bench.runner` — parallel fan-out, on-disk result caching,
   and repeat-run stability statistics for independent experiments;
 - :mod:`~repro.bench.report` — paper-vs-measured tables.
+
+Import the submodules directly; the package re-exports nothing, so
+building a cell does not load the batch runner or its process pool.
 """
-
-from repro.bench.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
-from repro.bench.report import ReproRow, format_table
-from repro.bench.runner import (
-    BatchReport,
-    run_batch,
-    run_experiments,
-    run_repeated,
-)
-from repro.bench.testbed import Testbed, build_testbed
-
-__all__ = [
-    "BatchReport",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ReproRow",
-    "Testbed",
-    "build_testbed",
-    "format_table",
-    "run_batch",
-    "run_experiment",
-    "run_experiments",
-    "run_repeated",
-]

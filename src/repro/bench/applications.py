@@ -18,7 +18,8 @@ from repro.apps.memcached import MemaslapClient, MemcachedServer
 from repro.apps.sockperf import SockperfTcpFlood, SockperfUdpFlood, SockperfUdpServer
 from repro.apps.webserver import NginxServer, Wrk2Client
 from repro.bench.testbed import build_testbed
-from repro.faults import FaultInjector, FaultPlan, merge_recovery
+from repro.faults import FaultPlan, merge_recovery
+from repro.faults.injector import FaultInjector
 from repro.kernel.config import KernelConfig
 from repro.kernel.costs import CostModel
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder

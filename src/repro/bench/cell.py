@@ -22,12 +22,15 @@ late-binds through the module so those patches keep working.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.bench.testbed import Testbed, build_testbed
-from repro.faults import FaultInjector, merge_recovery
-from repro.flows import FlowCollector, KernelFlowTap
+from repro.faults.recovery import merge_recovery
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
+    from repro.flows.collector import FlowCollector
 
 __all__ = ["ExperimentCell"]
 
@@ -63,6 +66,7 @@ class ExperimentCell:
                                      mode=config.mode)
         self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
+            from repro.faults.injector import FaultInjector
             self.injector = FaultInjector(config.faults,
                                           self.testbed).install()
         #: The telemetry hub *attach* returned, or None (unmetered run).
@@ -90,6 +94,7 @@ class ExperimentCell:
             # kernel's tracepoints; it never schedules events or touches
             # the RNG, so the measurements are identical with export on
             # or off.
+            from repro.flows.collector import FlowCollector, KernelFlowTap
             self.flows = FlowCollector(config.flow_export, scope="server",
                                        seed=config.seed)
             KernelFlowTap(self.flows, self.testbed.server.kernel)

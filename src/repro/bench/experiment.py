@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.apps.sockperf import (
     SockperfUdpClient,
@@ -20,32 +20,23 @@ from repro.apps.sockperf import (
     SockperfUdpServer,
 )
 from repro.bench.cell import ExperimentCell
-from repro.bench.testbed import Testbed, build_testbed
-from repro.faults import FaultInjector, FaultPlan, merge_recovery
-from repro.flows.config import FlowExportConfig
+from repro.bench.testbed import Testbed
+from repro.faults.plan import FaultPlan
 from repro.kernel.config import KernelConfig
 from repro.kernel.costs import CostModel
-from repro.metrics.recorder import (
-    CpuUtilizationSampler,
-    LatencyRecorder,
-    ThroughputMeter,
-)
-from repro.metrics.stats import LatencySummary, summarize_ns
-from repro.obs import (
-    DEFAULT_GAUGE_INTERVAL_NS,
-    KernelObserver,
-    StageBreakdown,
-    write_chrome_trace,
-)
-from repro.obs.recorder import FlightRecorder
+from repro.metrics.recorder import ThroughputMeter
+from repro.metrics.stats import LatencySummary
 from repro.prism.mode import StackMode
-from repro.sim.units import MS, SEC
-from repro.telemetry import (
-    DEFAULT_SAMPLE_INTERVAL_NS,
-    KernelTelemetry,
-    SimProfiler,
-)
-from repro.telemetry.openmetrics import write_openmetrics
+from repro.sim.units import MS, SEC, US
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flows.config import FlowExportConfig
+    from repro.metrics.recorder import LatencyRecorder
+    from repro.obs.breakdown import StageBreakdown
+    from repro.obs.observer import KernelObserver
+    from repro.obs.recorder import FlightRecorder
+    from repro.telemetry.kernel import KernelTelemetry
+    from repro.telemetry.profiler import SimProfiler
 
 __all__ = [
     "ExperimentConfig",
@@ -126,7 +117,7 @@ class ExperimentConfig:
                 value = str(value)
             elif isinstance(value, (CostModel, KernelConfig)):
                 value = _frozen_to_dict(value)
-            elif isinstance(value, (FaultPlan, FlowExportConfig)):
+            elif value is not None and f.name in ("faults", "flow_export"):
                 value = value.to_dict()
             out[f.name] = value
         return out
@@ -147,6 +138,7 @@ class ExperimentConfig:
         if kwargs.get("faults") is not None:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
         if kwargs.get("flow_export") is not None:
+            from repro.flows.config import FlowExportConfig
             kwargs["flow_export"] = FlowExportConfig.from_dict(
                 kwargs["flow_export"])
         return cls(**kwargs)
@@ -471,8 +463,9 @@ class TraceOptions:
     capacity: int = 200_000
     #: Bound on per-packet milestone records kept for the breakdown.
     max_packets: int = 100_000
-    #: Queue-depth / softirq-residency sampling period (0 disables gauges).
-    gauge_interval_ns: int = DEFAULT_GAUGE_INTERVAL_NS
+    #: Queue-depth / softirq-residency sampling period (0 disables gauges);
+    #: the observer's own default.
+    gauge_interval_ns: int = 1 * MS
 
 
 @dataclass
@@ -486,6 +479,8 @@ class TracedExperiment:
 
     def write_chrome(self, path: Union[str, Path]) -> Path:
         """Export the recording as Perfetto-loadable Chrome trace JSON."""
+        from repro.obs.chrome import write_chrome_trace
+
         config = self.result.config
         return write_chrome_trace(
             path, self.recorder,
@@ -503,6 +498,9 @@ def run_traced_experiment(config: ExperimentConfig,
     (tracing only reads state — the determinism tests pin that a traced
     run produces a bit-identical :class:`ExperimentResult`).
     """
+    from repro.obs.breakdown import StageBreakdown
+    from repro.obs.observer import KernelObserver
+
     options = options or TraceOptions()
     holder: Dict[str, KernelObserver] = {}
 
@@ -536,8 +534,9 @@ class TelemetryOptions:
     #: measurements are pinned identical either way).
     profile: bool = True
     #: Simulated-time period between profiler stack samples
-    #: (0 keeps exact edge attribution but takes no periodic samples).
-    sample_interval_ns: int = DEFAULT_SAMPLE_INTERVAL_NS
+    #: (0 keeps exact edge attribution but takes no periodic samples);
+    #: the profiler's own default.
+    sample_interval_ns: int = 100 * US
     #: Retained-sample bound (see :class:`SimProfiler`).
     max_samples: int = 1_000_000
 
@@ -556,6 +555,8 @@ class InstrumentedExperiment:
 
     def write_openmetrics(self, path: Union[str, Path]) -> Path:
         """Export the registry as OpenMetrics text exposition."""
+        from repro.telemetry.openmetrics import write_openmetrics
+
         return write_openmetrics(path, self.telemetry.collect())
 
     def write_metrics_json(self, path: Union[str, Path]) -> Path:
@@ -600,6 +601,9 @@ def run_instrumented_experiment(config: ExperimentConfig,
     the result additionally carries the registry snapshot in
     :attr:`ExperimentResult.telemetry`.
     """
+    from repro.telemetry.kernel import KernelTelemetry
+    from repro.telemetry.profiler import SimProfiler
+
     options = options or TelemetryOptions()
     holder: Dict[str, Any] = {}
 

@@ -22,7 +22,6 @@ whether a comparison is trustworthy.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import os
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.bench.digest import jsonable, result_digest
 from repro.bench.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -47,7 +47,6 @@ __all__ = [
     "code_version",
     "config_key",
     "default_cache_dir",
-    "measurement_digest",
     "result_digest",
     "run_batch",
     "run_experiments",
@@ -60,16 +59,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: v2: entries are versioned JSON (ExperimentResult.to_dict), not pickle.
 #: v3: configs serialize every field (no omit-when-default keys).
 CACHE_SCHEMA = 3
-
-#: What :func:`result_digest` hashes: the measurements a figure reads
-#: (latency samples, per-class counters, CPU accounting, drops) and, in
-#: fault runs, the injector summary, packet ledger and recovery totals.
-#: Config, stage breakdown, telemetry and flow records are left out, so
-#: a schema or instrumentation change never looks like a behaviour change.
-MEASUREMENT_FIELDS = (
-    "fg_samples_ns", "fg_sent", "fg_replies", "fg_delivered_pps",
-    "bg_delivered_pps", "cpu_utilization", "softirq_fraction", "drops",
-    "fault_summary", "conservation", "recovery")
 
 _code_digest: Optional[str] = None
 
@@ -93,54 +82,15 @@ def code_version() -> str:
     return _code_digest
 
 
-def _jsonable(value: Any) -> Any:
-    """Convert configs/results into a stable, json-serializable structure."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: Dict[str, Any] = {"__class__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = _jsonable(getattr(value, f.name))
-        return out
-    if isinstance(value, enum.Enum):
-        return [type(value).__name__, value.value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return repr(value)  # exact round-trip text, no json float surprises
-    return repr(value)
-
-
 def config_key(config: ExperimentConfig) -> str:
     """Stable cache key for one experiment under the current code."""
     payload = {
         "schema": CACHE_SCHEMA,
         "code": code_version(),
-        "config": _jsonable(config),
+        "config": jsonable(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def measurement_digest(payload: Dict[str, Any]) -> str:
-    """sha256 of a canonical JSON rendering of *payload*."""
-    blob = json.dumps(_jsonable(payload), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def result_digest(result: ExperimentResult) -> str:
-    """Measurement digest — equal digests ⇔ identical measurements.
-
-    Hashes :data:`MEASUREMENT_FIELDS` only: two configs that simulate
-    the same thing (``costs=None`` vs ``CostModel()``, flow export on or
-    off, a traced or untraced run) digest equally.  The determinism
-    tests use it to compare serial, parallel and cached executions.
-    """
-    return measurement_digest({name: getattr(result, name)
-                               for name in MEASUREMENT_FIELDS})
 
 
 def default_cache_dir() -> Path:

@@ -383,7 +383,3 @@ class FabricNetwork:
                                   for i, count in sorted(uses.items())}
                            for flow, uses in sorted(named.items())},
         }
-
-    @property
-    def lookahead_ns(self) -> int:
-        return min_path_latency_ns(self.spec)

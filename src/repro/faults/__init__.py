@@ -27,10 +27,11 @@ This package makes loss a first-class, *seeded* experiment axis:
 With no plan configured nothing here is ever consulted from a hot path
 beyond one ``is not None`` gate — the golden-digest tests pin that a
 fault-free run measures exactly what a build without this package does.
+The package re-exports the plan and recovery names only: import the
+injector and the ledger from their modules, which a run loads only when
+it has a plan.
 """
 
-from repro.faults.conservation import PacketLedger
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
     IrqLoss,
@@ -42,21 +43,17 @@ from repro.faults.plan import (
 )
 from repro.faults.recovery import (
     RecoveryStats,
-    RetryTracker,
     backoff_deadline_ns,
     merge_recovery,
 )
 
 __all__ = [
-    "FaultInjector",
     "FaultPlan",
     "IrqLoss",
     "LinkFlap",
     "PacketLoss",
-    "PacketLedger",
     "RecoveryStats",
     "RetryPolicy",
-    "RetryTracker",
     "RingBurst",
     "SkbAllocFailure",
     "backoff_deadline_ns",

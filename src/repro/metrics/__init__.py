@@ -9,27 +9,8 @@
   recorders used by the workloads and the bench harness;
 - :mod:`~repro.metrics.timeseries` — windowed time series for
   time-resolved views (rates and latency percentiles over time).
+
+Import the submodules directly: the package re-exports nothing, so a
+recorder loads no numpy until a summary or CDF is taken (``stats``
+imports it inside its functions; ``cdf`` loads on first use).
 """
-
-from repro.metrics.cdf import Cdf
-from repro.metrics.histogram import LogHistogram
-from repro.metrics.recorder import (
-    CpuUtilizationSampler,
-    LatencyRecorder,
-    ThroughputMeter,
-)
-from repro.metrics.stats import LatencySummary, percentile, summarize_ns
-from repro.metrics.timeseries import WindowedSeries, WindowStats
-
-__all__ = [
-    "Cdf",
-    "CpuUtilizationSampler",
-    "LatencyRecorder",
-    "LatencySummary",
-    "LogHistogram",
-    "ThroughputMeter",
-    "WindowStats",
-    "WindowedSeries",
-    "percentile",
-    "summarize_ns",
-]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.kernel.cpu import CpuContext, CpuCore, CpuStats
-from repro.metrics.cdf import Cdf
 from repro.metrics.stats import LatencySummary, summarize_ns
-from repro.metrics.streaming import ReservoirSample, StreamingQuantiles
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.metrics.cdf import Cdf
+    from repro.metrics.streaming import ReservoirSample, StreamingQuantiles
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "CpuUtilizationSampler"]
 
@@ -41,6 +43,8 @@ class LatencyRecorder:
         self._quantiles: Optional[StreamingQuantiles] = None
         self._reservoir: Optional[ReservoirSample] = None
         if streaming:
+            from repro.metrics.streaming import (ReservoirSample,
+                                                 StreamingQuantiles)
             self._quantiles = StreamingQuantiles()
             self._reservoir = ReservoirSample(reservoir_k, seed=seed)
 
@@ -61,6 +65,8 @@ class LatencyRecorder:
         return summarize_ns(self.samples_ns)
 
     def cdf(self) -> Cdf:
+        from repro.metrics.cdf import Cdf  # numpy, on first use
+
         if self._reservoir is not None:
             return Cdf(self._reservoir.samples)
         return Cdf(self.samples_ns)

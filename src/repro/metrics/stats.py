@@ -1,12 +1,15 @@
-"""Latency summary statistics."""
+"""Latency summary statistics.
+
+numpy is imported inside the functions that use it: a run imports this
+module for :class:`LatencySummary` at start-up but needs numpy only at
+finalize.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 __all__ = ["percentile", "LatencySummary", "summarize_ns",
            "order_statistic_ranks", "quantile_interval"]
@@ -22,6 +25,8 @@ def percentile(samples: Sequence[float], pct: float) -> float:
         raise ValueError("cannot take a percentile of zero samples")
     if not 0 <= pct <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    import numpy as np
+
     return float(np.percentile(np.asarray(samples, dtype=np.float64), pct))
 
 
@@ -59,6 +64,8 @@ def quantile_interval(samples: Sequence[float], q: float
                       ) -> Tuple[float, float]:
     """The 95 % order-statistic interval of :func:`order_statistic_ranks`
     as sample values; an unbounded end is ``-inf`` / ``inf``."""
+    import numpy as np
+
     ordered = np.sort(np.asarray(samples, dtype=np.float64))
     lo, hi = order_statistic_ranks(len(ordered), q)
     return (float(ordered[lo - 1]) if lo else -math.inf,
@@ -108,6 +115,8 @@ def summarize_ns(samples: Sequence[float]) -> Optional[LatencySummary]:
     """Summarize a nanosecond sample set; None when empty."""
     if len(samples) == 0:
         return None
+    import numpy as np
+
     array = np.asarray(samples, dtype=np.float64)
     return LatencySummary(
         count=int(array.size),

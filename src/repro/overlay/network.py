@@ -146,8 +146,11 @@ class RemoteHost:
         if handler is None:
             self.unhandled += 1
             return
-        # Client-side rx processing is a fixed overhead (coarse model).
-        self.sim.schedule(self.costs.client_overhead_ns, handler, inner)
+        # Client-side rx processing is a fixed overhead (coarse model);
+        # nothing cancels it, so it is pushed without a handle.
+        sim = self.sim
+        sim._push(sim.now + int(self.costs.client_overhead_ns), handler,
+                  (inner,))
 
     def __repr__(self) -> str:
         return f"<RemoteHost {self.name!r} {self.ip}>"

@@ -46,7 +46,11 @@ class OverlayNetwork:
         self._endpoints: Dict[int, OverlayEndpoint] = {}
 
     def register(self, endpoint: OverlayEndpoint) -> None:
-        self._endpoints[endpoint.ip.value] = endpoint
+        """Add a container; an address, once registered, never moves."""
+        known = self._endpoints.setdefault(endpoint.ip.value, endpoint)
+        if known != endpoint:
+            raise ValueError(f"{endpoint.ip} is already registered "
+                             f"(MAC {known.mac} on host {known.host_ip})")
 
     def endpoint(self, ip: Ipv4Address) -> OverlayEndpoint:
         found = self._endpoints.get(ip.value)
@@ -80,6 +84,8 @@ class HostOverlay:
         self.bridge.add_port(self.vxlan)
         host.nic.register_vxlan(self.vxlan)
         self.containers: Dict[str, Container] = {}
+        #: encap_to memo, by destination address value.
+        self._encap: Dict[int, EncapInfo] = {}
 
     def add_container(self, name: str, ip: object,
                       mac: Optional[MacAddress] = None) -> Container:
@@ -99,10 +105,16 @@ class HostOverlay:
         return container
 
     def encap_to(self, dst_container_ip: object) -> EncapInfo:
-        """Egress encapsulation from this host toward a remote container."""
+        """Egress encapsulation from this host toward a remote container
+        (one frozen :class:`EncapInfo` per destination: endpoints never
+        move once registered)."""
         dst = (dst_container_ip if dst_container_ip.__class__ is Ipv4Address
                else Ipv4Address(dst_container_ip))
-        return self.overlay.encap_info(self.host.ip, self.host.mac, dst)
+        info = self._encap.get(dst.value)
+        if info is None:
+            info = self._encap[dst.value] = self.overlay.encap_info(
+                self.host.ip, self.host.mac, dst)
+        return info
 
     def __repr__(self) -> str:
         return (f"<HostOverlay {self.host.name!r} vni={self.overlay.vni} "

@@ -41,13 +41,14 @@ from repro.bench.experiment import (
 )
 from repro.fabric.spec import Topology, TopologySpec
 from repro.faults import FaultPlan
-from repro.flows.config import FlowExportConfig
 from repro.kernel.config import KernelConfig
 from repro.kernel.costs import CostModel
 from repro.prism.mode import StackMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
+
+    from repro.flows.config import FlowExportConfig
 
 __all__ = ["Scenario", "ClusterScenario", "Topology", "run_scenarios"]
 
@@ -81,6 +82,8 @@ def _flow_config(sample_rate: int, *, max_flows: Optional[int],
             raise TypeError("with_flows(sample_rate=0) disables export; "
                             f"knobs make no sense: {sorted(knobs)}")
         return None
+    from repro.flows.config import FlowExportConfig
+
     return FlowExportConfig(sample_rate=int(sample_rate), **knobs)
 
 

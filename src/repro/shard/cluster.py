@@ -21,15 +21,17 @@ equal digests ⇔ identical simulation outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.bench.runner import _jsonable, measurement_digest
+from repro.bench.digest import jsonable, measurement_digest
 from repro.fabric.network import min_path_latency_ns
 from repro.fabric.spec import Topology, TopologySpec
 from repro.faults.plan import FaultPlan
-from repro.flows.config import FlowExportConfig
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flows.config import FlowExportConfig
 
 __all__ = ["ClusterConfig", "ClusterResult", "cluster_digest"]
 
@@ -174,6 +176,7 @@ class ClusterConfig:
         if data.get("topology") is not None:
             data["topology"] = TopologySpec.from_dict(data["topology"])
         if data.get("flow_export") is not None:
+            from repro.flows.config import FlowExportConfig
             data["flow_export"] = FlowExportConfig.from_dict(
                 data["flow_export"])
         return cls(**data)
@@ -212,14 +215,14 @@ class ClusterResult:
     timing: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {name: _jsonable(getattr(self, name))
+        out = {name: jsonable(getattr(self, name))
                for name in ("config", *CLUSTER_MEASUREMENTS, "shards",
                             "timing")}
         out["digest"] = cluster_digest(self)
         # Flow summary only — counters and the record digest; the full
         # record list goes to a sink, not into run reports.
         out["flows"] = None if self.flows is None else {
-            key: _jsonable(value) for key, value in self.flows.items()
+            key: jsonable(value) for key, value in self.flows.items()
             if key != "records"}
         return out
 

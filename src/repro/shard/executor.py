@@ -43,7 +43,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.fabric.network import FabricNetwork
-from repro.flows.records import merge_flow_blocks
 from repro.metrics.stats import summarize_ns
 from repro.overlay.wirefmt import CLS_NAMES, WireBatch
 from repro.shard.cluster import (
@@ -186,6 +185,7 @@ def _merge(config: ClusterConfig, host_results: Dict[int, dict], *,
     # and the merged record set gets its own digest below.
     flows = None
     if config.flow_export is not None:
+        from repro.flows.records import merge_flow_blocks
         blocks = [host.pop("flows") for host in hosts]
         if fabric_flows is not None:
             blocks.append(fabric_flows)

@@ -29,18 +29,20 @@ exists on the cross-host path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.apps.aggregate import AggregatedClientPopulation
 from repro.apps.remote import RemoteRequestSender
 from repro.apps.sockperf import PingRecord, SockperfUdpFlood, SockperfUdpServer
 from repro.bench.testbed import build_testbed
-from repro.faults import FaultInjector
-from repro.flows import FlowCollector, KernelFlowTap
 from repro.metrics.recorder import CpuUtilizationSampler, LatencyRecorder
 from repro.overlay.wirefmt import CLS_CODE, CLS_NAMES, KIND_CODE, WireBatch
 from repro.shard.cluster import CROSS_HEADER_BYTES, ClusterConfig
 from repro.sim.rng import SeededRng
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
+    from repro.flows.collector import FlowCollector
 
 __all__ = ["HostCell", "CROSS_SERVER_IP", "HI_PORT", "LO_PORT"]
 
@@ -72,6 +74,7 @@ class HostCell:
         self.sim = self.testbed.sim
         self.injector: Optional[FaultInjector] = None
         if cluster.faults is not None:
+            from repro.faults.injector import FaultInjector
             self.injector = FaultInjector(cluster.faults,
                                           self.testbed).install()
         self._lookahead_ns = cluster.lookahead_ns
@@ -173,6 +176,7 @@ class HostCell:
         self._host_labels = [h.name for h in cluster.topology.hosts]
         self.flows: Optional[FlowCollector] = None
         if cluster.flow_export is not None:
+            from repro.flows.collector import FlowCollector, KernelFlowTap
             self.flows = FlowCollector(cluster.flow_export,
                                        scope=self._host_labels[host_id],
                                        seed=cluster.seed)
@@ -220,11 +224,11 @@ class HostCell:
         Every arrival must be strictly in this cell's future — the
         conservative-lookahead guarantee.  A violation here means the
         executor's window exceeded the fabric latency.  Delivery is
-        columnar: each row schedules its injection straight from the
-        batch columns, with no per-packet object built.
+        columnar: each row pushes its injection straight from the
+        batch columns, with no per-packet object or handle built.
         """
         now = self.sim.now
-        schedule_at = self.sim.schedule_at
+        push = self.sim._push
         inject = self._inject_row
         arrival = batch.arrival
         src = batch.src
@@ -239,8 +243,8 @@ class HostCell:
                 raise RuntimeError(
                     f"lookahead violation at host {self.host_id}: packet "
                     f"arriving t={t} delivered at t={now}")
-            schedule_at(t, inject, src[i], cls[i], kind[i], seq[i],
-                        payload_len[i], sent_at[i])
+            push(t, inject, (src[i], cls[i], kind[i], seq[i],
+                             payload_len[i], sent_at[i]))
         self.n_delivered += len(rows)
 
     def _inject_row(self, src: int, cls_code: int, kind_code: int,

@@ -26,7 +26,6 @@ simulate their windows concurrently and synchronize only at barriers.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from typing import Dict, List, Optional, Sequence
 
 from repro.overlay.wirefmt import EMPTY_FRAME, WireBatch
@@ -205,6 +204,8 @@ class PipeShardWorker:
     """
 
     def __init__(self, cluster: ClusterConfig, host_ids: Sequence[int]) -> None:
+        import multiprocessing as mp  # only process-backed runs pay for it
+
         self.host_ids = list(host_ids)
         ctx = mp.get_context("fork" if "fork" in
                              mp.get_all_start_methods() else "spawn")

@@ -89,7 +89,8 @@ class UdpSocket:
             latency = costs.wakeup_same_core_ns
         else:
             latency = costs.wakeup_cross_core_ns
-        self.kernel.sim.schedule(latency, waiter.succeed)
+        sim = self.kernel.sim  # pushed without a handle: nothing cancels it
+        sim._push(sim.now + int(latency), waiter.succeed, ())
 
     # ------------------------------------------------------------------
     # Application side (generator API for UserThread code)

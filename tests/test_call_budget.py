@@ -11,6 +11,12 @@ The bounds are upper bounds with headroom for interpreter versions.
 Before the in-place clock charge and the plain-data packets, the counts
 were about 131 / 121 / 122 frames per packet (prism-sync / vanilla /
 bypass-lossy); after, about 64 / 63 / 75 on CPython 3.11.
+
+The fat-tree workload gets the same check on a scaled-down cell (4
+hosts, 2,500 users, 6 ms, prism-sync), counted per cross-host row over
+every barrier window: about 74 frames per row while cross-host arrivals
+and wake-ups were scheduled with a handle nobody kept, about 68.5 once
+they were pushed directly.
 """
 
 from __future__ import annotations
@@ -22,8 +28,11 @@ import pytest
 
 from repro.bench.cell import ExperimentCell
 from repro.bench.experiment import ExperimentConfig
+from repro.fabric.experiment import priority_survival_config
 from repro.faults.plan import FaultPlan
 from repro.prism.mode import StackMode
+from repro.shard.executor import run_cluster
+from repro.shard.worker import ShardWorker
 from repro.sim.units import MS
 
 SEED = 1
@@ -85,3 +94,45 @@ def test_frames_per_packet_within_budget(workload):
     assert per_packet <= budget, (
         f"{workload}: {per_packet:.1f} Python frames per packet "
         f"(budget {budget})")
+
+
+#: Frames-per-cross-host-row bound for the fat-tree cell.
+CLUSTER_BUDGET = 90
+
+
+def test_cluster_frames_per_cross_row_within_budget(monkeypatch):
+    """Counted from the first window to the finalize, so neither the
+    build nor the merge's first-use imports are in the count."""
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    post_step, finalize = ShardWorker.post_step, ShardWorker.finalize
+    previous = sys.gettrace()
+
+    def traced_post_step(self, horizon, inbox):
+        if sys.gettrace() is not count:
+            sys.settrace(count)
+        post_step(self, horizon, inbox)
+
+    def untraced_finalize(self):
+        sys.settrace(previous)
+        return finalize(self)
+
+    monkeypatch.setattr(ShardWorker, "post_step", traced_post_step)
+    monkeypatch.setattr(ShardWorker, "finalize", untraced_finalize)
+    try:
+        result = run_cluster(priority_survival_config(
+            StackMode.PRISM_SYNC, hosts=4, users=2_500, duration_ns=6 * MS,
+            seed=SEED), shards=1, processes=False)
+    finally:
+        sys.settrace(previous)
+    rows = result.conservation["cross_sent"]
+    assert rows > 10_000
+    per_row = frames / rows
+    assert per_row <= CLUSTER_BUDGET, (
+        f"fattree-k4: {per_row:.1f} Python frames per cross-host row "
+        f"(budget {CLUSTER_BUDGET})")

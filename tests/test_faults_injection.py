@@ -12,7 +12,8 @@ import pytest
 
 from repro.apps.sockperf import SockperfUdpClient, SockperfUdpServer
 from repro.bench.testbed import build_testbed
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.faults.conservation import PacketLedger
 from repro.netdev.nic import NicStage
 from repro.netdev.queues import PacketQueue

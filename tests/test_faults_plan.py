@@ -6,7 +6,8 @@ import pickle
 import pytest
 
 from repro.bench.experiment import ExperimentConfig
-from repro.bench.runner import _jsonable, config_key
+from repro.bench.digest import jsonable
+from repro.bench.runner import config_key
 from repro.faults import (
     FaultPlan,
     IrqLoss,
@@ -123,7 +124,7 @@ class TestConfigIntegration:
         assert ExperimentConfig().to_dict()["faults"] is None
 
     def test_none_is_written_to_jsonable(self):
-        assert _jsonable(ExperimentConfig())["faults"] is None
+        assert jsonable(ExperimentConfig())["faults"] is None
 
     def test_config_round_trips_with_plan(self):
         config = ExperimentConfig(faults=FaultPlan.parse("burst@1ms"))

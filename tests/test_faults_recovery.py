@@ -13,13 +13,13 @@ from repro.apps.sockperf import SockperfUdpClient, SockperfUdpServer
 from repro.apps.webserver import NginxServer, Wrk2Client
 from repro.bench.testbed import build_testbed
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     RecoveryStats,
     RetryPolicy,
     backoff_deadline_ns,
     merge_recovery,
 )
+from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryTracker
 from repro.sim.rng import SeededRng
 from repro.sim.units import MS, US

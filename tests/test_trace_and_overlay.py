@@ -252,6 +252,13 @@ class TestOverlayTopology:
         assert overlay.endpoint(Ipv4Address("10.0.0.2")) is endpoint
         with pytest.raises(KeyError):
             overlay.endpoint(Ipv4Address("10.0.0.3"))
+        overlay.register(endpoint)  # the same endpoint again is a no-op
+        moved = OverlayEndpoint(
+            ip=Ipv4Address("10.0.0.2"), mac=MacAddress(5),
+            host_ip=Ipv4Address("192.168.1.9"), host_mac=MacAddress(7))
+        with pytest.raises(ValueError, match="already registered"):
+            overlay.register(moved)
+        assert overlay.endpoint(Ipv4Address("10.0.0.2")) is endpoint
 
     def test_encap_info_targets_remote_host(self):
         testbed = build_testbed()
@@ -261,7 +268,8 @@ class TestOverlayTopology:
         assert encap.vni == testbed.overlay.vni
         assert encap.outer_dst_ip == testbed.client.ip
         assert encap.outer_src_ip == testbed.server.ip
-        del remote
+        # One frozen EncapInfo per destination, however it is spelled.
+        assert testbed.server_overlay.encap_to(remote.ip) is encap
 
     def test_container_bookkeeping(self):
         testbed = build_testbed()
