@@ -25,9 +25,9 @@ Package map
 - ``repro.sim`` — deterministic discrete-event engine;
 - ``repro.packet`` — headers, wire packets, sk_buffs, VXLAN framing;
 - ``repro.kernel`` — CPUs, softirqs, NAPI (vanilla Fig. 2 and PRISM
-  Fig. 7), GRO, RPS, the calibrated cost model;
+  Fig. 7), GRO, the calibrated cost model;
 - ``repro.netdev`` — NIC / vxlan+gro_cells / bridge / veth devices;
-- ``repro.stack`` — IP/UDP/TCP receive, sockets, namespaces, egress, tc;
+- ``repro.stack`` — IP/UDP/TCP receive, sockets, namespaces, egress;
 - ``repro.prism`` — the paper's contribution: modes, priority database,
   procfs control, classifier, stage transitions;
 - ``repro.overlay`` — the two-host container-overlay testbed;

@@ -1,12 +1,11 @@
 """Priority survival under cross-host ECMP contention.
 
-The closing experiment of the fabric PR: the same fat-tree cluster
-scenario — every host both serving and originating hi/lo flow classes
-toward every other host, paths spread by ECMP with flowlet switching —
-run once per stack mode.  The question it answers is the paper's,
-scaled out: does high-priority latency *survive* when the contention is
-no longer a single shared wire but a multi-hop fabric where hi and lo
-flowlets collide on ToR/agg/core links?
+The canonical fat-tree cluster cell: every host both serving and
+originating hi/lo flow classes toward every other host, paths spread by
+ECMP with flowlet switching.  Run once per stack mode, it asks the
+paper's question scaled out: does high-priority latency *survive* when
+the contention is no longer a single shared wire but a multi-hop fabric
+where hi and lo flowlets collide on ToR/agg/core links?
 
 Kept out of ``repro.fabric.__init__`` on purpose: this module imports
 :mod:`repro.shard`, which imports the fabric package — pulling it into
@@ -15,15 +14,12 @@ the package root would create an import cycle.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
-
 from repro.fabric.spec import Topology
 from repro.prism.mode import StackMode
-from repro.shard.cluster import ClusterConfig, ClusterResult, cluster_digest
-from repro.shard.executor import run_cluster
+from repro.shard.cluster import ClusterConfig
 from repro.sim.units import MS
 
-__all__ = ["priority_survival_config", "run_priority_survival"]
+__all__ = ["priority_survival_config"]
 
 
 def priority_survival_config(mode: StackMode, *, k: int = 4,
@@ -44,53 +40,3 @@ def priority_survival_config(mode: StackMode, *, k: int = 4,
         mode=mode,
         local_bg_pps=local_bg_pps,
         topology=spec)
-
-
-def run_priority_survival(*, k: int = 4, hosts: int = 8,
-                          users: int = 4_000, duration_ns: int = 8 * MS,
-                          seed: int = 0, shards: int = 1,
-                          processes: Optional[bool] = None,
-                          modes: Sequence[StackMode] = (
-                              StackMode.VANILLA, StackMode.PRISM_SYNC),
-                          ) -> Dict[str, Any]:
-    """Run the survival cell once per mode and compare hi-class tails.
-
-    Returns a dict with one entry per mode (full
-    :meth:`~repro.shard.cluster.ClusterResult.to_dict` payload) plus a
-    ``comparison`` block: hi-class p50/p99 per mode and the
-    vanilla/prism p99 ratio — the headline "does priority survive the
-    fabric" number (> 1 means Prism holds the tail down).
-    """
-    results: Dict[str, ClusterResult] = {}
-    for mode in modes:
-        config = priority_survival_config(
-            mode, k=k, hosts=hosts, users=users,
-            duration_ns=duration_ns, seed=seed)
-        results[mode.value] = run_cluster(config, shards=shards,
-                                          processes=processes)
-
-    comparison: Dict[str, Any] = {}
-    for name, result in results.items():
-        summary = result.fg_latency
-        comparison[name] = {
-            "digest": cluster_digest(result),
-            "hi_p50_us": None if summary is None else summary.p50_us,
-            "hi_p99_us": None if summary is None else summary.p99_us,
-            "hi_replies": result.totals["hi"]["replies"],
-            "lo_replies": result.totals["lo"]["replies"],
-        }
-    vanilla = results.get(StackMode.VANILLA.value)
-    prism = next((results[m.value] for m in modes if m.is_prism
-                  and m.value in results), None)
-    if (vanilla is not None and prism is not None
-            and vanilla.fg_latency is not None
-            and prism.fg_latency is not None
-            and prism.fg_latency.p99_ns > 0):
-        comparison["hi_p99_ratio_vanilla_over_prism"] = (
-            vanilla.fg_latency.p99_ns / prism.fg_latency.p99_ns)
-
-    return {
-        "modes": {name: result.to_dict()
-                  for name, result in results.items()},
-        "comparison": comparison,
-    }

@@ -13,7 +13,6 @@ modifies or depends on:
 - :mod:`~repro.kernel.net_rx_prism` — PRISM's ``net_rx_action`` exactly as
   the paper's Fig. 7 pseudocode;
 - :mod:`~repro.kernel.gro` — generic receive offload (coalescing);
-- :mod:`~repro.kernel.rps` — receive packet steering;
 - :mod:`~repro.kernel.config` — per-host kernel configuration knobs.
 """
 

@@ -38,9 +38,6 @@ class KernelConfig:
     #: TCP maximum segment size / link MTU.
     mss: int = 1_448
     mtu: int = 1_500
-    #: Receive packet steering: spread flows over CPUs by flow hash.
-    #: Off by default (the paper pins all processing to one core, §V-A).
-    rps_enabled: bool = False
     #: Future-work extension (§VII-1): the NIC classifies into dual rx
     #: rings in "hardware", giving stage-1 priority differentiation.
     nic_priority_rings: bool = False

@@ -74,8 +74,6 @@ class Kernel:
         self.skb_pool = SkbPool()
         #: Drop counters by queue name (populated via :meth:`count_drop`).
         self.drops: Dict[str, int] = {}
-        #: Optional receive packet steering (see :meth:`enable_rps`).
-        self.rps = None
         #: Fault injector (:class:`repro.faults.FaultInjector`) or None.
         #: Consulted at rx-ring admission, NAPI-queue admission, skb
         #: allocation, and IRQ delivery.  Not a tracer subscriber: it
@@ -85,12 +83,6 @@ class Kernel:
         #: or None; set together with ``faults`` when a FaultPlan is
         #: installed.
         self.ledger = None
-
-    def enable_rps(self, cpu_ids) -> None:
-        """Spread incoming flows over *cpu_ids* by flow hash."""
-        from repro.kernel.rps import RpsSteering
-        self.rps = RpsSteering(self, list(cpu_ids))
-        self.config = self.config.replace(rps_enabled=True)
 
     def stage_costs(self, base_ns: int, *,
                     is_copy_stage: bool = False) -> StageCostTable:
@@ -117,8 +109,7 @@ class Kernel:
         #: Kernel bypass: every skb runs every stage inline (build time).
         self.bypass = mode is StackMode.BYPASS
         # BYPASS shares the vanilla handler: the PMD never raises NET_RX
-        # for the physical NIC, but RPS re-steering can still land skbs
-        # in a remote backlog, which drains FIFO.
+        # for the physical NIC.
         self._net_rx_action = (net_rx_action_prism if self.prism
                                else net_rx_action_vanilla)
 

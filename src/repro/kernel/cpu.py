@@ -281,7 +281,7 @@ class CpuCore:
         is no work: nothing is booked and nobody waits.
 
         This is the one protocol of softirq handlers and of everything
-        they call (polls, the stage hand-off, RPS steering): yield only
+        they call (polls, the stage hand-off): yield only
         waits this function has charged.
         """
         sim = self.sim

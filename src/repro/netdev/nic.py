@@ -142,7 +142,6 @@ class NicNapi(NapiStruct):
         pool = kernel.skb_pool
         classify = kernel.classifier.classify
         prism = kernel.prism
-        rps = kernel.rps if kernel.config.rps_enabled else None
         stage = self.stage
         softnet = self.softnet
         track = self._track() if spans else None
@@ -189,19 +188,12 @@ class NicNapi(NapiStruct):
                     tracer.emit(TracePoint.SPAN_BEGIN, track=track,
                                 name=f"skb:{stage.name}",
                                 hp=skb.is_high_priority)
-            # Receive packet steering: hand the skb to the flow's CPU
-            # before the heavy protocol work, always by enqueueing (never
-            # inline): the whole point is to run the work elsewhere.
-            target = softnet if rps is None else rps.target_softnet(packet)
-            if target is not softnet:
-                yield from rps.steer(skb, target, charge)
-            else:
-                ns = stage.cost(skb)
-                if charge(ns):
-                    yield ns
-                napi = stage.run(skb, softnet)
-                if napi is not None:
-                    yield from hand_off(napi, skb, gates, charge)
+            ns = stage.cost(skb)
+            if charge(ns):
+                yield ns
+            napi = stage.run(skb, softnet)
+            if napi is not None:
+                yield from hand_off(napi, skb, gates, charge)
             if traced:
                 if spans:
                     tracer.emit(TracePoint.SPAN_END, track=track,
@@ -236,9 +228,6 @@ class PhysicalNic(NetDevice):
         self.napi = NicNapi(self)
         self.napi.softnet = self.softnet
         self.napi.on_complete = self._on_napi_complete
-        # RPS enqueues NIC skbs to a remote CPU's backlog, which
-        # dispatches by skb.dev.rx_stage — point it at the driver stage.
-        self.rx_stage = self.napi.stage
         self.irq_enabled = True
         self.vxlan_by_vni: Dict[int, "VxlanDevice"] = {}
         # Interrupt moderation state: at most one rx interrupt per

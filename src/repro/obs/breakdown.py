@@ -13,7 +13,7 @@ over packets preserves that identity only when every packet has the same
 milestone sequence, so the breakdown is computed over the *modal path*
 (the most common stage signature — e.g. ``eth → br → veth`` for overlay,
 ``eth`` alone for host networking); packets on other paths (GRO-merged
-segments that skip stages, drops, RPS-steered strays) are excluded and
+segments that skip stages, drops) are excluded and
 counted.  The invariant
 
     sum(segment means) == mean end-to-end latency   (exactly)

@@ -3,8 +3,8 @@
 A :class:`FlowKey` is the classic 5-tuple.  :func:`rss_hash` approximates
 the NIC's Toeplitz receive-side-scaling hash: a deterministic hash of the
 tuple used to pick an rx queue / CPU.  The PRISM experiments pin all
-network processing to one core (paper §V-A), but RSS/RPS steering is
-modelled so multi-core scenarios work too.
+network processing to one core (paper §V-A); the hash also derives the
+VXLAN outer source port from the inner 5-tuple.
 """
 
 from __future__ import annotations

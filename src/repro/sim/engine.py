@@ -7,27 +7,15 @@ set of *occurrences*.  Every occurrence — a plain callback registered with
 ``[time, seq, fn, args]``, so the hot loop dispatches through a single
 indirect call with no per-occurrence ``isinstance``.
 
-Storage is a hierarchical timer wheel with a binary-heap overflow:
-
-- **level 0**: 64 slots of 4.096 µs — the softirq/NAPI delay range that
-  dominates real workloads.  Insertion is a plain ``list.append``.
-- **level 1**: 64 slots of 262.144 µs (horizon ≈ 16.8 ms).  When the
-  level-0 cursor crosses into a new level-1 slot, that slot's entries
-  cascade down into level 0.
-- **overflow heap**: anything beyond the wheel horizon (long experiment
-  timers, end-of-warmup marks).
-
-The slot currently being drained is kept as a small binary heap
-(``_cur``), so exact ``(time, seq)`` order inside a slot — and therefore
-FIFO tie-breaking at equal timestamps — is identical to a single global
-heap.  The main loop merges ``_cur`` with the overflow heap by comparing
-their minima, which preserves total order across both structures.
+Storage is one binary heap (``heapq``) ordered by ``(time, seq)``, so
+the hot loop pops the globally earliest occurrence, and FIFO tie-breaking
+at equal timestamps falls out of the sequence number.
 
 Cancellation is O(1) (``entry[fn] = None``); dead entries are skipped when
 popped.  Because flood workloads can cancel far-future timers that would
 otherwise bloat the pending set for their full delay, the simulator
 compacts lazily: when cancelled entries outnumber live ones (beyond a
-minimum threshold) every structure is filtered in place.
+minimum threshold) the heap is filtered in place.
 
 Run-ahead: inside :meth:`Simulator.run`, a process sleeping until a time
 that is within the horizon and strictly earlier than every queued entry
@@ -62,16 +50,6 @@ _TIME = 0
 _SEQ = 1
 _FN = 2
 _ARGS = 3
-
-# Timer-wheel geometry.  Level 0: 64 slots x 4.096 us; level 1: 64 slots
-# x 262.144 us.  64 level-0 slots fit exactly one level-1 slot, so the
-# cascade boundary is `slot_number % 64 == 0`.
-_L0_SHIFT = 12
-_L0_SLOTS = 64
-_L0_MASK = _L0_SLOTS - 1
-_L1_SHIFT = _L0_SHIFT + 6
-_L1_SLOTS = 64
-_L1_MASK = _L1_SLOTS - 1
 
 # Compaction trigger: at least this many cancelled entries *and* more
 # cancelled than live.
@@ -133,13 +111,11 @@ class ScheduledCall:
         entry[_FN] = None
         entry[_ARGS] = ()
         sim = self._sim
-        # Eager reap when the entry heads a structure: pop it now instead
-        # of leaving a tombstone for the hot loop to skip.  Matters for
-        # the per-op retry timers of the loss-recovery layer, which are
+        # Eager reap when the entry heads the heap: pop it now instead of
+        # leaving a tombstone for the hot loop to skip.  Matters for the
+        # per-op retry timers of the loss-recovery layer, which are
         # scheduled and cancelled once per completed request.
-        if sim._cur and sim._cur[0] is entry:
-            heappop(sim._cur)
-        elif sim._heap and sim._heap[0] is entry:
+        if sim._heap and sim._heap[0] is entry:
             heappop(sim._heap)
         else:
             sim._note_cancel()
@@ -215,15 +191,8 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._processes: List[Process] = []
-        # Occurrence storage: current-slot mini-heap, two wheel levels,
-        # and the long-delay overflow heap.
-        self._cur: List[list] = []
+        # Occurrence storage: one heap of [time, seq, fn, args] entries.
         self._heap: List[list] = []
-        self._l0: List[List[list]] = [[] for _ in range(_L0_SLOTS)]
-        self._l1: List[List[list]] = [[] for _ in range(_L1_SLOTS)]
-        self._l0_count = 0
-        self._l1_count = 0
-        self._drain_sn = 0  # absolute level-0 slot number feeding _cur
         self._n_cancelled = 0
         self._n_processed = 0
         # Run-ahead bound and horizon (see _ra_refresh).
@@ -275,26 +244,7 @@ class Simulator:
         entry = [time, self._seq, fn, args]
         if time < self._ra_bound:
             self._ra_bound = time
-        if not self._l0_count and not self._l1_count and not self._cur:
-            # Wheel empty: re-anchor it at the clock so short delays keep
-            # landing in cheap slots after long quiet gaps.
-            self._drain_sn = self.now >> _L0_SHIFT
-        sn = time >> _L0_SHIFT
-        dsn = sn - self._drain_sn
-        if dsn <= 0:
-            # Current (or re-anchored past) slot: ordered insertion into
-            # the active mini-heap keeps the global order exact.
-            heappush(self._cur, entry)
-        elif dsn < _L0_SLOTS:
-            self._l0[sn & _L0_MASK].append(entry)
-            self._l0_count += 1
-        else:
-            sn1 = time >> _L1_SHIFT
-            if sn1 - (self._drain_sn >> 6) < _L1_SLOTS:
-                self._l1[sn1 & _L1_MASK].append(entry)
-                self._l1_count += 1
-            else:
-                heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -315,64 +265,8 @@ class Simulator:
         return proc
 
     # ------------------------------------------------------------------
-    # Timer-wheel internals
+    # Run-ahead
     # ------------------------------------------------------------------
-    def _cascade(self, sn1: int) -> None:
-        """Move one level-1 slot's entries down into level 0."""
-        index = sn1 & _L1_MASK
-        bucket = self._l1[index]
-        if not bucket:
-            return
-        self._l1[index] = []
-        self._l1_count -= len(bucket)
-        l0 = self._l0
-        for entry in bucket:
-            l0[(entry[_TIME] >> _L0_SHIFT) & _L0_MASK].append(entry)
-        self._l0_count += len(bucket)
-
-    def _advance(self) -> None:
-        """Make ``_cur`` the earliest non-empty wheel slot.
-
-        Precondition: ``_cur`` is empty and the wheel holds entries.
-        """
-        l0 = self._l0
-        while True:
-            if not self._l0_count:
-                # Level 0 drained: fast-forward to the next populated
-                # level-1 slot instead of walking empty slots one by one.
-                sn1 = self._drain_sn >> 6
-                for hop in range(1, _L1_SLOTS + 1):
-                    if self._l1[(sn1 + hop) & _L1_MASK]:
-                        break
-                else:
-                    raise SimulationError("timer wheel accounting corrupted")
-                self._drain_sn = ((sn1 + hop) << 6) - 1
-            self._drain_sn += 1
-            sn = self._drain_sn
-            if not sn & _L0_MASK and self._l1_count:
-                self._cascade(sn >> 6)
-            index = sn & _L0_MASK
-            bucket = l0[index]
-            if bucket:
-                l0[index] = []
-                self._l0_count -= len(bucket)
-                heapify(bucket)
-                self._cur = bucket
-                return
-
-    def _min_source(self) -> Optional[List[list]]:
-        """The structure holding the globally minimal entry, or None."""
-        cur = self._cur
-        if not cur and (self._l0_count or self._l1_count):
-            self._advance()
-            cur = self._cur
-        heap = self._heap
-        if cur:
-            if heap and heap[0] < cur[0]:
-                return heap
-            return cur
-        return heap if heap else None
-
     def _ra_refresh(self) -> None:
         """Recompute the run-ahead bound ``_ra_bound`` from the queue.
 
@@ -384,9 +278,8 @@ class Simulator:
         no resume time is below: being outside :meth:`run` (so
         ``step()`` keeps its one-occurrence meaning), and
         :meth:`Event._process` holding it there while further callbacks
-        of the same event still have to run.  An empty ``_cur`` is
-        refilled from the wheel first, as the loop would do next;
-        cancelled entries only make the bound conservative.
+        of the same event still have to run.  Cancelled entries only make
+        the bound conservative.
 
         The bound is kept current rather than recomputed on demand:
         :meth:`run` sets it after every pop (this computation, inlined),
@@ -395,12 +288,6 @@ class Simulator:
         """
         bound = self._ra_horizon
         if bound:  # inside run(): the horizon is until + 1 >= 1
-            cur = self._cur
-            if not cur and (self._l0_count or self._l1_count):
-                self._advance()
-                cur = self._cur
-            if cur and cur[0][_TIME] < bound:
-                bound = cur[0][_TIME]
             heap = self._heap
             if heap and heap[0][_TIME] < bound:
                 bound = heap[0][_TIME]
@@ -412,8 +299,7 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Entries awaiting processing (including not-yet-reaped cancels)."""
-        return (len(self._cur) + len(self._heap)
-                + self._l0_count + self._l1_count)
+        return len(self._heap)
 
     def _note_cancel(self) -> None:
         self._n_cancelled += 1
@@ -422,19 +308,10 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled entry from every structure."""
-        self._cur = [e for e in self._cur if e[_FN] is not None]
-        heapify(self._cur)
-        # In-place so aliases of the overflow heap stay valid.
+        """Drop every cancelled entry from the heap."""
+        # In place: run() holds its own reference to the list.
         self._heap[:] = [e for e in self._heap if e[_FN] is not None]
         heapify(self._heap)
-        for level, attr in ((self._l0, "_l0_count"), (self._l1, "_l1_count")):
-            count = 0
-            for i, bucket in enumerate(level):
-                if bucket:
-                    level[i] = [e for e in bucket if e[_FN] is not None]
-                    count += len(level[i])
-            setattr(self, attr, count)
         self._n_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -444,26 +321,22 @@ class Simulator:
         """Virtual time of the next live occurrence, or None if empty."""
         if self._running:
             raise SimulationError("peek() is not allowed inside run()")
-        while True:
-            src = self._min_source()
-            if src is None:
-                return None
-            entry = src[0]
-            if entry[_FN] is None:
-                heappop(src)
-                self._n_cancelled -= 1
-                continue
-            return entry[_TIME]
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[_FN] is not None:
+                return entry[_TIME]
+            heappop(heap)
+            self._n_cancelled -= 1
+        return None
 
     def step(self) -> bool:
         """Process one occurrence.  Returns False when the queue is empty."""
         if self._running:
             raise SimulationError("step() is not allowed inside run()")
-        while True:
-            src = self._min_source()
-            if src is None:
-                return False
-            entry = heappop(src)
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             fn = entry[_FN]
             if fn is None:
                 self._n_cancelled -= 1
@@ -475,6 +348,7 @@ class Simulator:
             self._n_processed += 1
             fn(*entry[_ARGS])
             return True
+        return False
 
     def run_window(self, horizon: int) -> int:
         """Advance to exactly *horizon* (ns) and count occurrences run.
@@ -516,25 +390,15 @@ class Simulator:
         horizon = self._ra_horizon = (
             limit + 1 if self._RUN_AHEAD else 0)
         # The heap list object is stable (compaction filters in place),
-        # so hoist the attribute loads out of the hot loop.
+        # so hoist the attribute load out of the hot loop.
         heap = self._heap
         popped = 0
         try:
-            while True:
-                cur = self._cur
-                if not cur and (self._l0_count or self._l1_count):
-                    self._advance()
-                    cur = self._cur
-                if cur:
-                    src = heap if heap and heap[0] < cur[0] else cur
-                elif heap:
-                    src = heap
-                else:
-                    break
-                entry = src[0]
+            while heap:
+                entry = heap[0]
                 fn = entry[2]  # _FN
                 if fn is None:
-                    heappop(src)
+                    heappop(heap)
                     self._n_cancelled -= 1
                     continue
                 time = entry[0]  # _TIME
@@ -542,21 +406,13 @@ class Simulator:
                     break
                 if time < self.now:
                     raise _backwards(time, self.now)
-                heappop(src)
+                heappop(heap)
                 entry[2] = None
                 self.now = time
                 popped += 1
                 # The pop raised the run-ahead bound: _ra_refresh, inlined.
-                cur = self._cur
-                if not cur and (self._l0_count or self._l1_count):
-                    self._advance()
-                    cur = self._cur
-                bound = horizon
-                if cur and cur[0][0] < bound:
-                    bound = cur[0][0]
-                if heap and heap[0][0] < bound:
-                    bound = heap[0][0]
-                self._ra_bound = bound
+                bound = heap[0][0] if heap else horizon
+                self._ra_bound = bound if bound < horizon else horizon
                 fn(*entry[3])  # _ARGS
             if until is not None and until > self.now:
                 self.now = until

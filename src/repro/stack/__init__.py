@@ -10,9 +10,8 @@
   validation and demux to sockets (cost is charged by the calling stage);
 - :mod:`~repro.stack.fdb` — the learning forwarding database used by the
   Linux bridge;
-- :mod:`~repro.stack.tc` — egress queueing disciplines (pfifo, prio),
-  modelling the transmit-side prioritization the kernel already has
-  (paper §I notes *tc* exists only for tx).
+- :mod:`~repro.stack.egress` — packet builders and the host transmit
+  path (TSO-style segmentation, VXLAN encap).
 """
 
 from repro.stack.fdb import Fdb

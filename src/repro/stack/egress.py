@@ -4,8 +4,8 @@ The paper's contribution is receive-side only, so the tx path is modelled
 coarsely but completely: packet construction, TSO-style segmentation of
 large TCP sends into MSS-sized wire segments (what turns the Fig. 13
 64 KB background messages into MTU packet storms), VXLAN encapsulation for
-overlay destinations, an optional egress qdisc, and per-packet/per-byte
-CPU cost charged to the sending application's core.
+overlay destinations, and per-packet/per-byte CPU cost charged to the
+sending application's core.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.stack.tcp import TcpMessage, TcpSegment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
-    from repro.stack.tc import Qdisc
 
 __all__ = ["EncapInfo", "EgressPath", "build_udp_packet",
            "build_tcp_segments", "apply_encap"]
@@ -103,11 +102,9 @@ class EgressPath:
     """
 
     def __init__(self, kernel: "Kernel",
-                 transmit: Callable[[Packet], None],
-                 qdisc: Optional["Qdisc"] = None) -> None:
+                 transmit: Callable[[Packet], None]) -> None:
         self.kernel = kernel
         self.transmit = transmit
-        self.qdisc = qdisc
         self._builder = CachedUdpBuilder()
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -149,10 +146,4 @@ class EgressPath:
     def _send(self, packet: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.wire_len
-        if self.qdisc is not None:
-            self.qdisc.enqueue(packet)
-            dequeued = self.qdisc.dequeue()
-            if dequeued is not None:
-                self.transmit(dequeued)
-        else:
-            self.transmit(packet)
+        self.transmit(packet)

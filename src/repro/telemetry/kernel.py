@@ -16,7 +16,7 @@ Two classes of instrumentation, deliberately split:
 - **Scrape-on-collect** (:meth:`collect`) reads accounting the simulated
   kernel maintains anyway — per-context CPU time, ``kernel.drops``,
   queue depth/high-watermark/enqueue counters, device rx counters,
-  bridge/RPS/GRO totals — into the registry at collection time, so the
+  bridge/GRO totals — into the registry at collection time, so the
   unmetered hot path carries zero extra bookkeeping.
 
 :meth:`bind_run` additionally exports the bench harness's own meters
@@ -102,8 +102,6 @@ class KernelTelemetry:
             ("bridge",))
         self._bridge_flood_drops = reg.counter(
             "repro_bridge_flood_drops", "Bridge FDB-miss drops", ("bridge",))
-        self._rps_steered = reg.counter(
-            "repro_rps_steered", "Skbs RPS steered to another CPU", ())
         self._gro_segments = reg.counter(
             "repro_gro_merged_segments", "Segments held in GRO super-skbs",
             ("device",))
@@ -324,8 +322,6 @@ class KernelTelemetry:
         for device_name, gro in self._watched_gro:
             self._gro_segments.labels(device_name).set_total(
                 gro.merged_segments)
-        if kernel.rps is not None:
-            self._rps_steered.set_total(kernel.rps.steered)
         for stats in self._watched_recovery:
             for event in ("sent", "retries", "timeouts", "gave_up",
                           "duplicates"):

@@ -14,8 +14,8 @@ stacks equals that core's cumulative softirq time (within one partial
 CPU slice at simulation end).  This is what :meth:`folded` /
 :meth:`write_folded` export — ready for ``flamegraph.pl`` or speedscope.
 
-**Periodic stack sampling.**  Independently, the engine's timer wheel
-fires :meth:`SimProfiler.start` 's sampler every *sample_interval_ns* of
+**Periodic stack sampling.**  Independently, a :meth:`Simulator.every`
+timer fires :meth:`SimProfiler.start` 's sampler every *sample_interval_ns* of
 simulated time and records each track's current stack — the (cpu, stage,
 device, flow-priority) context active at that instant.  The samples feed
 a self-contained speedscope JSON ("sampled" profile type).  Sampling is

@@ -1,8 +1,6 @@
 """Tests for the device drivers: NIC (irq/moderation/rings), bridge,
 veth, vxlan gro_cells, and the GRO engine."""
 
-import pytest
-
 from repro.bench.testbed import build_testbed
 from repro.kernel.config import KernelConfig
 from repro.kernel.core import Kernel
@@ -256,45 +254,3 @@ class TestGroEndToEnd:
         assert vxlan.rx_packets == 14
         assert vxlan.gro.merged_segments > 0
         assert endpoint.messages_delivered == 1
-
-
-class TestRps:
-    def test_steering_distributes_and_delivers(self):
-        testbed = build_testbed(n_cpus=4)
-        testbed.server.kernel.enable_rps([0, 1, 2, 3])
-        socket = testbed.server.udp_socket(7000, core_id=1)
-        # Many flows -> several CPUs see work.
-        for sport in range(30001, 30033):
-            packet = build_udp_packet(
-                src_mac=MAC_A, dst_mac=MAC_B,
-                src_ip=Ipv4Address("192.168.1.2"),
-                dst_ip=Ipv4Address("192.168.1.1"),
-                src_port=sport, dst_port=7000, payload=None, payload_len=32)
-            testbed.server.nic.receive(packet)
-        testbed.sim.run(until=5 * MS)
-        assert socket.delivered == 32
-        assert testbed.server.kernel.rps.steered > 0
-        busy_cpus = sum(
-            1 for cpu in testbed.server.kernel.cpus if cpu.stats.busy_ns > 0)
-        assert busy_cpus >= 2
-
-    def test_rps_requires_valid_cpus(self):
-        testbed = build_testbed(n_cpus=2)
-        with pytest.raises(ValueError):
-            testbed.server.kernel.enable_rps([0, 5])
-        with pytest.raises(ValueError):
-            testbed.server.kernel.enable_rps([])
-
-    def test_same_flow_stays_on_one_cpu(self):
-        testbed = build_testbed(n_cpus=4)
-        testbed.server.kernel.enable_rps([1, 2, 3])
-        socket = testbed.server.udp_socket(7000, core_id=1)
-        for _ in range(20):
-            testbed.server.nic.receive(plain_packet())
-        testbed.sim.run(until=5 * MS)
-        assert socket.delivered == 20
-        # Exactly one of the RPS target CPUs did the protocol work.
-        from repro.kernel.cpu import CpuContext
-        softirq_cpus = [cpu.core_id for cpu in testbed.server.kernel.cpus[1:]
-                        if cpu.stats.ns[CpuContext.SOFTIRQ] > 0]
-        assert len(softirq_cpus) == 1

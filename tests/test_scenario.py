@@ -98,6 +98,16 @@ class TestValidation:
         with pytest.raises(TypeError):
             Scenario().costs(wakeup=1)
 
+    def test_removed_rps_knob_rejected(self):
+        """Receive packet steering is gone: its knob is refused, not
+        accepted and ignored."""
+        with pytest.raises(TypeError):
+            Scenario().kernel(rps_enabled=True)
+        data = Scenario().kernel(napi_weight=16).build().to_dict()
+        data["kernel_config"]["rps_enabled"] = True
+        with pytest.raises(TypeError):
+            ExperimentConfig.from_dict(data)
+
 
 class TestExecution:
     def test_run_matches_run_experiment(self):

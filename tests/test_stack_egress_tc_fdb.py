@@ -1,4 +1,4 @@
-"""Tests for the egress path (builders, TSO, encap), tc qdiscs, and FDB."""
+"""Tests for the egress path (builders, TSO, encap) and the FDB."""
 
 import pytest
 from hypothesis import given
@@ -17,7 +17,6 @@ from repro.stack.egress import (
     build_udp_packet,
 )
 from repro.stack.fdb import Fdb
-from repro.stack.tc import PfifoQdisc, PrioQdisc
 from repro.stack.tcp import TcpMessage, TcpSegment
 
 MAC_A = MacAddress(1)
@@ -136,67 +135,6 @@ class TestEgressPath:
             payload=None, payload_len=64, **kwargs()))
         assert egress.packets_sent == 1
         assert egress.bytes_sent == sent[0].wire_len
-
-    def test_qdisc_in_path(self):
-        sim, kernel, _egress, _ = self._make()
-        sent = []
-        qdisc = PfifoQdisc(capacity=10)
-        egress = EgressPath(kernel, transmit=sent.append, qdisc=qdisc)
-        self._drive(sim, kernel, egress.udp_send(
-            payload=None, payload_len=64, **kwargs()))
-        assert len(sent) == 1
-        assert len(qdisc) == 0
-
-
-class TestQdiscs:
-    def _packet(self, dport=2000):
-        return build_udp_packet(payload=None, payload_len=10,
-                                **kwargs(dst_port=dport))
-
-    def test_pfifo_order(self):
-        qdisc = PfifoQdisc(capacity=3)
-        packets = [self._packet() for _ in range(3)]
-        for packet in packets:
-            assert qdisc.enqueue(packet)
-        assert [qdisc.dequeue() for _ in range(3)] == packets
-        assert qdisc.dequeue() is None
-
-    def test_pfifo_overflow(self):
-        qdisc = PfifoQdisc(capacity=1)
-        assert qdisc.enqueue(self._packet())
-        assert not qdisc.enqueue(self._packet())
-        assert qdisc.dropped == 1
-
-    def test_prio_strict_ordering(self):
-        qdisc = PrioQdisc(bands=2,
-                          classify=lambda p: 0 if p.l4.dst_port == 53 else 1)
-        bulk = self._packet(dport=2000)
-        dns = self._packet(dport=53)
-        qdisc.enqueue(bulk)
-        qdisc.enqueue(dns)
-        assert qdisc.dequeue() is dns
-        assert qdisc.dequeue() is bulk
-
-    def test_prio_default_classifier_uses_last_band(self):
-        qdisc = PrioQdisc(bands=3)
-        packet = self._packet()
-        qdisc.enqueue(packet)
-        assert len(qdisc.bands[2]) == 1
-
-    def test_prio_band_clamping(self):
-        qdisc = PrioQdisc(bands=2, classify=lambda p: 99)
-        qdisc.enqueue(self._packet())
-        assert len(qdisc.bands[1]) == 1
-
-    def test_prio_requires_bands(self):
-        with pytest.raises(ValueError):
-            PrioQdisc(bands=0)
-
-    def test_len_totals(self):
-        qdisc = PrioQdisc(bands=2, classify=lambda p: 0)
-        qdisc.enqueue(self._packet())
-        qdisc.enqueue(self._packet())
-        assert len(qdisc) == 2
 
 
 class TestFdb:
