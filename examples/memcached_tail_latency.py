@@ -10,27 +10,25 @@ Run:
 """
 
 from repro import StackMode
-from repro.bench.applications import AppBenchConfig, run_memcached_benchmark
+from repro.scenario import Scenario
 
 
 def main() -> None:
     print("memcached (memaslap window=4, 9:1 get:set, 1KB values)\n")
     print(f"{'config':24s} {'ops/s':>10s} {'avg':>9s} {'p99':>9s}")
-    baseline = None
     for mode in (StackMode.VANILLA, StackMode.PRISM_SYNC):
         for busy in (False, True):
-            result = run_memcached_benchmark(
-                AppBenchConfig(mode=mode, busy=busy))
+            scenario = Scenario(mode=mode).foreground("memcached")
+            if busy:
+                scenario = scenario.background(rate_pps=300_000)
+            result = scenario.run()
             label = f"{mode.value}/{'busy' if busy else 'idle'}"
-            latency = result.latency
-            print(f"{label:24s} {result.throughput_per_sec:>10,.0f} "
+            latency = result.fg_latency
+            print(f"{label:24s} {result.fg_delivered_pps:>10,.0f} "
                   f"{latency.avg_us:>8.1f}u {latency.p99_us:>8.1f}u")
-            if mode is StackMode.VANILLA and busy:
-                baseline = result
     print()
-    if baseline is not None:
-        print("Paper: busy vanilla loses ~80% throughput and 5x latency;")
-        print("PRISM roughly doubles busy throughput and halves latency.")
+    print("Paper: busy vanilla loses ~80% throughput and 5x latency;")
+    print("PRISM roughly doubles busy throughput and halves latency.")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,8 @@
   (fully simulated server + coarse client, point-to-point wire, VXLAN
   overlay);
 - :mod:`~repro.bench.experiment` — experiment configuration and runner
-  for the microbenchmarks (Figs. 3, 8–11);
-- :mod:`~repro.bench.applications` — runners for the application
-  benchmarks (memcached — Fig. 12; web server — Fig. 13);
+  for every figure cell: the sockperf microbenchmarks (Figs. 3, 8–11)
+  and the memcached (Fig. 12) and web server (Fig. 13) applications;
 - :mod:`~repro.bench.runner` — parallel fan-out, on-disk result caching,
   and repeat-run stability statistics for independent experiments;
 - :mod:`~repro.bench.report` — paper-vs-measured tables.

@@ -60,6 +60,13 @@ class ExperimentCell:
 
         if config.network not in ("overlay", "host"):
             raise ValueError(f"unknown network type {config.network!r}")
+        if config.fg_kind not in _experiment.FG_KINDS:
+            raise ValueError(f"unknown foreground kind {config.fg_kind!r}; "
+                             f"expected one of {_experiment.FG_KINDS}")
+        if (config.network == "host"
+                and config.fg_kind in _experiment.APP_KINDS):
+            raise ValueError(f"foreground kind {config.fg_kind!r} runs on "
+                             "the overlay only")
         self.config = config
         self.testbed = build_testbed(seed=config.seed, costs=config.costs,
                                      config=config.kernel_config,
@@ -143,6 +150,8 @@ class ExperimentCell:
         window = config.duration_ns
         # Select the counter source by network type: host runs count in the
         # local `counters` dict, overlay runs count in the sockperf client.
+        # An application client counts only completed operations
+        # (fg_delivered_pps), so its sent/replies read 0 here.
         # (Selecting by truthiness would silently fall through on a host run
         # that legitimately sent zero packets.)
         if config.network == "host":

@@ -1,11 +1,13 @@
-"""Microbenchmark experiment runner (paper Figs. 3, 8, 9, 10, 11).
+"""Experiment runner (paper Figs. 3, 8-13).
 
 One :class:`ExperimentConfig` describes a complete scenario: network type
-(overlay/host), stack mode, foreground flow (ping-pong latency or flood
-throughput), optional low-priority background flood, durations, and
-knobs.  :func:`run_experiment` builds the testbed, runs it, and returns
-an :class:`ExperimentResult` with latency summaries, delivered rates, CPU
-utilization of the packet-processing core, and drop counters.
+(overlay/host), stack mode, foreground (:data:`FG_KINDS`: sockperf
+ping-pong latency or flood throughput, or the memcached/memaslap and
+nginx/wrk2 applications), optional low-priority background flood,
+durations, and knobs.  :func:`run_experiment` builds the testbed, runs
+it, and returns an :class:`ExperimentResult` with latency summaries,
+delivered rates, CPU utilization of the packet-processing core, and drop
+counters.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ __all__ = [
 FG_PORT = 11111
 BG_PORT = 12222
 
+#: Foreground kinds.  "pingpong" measures sockperf latency and "flood"
+#: delivered throughput; "memcached" (memaslap, Fig. 12) and "web"
+#: (wrk2 against nginx, Fig. 13) measure an application's latency and
+#: completed operations per second, on the overlay only.
+FG_KINDS = ("pingpong", "flood", "memcached", "web")
+APP_KINDS = ("memcached", "web")
+
+#: memaslap's window of outstanding requests (Fig. 12).
+MEMASLAP_WINDOW = 4
+#: wrk2's target rate: it drives its single connection at saturation
+#: (the paper's coupled latency/throughput movements imply a closed
+#: loop), so it measures from the actual write.
+WRK2_RATE_RPS = 50_000.0
+
 #: Bump when the to_dict()/from_dict() wire format changes.
 SCHEMA_VERSION = 1
 
@@ -72,14 +88,16 @@ class ExperimentConfig:
     mode: StackMode = StackMode.VANILLA
     #: "overlay" (3-stage container pipeline) or "host" (single stage).
     network: str = "overlay"
-    #: Foreground flow: "pingpong" measures latency; "flood" measures
-    #: delivered throughput.
+    #: Foreground flow, one of :data:`FG_KINDS`.  The sockperf kinds
+    #: use the rate and payload below; the application kinds ignore them.
     fg_kind: str = "pingpong"
     fg_rate_pps: float = 1_000.0
     fg_payload_len: int = 16
     #: Mark the foreground flow high-priority in the PRISM database.
     fg_high_priority: bool = True
-    #: Background low-priority UDP flood (0 disables it).
+    #: Background low-priority UDP flood (0 disables it).  Behind a
+    #: "web" foreground it is a TCP flood instead: the rate counts
+    #: messages per second and the payload is the message length.
     bg_rate_pps: float = 0.0
     bg_payload_len: int = 32
     #: Background burstiness (packets sent back-to-back per burst);
@@ -272,7 +290,6 @@ class ExperimentResult:
 def _host_network_setup(testbed: Testbed, config: ExperimentConfig,
                         recorder: LatencyRecorder):
     """Foreground/background served by host (root-namespace) sockets."""
-    from repro.apps.remote import RemoteRequestSender  # local, avoids cycle
     from repro.apps.sockperf import PingRecord
     from repro.fastpath.headercache import CachedUdpBuilder
     import itertools
@@ -374,54 +391,124 @@ def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
 
     With a *telemetry* hub the sockperf servers export through it."""
     sim = testbed.sim
-    fg_server_cont = testbed.add_server_container("fg-server", "10.0.0.10")
-    fg_client_cont = testbed.add_client_container("fg-client", "10.0.0.100")
-
-    reply = config.fg_kind == "pingpong"
-    fg_server = SockperfUdpServer(fg_server_cont, FG_PORT, core_id=1,
-                                  reply=reply, telemetry=telemetry)
-    fg_server.received.warmup_until_ns = config.warmup_ns
-
+    kind = config.fg_kind
+    retry = retry_rng = None
+    if config.faults is not None:
+        # Loss recovery rides with the fault plan: every injected loss is
+        # retried rather than silently thinning the sample stream.  The
+        # retry jitter draws from its own labeled fork so it cannot
+        # perturb workload randomness.
+        retry = config.faults.retry
+        retry_rng = testbed.rng.fork(
+            {"memcached": "retry:memaslap", "web": "retry:wrk2"}.get(
+                kind, "retry:sockperf"))
     counters = {"fg_sent": 0, "fg_replies": 0}
-    if reply:
-        retry = retry_rng = None
-        if config.faults is not None:
-            # Loss recovery rides with the fault plan: every injected
-            # loss is retried rather than silently thinning the sample
-            # stream.  The retry jitter draws from its own labeled fork
-            # so it cannot perturb workload randomness.
-            retry = config.faults.retry
-            retry_rng = testbed.rng.fork("retry:sockperf")
-        fg_client = SockperfUdpClient(
-            sim, testbed.client, testbed.overlay, fg_client_cont,
-            "10.0.0.10", FG_PORT, rate_pps=config.fg_rate_pps,
-            payload_len=config.fg_payload_len, src_port=30001,
-            recorder=recorder, warmup_until_ns=config.warmup_ns,
-            retry=retry, retry_rng=retry_rng)
+    if kind in APP_KINDS:
+        fg_port, fg_client = _app_foreground(testbed, config, recorder,
+                                             retry, retry_rng)
+        fg_meter = fg_client.completed
     else:
-        fg_client = SockperfUdpFlood(
-            sim, testbed.client, testbed.overlay, fg_client_cont,
-            "10.0.0.10", FG_PORT, rate_pps=config.fg_rate_pps,
-            payload_len=config.fg_payload_len, src_port=30001)
+        fg_port = FG_PORT
+        fg_server_cont = testbed.add_server_container("fg-server",
+                                                      "10.0.0.10")
+        fg_client_cont = testbed.add_client_container("fg-client",
+                                                      "10.0.0.100")
+        reply = kind == "pingpong"
+        fg_server = SockperfUdpServer(fg_server_cont, FG_PORT, core_id=1,
+                                      reply=reply, telemetry=telemetry)
+        fg_server.received.warmup_until_ns = config.warmup_ns
+        fg_meter = fg_server.received
+        if reply:
+            fg_client = SockperfUdpClient(
+                sim, testbed.client, testbed.overlay, fg_client_cont,
+                "10.0.0.10", FG_PORT, rate_pps=config.fg_rate_pps,
+                payload_len=config.fg_payload_len, src_port=30001,
+                recorder=recorder, warmup_until_ns=config.warmup_ns,
+                retry=retry, retry_rng=retry_rng)
+        else:
+            fg_client = SockperfUdpFlood(
+                sim, testbed.client, testbed.overlay, fg_client_cont,
+                "10.0.0.10", FG_PORT, rate_pps=config.fg_rate_pps,
+                payload_len=config.fg_payload_len, src_port=30001)
 
     bg_meter = ThroughputMeter("bg", warmup_until_ns=config.warmup_ns)
     if config.bg_rate_pps > 0:
         bg_server_cont = testbed.add_server_container("bg-server", "10.0.0.11")
         bg_client_cont = testbed.add_client_container("bg-client", "10.0.0.101")
-        bg_server = SockperfUdpServer(bg_server_cont, BG_PORT, core_id=2,
-                                      reply=False, app_work_ns=400,
-                                      telemetry=telemetry)
-        bg_server.received.warmup_until_ns = config.warmup_ns
-        SockperfUdpFlood(
-            sim, testbed.client, testbed.overlay, bg_client_cont,
-            "10.0.0.11", BG_PORT, rate_pps=config.bg_rate_pps,
-            payload_len=config.bg_payload_len, src_port=30002,
-            burst=config.bg_burst)
-        bg_meter = bg_server.received
+        if kind == "web":
+            _tcp_background(testbed, config, bg_server_cont, bg_client_cont,
+                            bg_meter)
+        else:
+            bg_server = SockperfUdpServer(bg_server_cont, BG_PORT, core_id=2,
+                                          reply=False, app_work_ns=400,
+                                          telemetry=telemetry)
+            bg_server.received.warmup_until_ns = config.warmup_ns
+            SockperfUdpFlood(
+                sim, testbed.client, testbed.overlay, bg_client_cont,
+                "10.0.0.11", BG_PORT, rate_pps=config.bg_rate_pps,
+                payload_len=config.bg_payload_len, src_port=30002,
+                burst=config.bg_burst)
+            bg_meter = bg_server.received
 
     if config.fg_high_priority:
-        testbed.mark_high_priority("10.0.0.10", FG_PORT)
-    return fg_server.received, bg_meter, counters, fg_client
+        testbed.mark_high_priority("10.0.0.10", fg_port)
+    if kind == "memcached":
+        fg_client.start()
+    return fg_meter, bg_meter, counters, fg_client
+
+
+def _app_foreground(testbed: Testbed, config: ExperimentConfig,
+                    recorder: LatencyRecorder, retry, retry_rng):
+    """The application server and its client; returns (port, client).
+
+    The models load here, so a sockperf cell never imports them."""
+    sim = testbed.sim
+    warmup = config.warmup_ns
+    retry_kwargs = {"retry": retry, "retry_rng": retry_rng}
+    if config.fg_kind == "memcached":
+        from repro.apps.memcached import (
+            MEMCACHED_PORT,
+            MemaslapClient,
+            MemcachedServer,
+        )
+        server_cont = testbed.add_server_container("memcached", "10.0.0.10")
+        client_cont = testbed.add_client_container("memaslap", "10.0.0.100")
+        MemcachedServer(server_cont, core_id=1)
+        client = MemaslapClient(
+            sim, testbed.client, testbed.overlay, client_cont, "10.0.0.10",
+            window=MEMASLAP_WINDOW, rng=testbed.rng.fork("memaslap"),
+            recorder=recorder, warmup_until_ns=warmup, **retry_kwargs)
+        return MEMCACHED_PORT, client
+    from repro.apps.webserver import HTTP_PORT, NginxServer, Wrk2Client
+    server_cont = testbed.add_server_container("nginx", "10.0.0.10")
+    client_cont = testbed.add_client_container("wrk2", "10.0.0.100")
+    NginxServer(server_cont, core_id=1)
+    client = Wrk2Client(
+        sim, testbed.client, testbed.overlay, client_cont, "10.0.0.10",
+        rate_rps=WRK2_RATE_RPS, recorder=recorder, warmup_until_ns=warmup,
+        latency_from="sent", **retry_kwargs)
+    return HTTP_PORT, client
+
+
+def _tcp_background(testbed: Testbed, config: ExperimentConfig,
+                    server_cont, client_cont, meter: ThroughputMeter) -> None:
+    """A sockperf TCP flood of ``bg_payload_len``-byte messages into a
+    drain server that counts them (Fig. 13): TSO fragments them on the
+    sender and the receiver's gro_cells coalesce them."""
+    from repro.apps.sockperf import SockperfTcpFlood
+
+    sim = testbed.sim
+    endpoint = server_cont.tcp_endpoint(BG_PORT, core_id=2)
+
+    def drain():
+        while True:
+            message, _ = yield from endpoint.recv()
+            meter.record(sim.now, message.length)
+
+    server_cont.spawn(drain(), core_id=2, name="tcp-drain")
+    SockperfTcpFlood(sim, testbed.client, testbed.overlay, client_cont,
+                     "10.0.0.11", BG_PORT, rate_msgs_per_sec=config.bg_rate_pps,
+                     message_len=config.bg_payload_len, src_port=30003)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

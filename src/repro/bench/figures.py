@@ -17,11 +17,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.bench.applications import (
-    AppBenchConfig,
-    run_memcached_benchmark,
-    run_webserver_benchmark,
-)
 from repro.bench.report import ReproRow
 from repro.kernel.config import KernelConfig
 from repro.metrics.stats import quantile_interval, summarize_ns
@@ -68,6 +63,22 @@ def _busy(mode, bg=300_000, *, duration, network="overlay", **fg):
             .foreground("pingpong", rate_pps=1_000, **fg)
             .background(rate_pps=bg)
             .timing(duration_ns=duration, warmup_ns=50 * MS))
+
+
+def _app(kind, mode, bg=0, *, duration, **bg_knobs):
+    """An application cell (memaslap or wrk2), idle or against a *bg*
+    low-priority flood."""
+    return (Scenario(mode=mode).foreground(kind).background(bg, **bg_knobs)
+            .timing(duration_ns=duration, warmup_ns=60 * MS))
+
+
+def _app_line(result) -> str:
+    """``[mode/idle|busy] ops/s | latency | cpu`` for an application cell."""
+    config = result.config
+    load = "busy" if config.bg_rate_pps else "idle"
+    latency = str(result.fg_latency) if result.fg_latency else "no samples"
+    return (f"[{config.mode}/{load}] {result.fg_delivered_pps:,.0f} op/s | "
+            f"{latency} | cpu={result.cpu_utilization * 100:.0f}%")
 
 
 def _lines(results) -> str:
@@ -353,17 +364,19 @@ def reproduce_fig12(scale: float = 1.0) -> Result:
     """memcached vs a 300 Kpps UDP background: busy vanilla loses ~80 %
     throughput and >5x avg latency; PRISM-sync almost doubles busy
     throughput and cuts avg/tail latency by ~47/27 %."""
-    results = {(mode, busy): run_memcached_benchmark(AppBenchConfig(
-        mode=mode, busy=busy, duration_ns=int(300 * MS * scale)))
-        for mode in (VANILLA, SYNC) for busy in (False, True)}
+    duration = int(300 * MS * scale)
+    keys = [(mode, busy) for mode in (VANILLA, SYNC) for busy in (False, True)]
+    results = dict(zip(keys, _run_all([
+        _app("memcached", mode, 300_000 if busy else 0, duration=duration)
+        for mode, busy in keys])))
     van_idle, van_busy = results[(VANILLA, False)], results[(VANILLA, True)]
     pri_idle, pri_busy = results[(SYNC, False)], results[(SYNC, True)]
-    tput_drop = _pct(van_busy.throughput_per_sec, van_idle.throughput_per_sec)
-    lat_blow = van_busy.latency.avg_ns / van_idle.latency.avg_ns
-    gain = pri_busy.throughput_per_sec / van_busy.throughput_per_sec
-    avg_cut = _pct(pri_busy.latency.avg_ns, van_busy.latency.avg_ns)
-    tail_cut = _pct(pri_busy.latency.p99_ns, van_busy.latency.p99_ns)
-    idle_same = pri_idle.throughput_per_sec / van_idle.throughput_per_sec
+    tput_drop = _pct(van_busy.fg_delivered_pps, van_idle.fg_delivered_pps)
+    lat_blow = van_busy.fg_latency.avg_ns / van_idle.fg_latency.avg_ns
+    gain = pri_busy.fg_delivered_pps / van_busy.fg_delivered_pps
+    avg_cut = _pct(pri_busy.fg_latency.avg_ns, van_busy.fg_latency.avg_ns)
+    tail_cut = _pct(pri_busy.fg_latency.p99_ns, van_busy.fg_latency.p99_ns)
+    idle_same = pri_idle.fg_delivered_pps / van_idle.fg_delivered_pps
     rows = [
         ReproRow("idle: PRISM ~ vanilla", "no significant difference",
                  f"{idle_same:.2f}x tput", 0.9 < idle_same < 1.25),
@@ -376,10 +389,10 @@ def reproduce_fig12(scale: float = 1.0) -> Result:
         ReproRow("PRISM busy avg latency", "about -47%",
                  f"{avg_cut:+.0f}%", avg_cut < -30),
         ReproRow("PRISM busy tail latency", "about -27%",
-                 f"{tail_cut:+.0f}% (sync {_p99(pri_busy.samples_ns)}; "
-                 f"van {_p99(van_busy.samples_ns)})", tail_cut < -15),
+                 f"{tail_cut:+.0f}% (sync {_p99(pri_busy.fg_samples_ns)}; "
+                 f"van {_p99(van_busy.fg_samples_ns)})", tail_cut < -15),
     ]
-    return "\n".join(str(r) for r in results.values()), rows
+    return "\n".join(_app_line(r) for r in results.values()), rows
 
 
 def reproduce_fig13(scale: float = 1.0) -> Result:
@@ -387,17 +400,17 @@ def reproduce_fig13(scale: float = 1.0) -> Result:
     GRO-coalesced): PRISM-batch -14 % latency / +15 % throughput,
     PRISM-sync -22 % / +25 % — they move together on one closed-loop
     connection."""
-    def web(mode, busy=True):
-        return run_webserver_benchmark(AppBenchConfig(
-            mode=mode, busy=busy, duration_ns=int(300 * MS * scale)))
-
-    results = [web(VANILLA, busy=False)] + [web(mode) for mode in StackMode]
+    duration = int(300 * MS * scale)
+    results = _run_all(
+        [_app("web", VANILLA, duration=duration)]
+        + [_app("web", mode, 13_000, payload_len=65_536, duration=duration)
+           for mode in StackMode])
     busy = {r.config.mode: r for r in results[1:]}
     van, bat, syn = busy[VANILLA], busy[BATCH], busy[SYNC]
-    bat_lat = _pct(bat.latency.avg_ns, van.latency.avg_ns)
-    syn_lat = _pct(syn.latency.avg_ns, van.latency.avg_ns)
-    bat_tput = _pct(bat.throughput_per_sec, van.throughput_per_sec)
-    syn_tput = _pct(syn.throughput_per_sec, van.throughput_per_sec)
+    bat_lat = _pct(bat.fg_latency.avg_ns, van.fg_latency.avg_ns)
+    syn_lat = _pct(syn.fg_latency.avg_ns, van.fg_latency.avg_ns)
+    bat_tput = _pct(bat.fg_delivered_pps, van.fg_delivered_pps)
+    syn_tput = _pct(syn.fg_delivered_pps, van.fg_delivered_pps)
     rows = [
         ReproRow("PRISM-batch busy latency", "about -14%",
                  f"{bat_lat:+.0f}%", bat_lat < -8),
@@ -408,12 +421,13 @@ def reproduce_fig13(scale: float = 1.0) -> Result:
         ReproRow("PRISM-sync busy throughput", "about +25%",
                  f"{syn_tput:+.0f}%", syn_tput > 12),
         ReproRow("sync >= batch improvement", "sync at least batch",
-                 f"tail {syn.latency.p99_us:.0f} vs {bat.latency.p99_us:.0f} "
-                 f"us (sync {_p99(syn.samples_ns)}; "
-                 f"batch {_p99(bat.samples_ns)})",
-                 syn.latency.p99_ns <= bat.latency.p99_ns * 1.05),
+                 f"tail {syn.fg_latency.p99_us:.0f} vs "
+                 f"{bat.fg_latency.p99_us:.0f} us "
+                 f"(sync {_p99(syn.fg_samples_ns)}; "
+                 f"batch {_p99(bat.fg_samples_ns)})",
+                 syn.fg_latency.p99_ns <= bat.fg_latency.p99_ns * 1.05),
     ]
-    return "\n".join(str(r) for r in results), rows
+    return "\n".join(_app_line(r) for r in results), rows
 
 
 def reproduce_batch_size(scale: float = 1.0) -> Result:

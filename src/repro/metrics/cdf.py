@@ -40,24 +40,6 @@ class Cdf:
         values = np.quantile(self._sorted, qs)
         return [(float(v), float(q)) for v, q in zip(values, qs)]
 
-    def render_ascii(self, width: int = 60, height: int = 12,
-                     unit_divisor: float = 1_000.0, unit: str = "us") -> str:
-        """A terminal-friendly CDF plot (x: value, y: cumulative fraction)."""
-        points = self.points(width)
-        lows = points[0][0]
-        highs = points[-1][0]
-        span = max(highs - lows, 1e-12)
-        grid = [[" "] * width for _ in range(height)]
-        for column, (value, prob) in enumerate(points):
-            row = height - 1 - int(prob * (height - 1))
-            grid[row][min(column, width - 1)] = "*"
-        lines = ["".join(row) for row in grid]
-        footer = (f"{lows / unit_divisor:.1f}{unit}"
-                  + " " * max(1, width - 24)
-                  + f"{highs / unit_divisor:.1f}{unit}")
-        _ = span
-        return "\n".join(lines + [footer])
-
     def __repr__(self) -> str:
         return (f"<Cdf n={self.count} p50={self.quantile(0.5):.0f} "
                 f"p99={self.quantile(0.99):.0f}>")

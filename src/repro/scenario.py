@@ -29,6 +29,8 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from repro.bench.experiment import (
+    APP_KINDS,
+    FG_KINDS,
     ExperimentConfig,
     ExperimentResult,
     InstrumentedExperiment,
@@ -51,8 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.flows.config import FlowExportConfig
 
 __all__ = ["Scenario", "ClusterScenario", "Topology", "run_scenarios"]
-
-_FG_KINDS = ("pingpong", "flood")
 
 
 def _flow_config(sample_rate: int, *, max_flows: Optional[int],
@@ -115,11 +115,16 @@ class Scenario:
                    rate_pps: Optional[float] = None,
                    payload_len: Optional[int] = None,
                    high_priority: Optional[bool] = None) -> "Scenario":
-        """Configure the measured flow: 'pingpong' (latency) or 'flood'
-        (throughput)."""
-        if kind not in _FG_KINDS:
+        """Configure the measured flow: sockperf 'pingpong' (latency) or
+        'flood' (throughput), or the 'memcached' (memaslap, Fig. 12) or
+        'web' (nginx/wrk2, Fig. 13) application, which set their own
+        request pattern and so take no *rate_pps* or *payload_len*."""
+        if kind not in FG_KINDS:
             raise ValueError(f"unknown foreground kind {kind!r}; "
-                             f"expected one of {_FG_KINDS}")
+                             f"expected one of {FG_KINDS}")
+        if kind in APP_KINDS and (rate_pps, payload_len) != (None, None):
+            raise ValueError(f"foreground {kind!r} sets its own request "
+                             "pattern; it takes no rate_pps or payload_len")
         changes: dict = {"fg_kind": kind}
         if rate_pps is not None:
             changes["fg_rate_pps"] = float(rate_pps)
@@ -132,7 +137,9 @@ class Scenario:
     def background(self, rate_pps: float, *,
                    payload_len: Optional[int] = None,
                    burst: Optional[int] = None) -> "Scenario":
-        """Add the low-priority UDP flood competing for the packet core."""
+        """Add the low-priority flood competing for the packet core: UDP,
+        or behind a 'web' foreground a TCP flood of *rate_pps*
+        messages/s, each *payload_len* bytes."""
         changes: dict = {"bg_rate_pps": float(rate_pps)}
         if payload_len is not None:
             changes["bg_payload_len"] = int(payload_len)

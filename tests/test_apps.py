@@ -203,29 +203,19 @@ class TestRepeatRunDeterminism:
 
     @pytest.mark.slow
     def test_memcached_benchmark_repeats_identically(self):
-        from repro.bench.applications import (
-            AppBenchConfig,
-            run_memcached_benchmark,
-        )
-        config = AppBenchConfig(busy=False, duration_ns=80 * MS,
-                                warmup_ns=20 * MS)
-        first = run_memcached_benchmark(config)
-        second = run_memcached_benchmark(config)
-        assert first.completed == second.completed
-        assert first.throughput_per_sec == second.throughput_per_sec
-        assert first.latency == second.latency
-        assert first.drops == second.drops
+        self._repeats_identically("memcached")
 
     @pytest.mark.slow
     def test_webserver_benchmark_repeats_identically(self):
-        from repro.bench.applications import (
-            AppBenchConfig,
-            run_webserver_benchmark,
-        )
-        config = AppBenchConfig(busy=False, duration_ns=80 * MS,
-                                warmup_ns=20 * MS)
-        first = run_webserver_benchmark(config)
-        second = run_webserver_benchmark(config)
-        assert first.completed == second.completed
-        assert first.latency == second.latency
-        assert first.drops == second.drops
+        self._repeats_identically("web")
+
+    @staticmethod
+    def _repeats_identically(kind):
+        from repro.bench.digest import result_digest
+        from repro.scenario import Scenario
+
+        scenario = (Scenario().foreground(kind)
+                    .timing(duration_ns=80 * MS, warmup_ns=20 * MS))
+        first, second = scenario.run(), scenario.run()
+        assert first.fg_delivered_pps > 0
+        assert result_digest(first) == result_digest(second)

@@ -1,16 +1,13 @@
-"""Tests for the bench harness: experiment runner, app runners, report."""
+"""Tests for the bench harness: experiment runner, app cells, report."""
 
 import pytest
 
-from repro.bench.applications import (
-    AppBenchConfig,
-    run_memcached_benchmark,
-    run_webserver_benchmark,
-)
 from repro.bench.experiment import ExperimentConfig, run_experiment
+from repro.bench.figures import _app_line
 from repro.bench.report import ReproRow, format_experiment_header, format_table
 from repro.bench.testbed import build_testbed
 from repro.prism.mode import StackMode
+from repro.scenario import Scenario
 from repro.sim.units import MS
 
 FAST = dict(duration_ns=40 * MS, warmup_ns=10 * MS)
@@ -50,6 +47,18 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(network="quantum"))
 
+    @pytest.mark.parametrize("network,kind,match", [
+        ("overlay", "memcahced", "memcahced"),
+        ("host", "memcahced", "memcahced"),
+        ("host", "memcached", "overlay only"),
+        ("host", "web", "overlay only"),
+    ])
+    def test_bad_fg_kind_rejected(self, network, kind, match):
+        config = ExperimentConfig(network=network, fg_kind=kind)
+        for built in (config, ExperimentConfig.from_dict(config.to_dict())):
+            with pytest.raises(ValueError, match=match):
+                run_experiment(built)
+
     def test_label(self):
         config = ExperimentConfig(mode=StackMode.PRISM_SYNC,
                                   bg_rate_pps=300_000)
@@ -62,22 +71,27 @@ class TestExperimentRunner:
 
 
 class TestAppRunners:
+    """The application foregrounds run as ordinary Scenario cells."""
+
+    @staticmethod
+    def _idle(kind):
+        return (Scenario(mode=StackMode.VANILLA).foreground(kind)
+                .timing(**FAST).run())
+
     def test_memcached_smoke(self):
-        result = run_memcached_benchmark(AppBenchConfig(
-            mode=StackMode.VANILLA, busy=False, **FAST))
-        assert result.throughput_per_sec > 10_000
-        assert result.latency is not None
+        result = self._idle("memcached")
+        assert result.fg_delivered_pps > 10_000
+        assert result.fg_latency is not None
 
     def test_webserver_smoke(self):
-        result = run_webserver_benchmark(AppBenchConfig(
-            mode=StackMode.VANILLA, busy=False, **FAST))
-        assert result.throughput_per_sec > 5_000
-        assert result.completed > 100
+        result = self._idle("web")
+        assert result.fg_delivered_pps > 5_000
+        completed = result.fg_delivered_pps * FAST["duration_ns"] / 1e9
+        assert completed > 100
 
     def test_app_result_str(self):
-        result = run_memcached_benchmark(AppBenchConfig(
-            mode=StackMode.VANILLA, busy=False, **FAST))
-        assert "op/s" in str(result)
+        result = self._idle("memcached")
+        assert "op/s" in _app_line(result)
 
 
 class TestReport:

@@ -198,11 +198,6 @@ class TestCdf:
         with pytest.raises(ValueError):
             Cdf([1]).points(1)
 
-    def test_render_ascii(self):
-        art = Cdf([1_000, 2_000, 50_000]).render_ascii(width=30, height=6)
-        assert "*" in art
-        assert "us" in art
-
     @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=100))
     def test_at_quantile_roundtrip(self, samples):
         cdf = Cdf(samples)

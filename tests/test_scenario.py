@@ -86,6 +86,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="foreground kind"):
             Scenario().foreground("bulk")
 
+    @pytest.mark.parametrize("knob", [{"rate_pps": 2_000},
+                                      {"payload_len": 64}])
+    def test_app_foreground_takes_no_rate_or_payload(self, knob):
+        assert Scenario().foreground("web").build().fg_kind == "web"
+        with pytest.raises(ValueError, match="request pattern"):
+            Scenario().foreground("memcached", **knob)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             Scenario(mode="prism-turbo")
