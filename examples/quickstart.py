@@ -6,7 +6,9 @@ high-priority ping-pong flow against a 300 Kpps low-priority background
 flood on the two-machine container-overlay testbed, comparing the
 vanilla kernel with both PRISM modes.  Then re-runs the vanilla case
 with the observability layer attached and prints the Fig. 4 per-stage
-latency breakdown (pass an output path to also write a Perfetto trace).
+latency breakdown of each receiving socket, so the foreground flow's
+table stands apart from the background's (pass an output path to also
+write a Perfetto trace).
 
 Run:
     python examples/quickstart.py [trace-out.json]
@@ -32,10 +34,11 @@ def main(trace_out: str | None = None) -> None:
           " (paper Fig. 9).")
 
     # Where does the vanilla latency come from?  Trace one run and
-    # decompose it per pipeline stage (paper Fig. 4).
+    # decompose it per pipeline stage (paper Fig. 4), one table per
+    # receiving socket.
     traced = base.run_traced()
     print("\nPer-stage breakdown of the vanilla run (Fig. 4):\n")
-    print(traced.breakdown.render())
+    print(traced.render_breakdowns())
     if trace_out is not None:
         path = traced.write_chrome(trace_out)
         print(f"\nChrome trace written to {path} — load it at "

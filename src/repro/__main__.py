@@ -10,13 +10,13 @@ Usage::
     python -m repro fig11 --jobs 4    # fan independent experiments out
     python -m repro fig11 --cache     # memoize results on disk
     python -m repro fig9 --seeds 1,2,3  # repeat-run stability statistics
-    python -m repro --trace out.json  # traced canonical run: Fig. 4
-                                      # breakdown + Perfetto-loadable JSON
+    python -m repro --trace out.json  # observed canonical run: Fig. 4
+                                      # per socket + Perfetto-loadable JSON
     python -m repro --trace out.json --mode prism-sync --bg 300000
-    python -m repro --metrics out.prom            # metered canonical run:
-                                                  # OpenMetrics exposition
     python -m repro --metrics out.prom --folded out.folded \
-                    --speedscope out.speedscope.json   # + flamegraph inputs
+                    --speedscope out.speedscope.json
+                                      # the same one run: OpenMetrics
+                                      # exposition + flamegraph inputs
     python -m repro --metrics-diff base.json head.json --diff-threshold 5
     python -m repro --cluster 16 --users 100000 --shards 4
                                       # space-parallel sharded cluster run
@@ -97,48 +97,42 @@ def _seed_stability(seeds, jobs: int, cache: bool, mode: str,
               f"(cv {stat.rel_stdev * 100:.1f}%)")
 
 
-def _traced_run(path: str, mode: str, bg_rate_pps: float,
-                faults: str = None,
-                irq_moderation: str = "fixed") -> None:
-    """Run the canonical scenario traced; write Chrome JSON, print Fig. 4."""
-    scenario = _canonical_scenario(mode, bg_rate_pps, faults,
-                                   irq_moderation)
-    traced = scenario.run_traced()
-    out = traced.write_chrome(path)
-    print(f"[{scenario.label()}] {traced.result.fg_latency}")
-    print(f"\nPer-stage latency breakdown (paper Fig. 4):\n")
-    print(traced.breakdown.render())
-    print(f"\nrecorded {traced.recorder.recorded} events "
-          f"({traced.recorder.evicted} evicted); "
-          f"Chrome trace written to {out}")
-    print("Load it at https://ui.perfetto.dev or chrome://tracing.")
-
-
-def _instrumented_run(args) -> None:
-    """Run the canonical scenario metered+profiled; write requested files."""
+def _observed_run(args) -> None:
+    """Run the canonical scenario once with the observability layer
+    attached; print the result and its Fig. 4 tables, and write every
+    requested output (plus flow records under --flows)."""
     scenario = _canonical_scenario(args.mode, args.bg, args.faults,
                                    args.irq_moderation)
-    instrumented = scenario.run_instrumented()
-    print(instrumented.result)
-    if args.metrics:
-        out = instrumented.write_openmetrics(args.metrics)
-        print(f"OpenMetrics exposition written to {out}")
-    if args.metrics_json:
-        out = instrumented.write_metrics_json(args.metrics_json)
-        print(f"metrics snapshot (JSON) written to {out}")
-    if args.folded:
-        out = instrumented.write_folded(args.folded)
-        print(f"collapsed stacks written to {out} "
-              f"(render with flamegraph.pl or speedscope)")
-    if args.speedscope:
-        out = instrumented.write_speedscope(args.speedscope)
-        print(f"speedscope profile written to {out} "
-              f"(load at https://www.speedscope.app)")
-    profiler = instrumented.profiler
-    total_ms = profiler.total_ns() / 1e6
-    print(f"profiler: {len(profiler.tracks())} tracks, "
-          f"{profiler.samples_taken} samples, "
-          f"{total_ms:.1f} ms simulated CPU attributed")
+    if args.flows:
+        scenario = scenario.with_flows(args.flow_sample)
+    traced = scenario.run_traced()
+    print(traced.result)
+    print("\nPer-stage latency breakdown (paper Fig. 4), "
+          "per receiving socket:\n")
+    print(traced.render_breakdowns())
+    observer = traced.observer
+    print(f"\nrecorded {observer.recorder.recorded} events "
+          f"({observer.recorder.evicted} evicted); "
+          f"{observer.total_ns() / 1e6:.1f} ms simulated CPU attributed "
+          f"on {len(observer.tracks())} tracks")
+    outputs = (
+        (args.trace, traced.write_chrome, "Chrome trace",
+         "load at https://ui.perfetto.dev or chrome://tracing"),
+        (args.metrics, traced.write_openmetrics, "OpenMetrics exposition",
+         None),
+        (args.metrics_json, traced.write_metrics_json,
+         "metrics snapshot (JSON)", "diff with --metrics-diff"),
+        (args.folded, traced.write_folded, "collapsed stacks",
+         "render with flamegraph.pl or speedscope"),
+        (args.speedscope, traced.write_speedscope, "speedscope profile",
+         "load at https://www.speedscope.app"),
+    )
+    for path, write, what, hint in outputs:
+        if path:
+            note = f" ({hint})" if hint else ""
+            print(f"{what} written to {write(path)}{note}")
+    if args.flows:
+        _export_flows(traced.result.flows, args.flows, scenario.label())
 
 
 def _export_flows(flows, out: str, label: str) -> None:
@@ -247,22 +241,25 @@ def main(argv=None) -> int:
                         help="comma-separated seeds: print repeat-run "
                         "stability statistics for a canonical scenario")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
-                        help="run the canonical scenario with the "
+                        help="run the canonical scenario once with the "
                         "observability layer attached, print the per-stage "
-                        "latency breakdown (paper Fig. 4), and write a "
-                        "Chrome/Perfetto trace to OUT.json")
+                        "latency breakdown (paper Fig. 4) per receiving "
+                        "socket, and write a Chrome/Perfetto trace to "
+                        "OUT.json; --metrics, --metrics-json, --folded and "
+                        "--speedscope write from the same run")
     parser.add_argument("--metrics", metavar="OUT.prom", default=None,
-                        help="run the canonical scenario with the telemetry "
-                        "layer attached and write the OpenMetrics text "
+                        help="write the observed run's OpenMetrics text "
                         "exposition to OUT.prom")
     parser.add_argument("--metrics-json", metavar="OUT.json", default=None,
-                        help="also write the versioned JSON metrics "
-                        "snapshot (diffable with --metrics-diff)")
+                        help="write the observed run's versioned JSON "
+                        "metrics snapshot (diffable with --metrics-diff)")
     parser.add_argument("--folded", metavar="OUT.folded", default=None,
-                        help="write the profiler's collapsed stacks "
-                        "(flamegraph.pl folded format)")
+                        help="write the observed run's simulated-time span "
+                        "profile as collapsed stacks (flamegraph.pl folded "
+                        "format)")
     parser.add_argument("--speedscope", metavar="OUT.json", default=None,
-                        help="write a self-contained speedscope profile")
+                        help="write the same profile as a self-contained "
+                        "speedscope document")
     parser.add_argument("--metrics-diff", nargs=2,
                         metavar=("BASELINE", "CURRENT"), default=None,
                         help="diff two metrics/result JSON files; "
@@ -321,7 +318,8 @@ def main(argv=None) -> int:
                         help="enable sampled flow-record export and write "
                         "the record set to OUT — a .sqlite/.db store, a "
                         ".jsonl stream, or 'mem' (summary only).  Applies "
-                        "to --cluster runs or, alone, to the canonical "
+                        "to --cluster runs, to the observed run of --trace "
+                        "and its siblings, or, alone, to the canonical "
                         "two-host scenario")
     parser.add_argument("--flow-sample", type=int, default=64, metavar="N",
                         help="flow export sampling rate: 1 in N packets "
@@ -368,7 +366,9 @@ def main(argv=None) -> int:
                 f"{args.cluster} shards can do useful work")
         return _cluster_run(args)
 
-    if args.flows:
+    observed = (args.trace or args.metrics or args.metrics_json
+                or args.folded or args.speedscope)
+    if args.flows and not observed:
         # Standalone --flows: canonical two-host scenario with export on.
         scenario = (_canonical_scenario(args.mode, args.bg, args.faults,
                                         args.irq_moderation)
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         result = scenario.run()
         print(result)
         _export_flows(result.flows, args.flows, scenario.label())
-        if not (args.figure or args.seeds or args.trace or args.metrics):
+        if not (args.figure or args.seeds):
             return 0
 
     if args.metrics_diff:
@@ -387,14 +387,8 @@ def main(argv=None) -> int:
             diff_argv += ["--match", args.diff_match]
         return diff_main(diff_argv)
 
-    if args.metrics or args.metrics_json or args.folded or args.speedscope:
-        _instrumented_run(args)
-        if not (args.figure or args.seeds or args.trace):
-            return 0
-
-    if args.trace:
-        _traced_run(args.trace, args.mode, args.bg, args.faults,
-                    args.irq_moderation)
+    if observed:
+        _observed_run(args)
         if not (args.figure or args.seeds):
             return 0
 

@@ -123,6 +123,10 @@ class MemaslapClient:
             "memaslap", warmup_until_ns=warmup_until_ns)
         self.completed = ThroughputMeter("memaslap-ops",
                                          warmup_until_ns=warmup_until_ns)
+        #: Operations issued and replies matched to one (retransmits
+        #: and duplicate replies are not counted again).
+        self.sent = 0
+        self.replies = 0
         #: Per-client op sequence — a module-global counter here would be
         #: cross-experiment mutable state (an in-process repeat run would
         #: see different seq values, and so different dict iteration).
@@ -164,6 +168,7 @@ class MemaslapClient:
             seq=next(self._op_seq),
             sent_at=self.sim.now)
         self._inflight[op.seq] = op
+        self.sent += 1
         self._send(op)
         if self._retry is not None:
             self._retry.stats.sent += 1
@@ -226,6 +231,7 @@ class MemaslapClient:
         if timer is not None:
             timer.cancel()
         self._attempts.pop(op.seq, None)
+        self.replies += 1
         # Latency from the *original* send: retries pay for their loss.
         latency = self.sim.now - pending.sent_at
         self.recorder.record(latency, at_ns=self.sim.now)

@@ -238,6 +238,8 @@ class SockperfUdpFlood:
         self.burst = burst
         self.interval_ns = SEC / rate_pps
         self.sent = 0
+        #: A flood expects no replies.
+        self.replies = 0
         self.process = sim.process(self._run(), name=f"udp-flood:{dst_port}")
 
     def _run(self):

@@ -109,6 +109,10 @@ class Wrk2Client:
             "wrk2", warmup_until_ns=warmup_until_ns)
         self.completed = ThroughputMeter("wrk2-reqs",
                                          warmup_until_ns=warmup_until_ns)
+        #: Requests written and replies matched to one (retransmits and
+        #: late replies are not counted again).
+        self.sent = 0
+        self.replies = 0
         self._reassembler = RemoteTcpReassembler(self._on_message)
         self._outstanding: HttpRequest = None
         self._next_intended = 0.0
@@ -159,6 +163,7 @@ class Wrk2Client:
         request = HttpRequest(path="/index.html", seq=next(self._req_seq),
                               intended_at=intended_at, sent_at=self.sim.now)
         self._outstanding = request
+        self.sent += 1
         self._send(request)
         if self._retry is not None:
             self._retry.stats.sent += 1
@@ -212,6 +217,7 @@ class Wrk2Client:
                 self._retry.stats.duplicates += 1
             return
         self._outstanding = None
+        self.replies += 1
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

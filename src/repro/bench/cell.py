@@ -67,6 +67,13 @@ class ExperimentCell:
                 and config.fg_kind in _experiment.APP_KINDS):
             raise ValueError(f"foreground kind {config.fg_kind!r} runs on "
                              "the overlay only")
+        for name in _experiment.APP_FIXED_FIELDS.get(config.fg_kind, ()):
+            default = getattr(_experiment.ExperimentConfig, name)
+            if getattr(config, name) != default:
+                raise ValueError(
+                    f"{name}={getattr(config, name)!r}: foreground kind "
+                    f"{config.fg_kind!r} does not use it (leave it at "
+                    f"{default!r})")
         self.config = config
         self.testbed = build_testbed(seed=config.seed, costs=config.costs,
                                      config=config.kernel_config,
@@ -149,17 +156,16 @@ class ExperimentCell:
         config = self.config
         window = config.duration_ns
         # Select the counter source by network type: host runs count in the
-        # local `counters` dict, overlay runs count in the sockperf client.
-        # An application client counts only completed operations
-        # (fg_delivered_pps), so its sent/replies read 0 here.
-        # (Selecting by truthiness would silently fall through on a host run
-        # that legitimately sent zero packets.)
+        # local `counters` dict, overlay runs in the foreground client
+        # (requests sent, replies matched).  (Selecting by truthiness would
+        # silently fall through on a host run that legitimately sent zero
+        # packets.)
         if config.network == "host":
             fg_sent = self.counters["fg_sent"]
             fg_replies = self.counters["fg_replies"]
         else:
-            fg_sent = getattr(self.fg_client, "sent", 0)
-            fg_replies = getattr(self.fg_client, "replies", 0)
+            fg_sent = self.fg_client.sent
+            fg_replies = self.fg_client.replies
         result = ExperimentResult(
             config=config,
             fg_latency=self.recorder.summary(),

@@ -29,7 +29,7 @@ from repro.kernel.costs import CostModel
 from repro.metrics.recorder import ThroughputMeter
 from repro.metrics.stats import LatencySummary
 from repro.prism.mode import StackMode
-from repro.sim.units import MS, SEC, US
+from repro.sim.units import MS, SEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.flows.config import FlowExportConfig
@@ -38,18 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observer import KernelObserver
     from repro.obs.recorder import FlightRecorder
     from repro.telemetry.kernel import KernelTelemetry
-    from repro.telemetry.profiler import SimProfiler
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "TraceOptions",
     "TracedExperiment",
-    "TelemetryOptions",
-    "InstrumentedExperiment",
     "run_experiment",
     "run_traced_experiment",
-    "run_instrumented_experiment",
 ]
 
 FG_PORT = 11111
@@ -61,6 +56,14 @@ BG_PORT = 12222
 #: completed operations per second, on the overlay only.
 FG_KINDS = ("pingpong", "flood", "memcached", "web")
 APP_KINDS = ("memcached", "web")
+
+#: Config fields an application kind does not read, so a non-default
+#: value would only split the cache key; the cell refuses one.  A "web"
+#: cell's background is the TCP flood, which sends no bursts.
+APP_FIXED_FIELDS = {
+    "memcached": ("fg_rate_pps", "fg_payload_len"),
+    "web": ("fg_rate_pps", "fg_payload_len", "bg_burst"),
+}
 
 #: memaslap's window of outstanding requests (Fig. 12).
 MEMASLAP_WINDOW = 4
@@ -89,7 +92,8 @@ class ExperimentConfig:
     #: "overlay" (3-stage container pipeline) or "host" (single stage).
     network: str = "overlay"
     #: Foreground flow, one of :data:`FG_KINDS`.  The sockperf kinds
-    #: use the rate and payload below; the application kinds ignore them.
+    #: use the rate and payload below; the application kinds refuse
+    #: non-default values (:data:`APP_FIXED_FIELDS`).
     fg_kind: str = "pingpong"
     fg_rate_pps: float = 1_000.0
     fg_payload_len: int = 16
@@ -203,7 +207,7 @@ class ExperimentResult:
     #: :class:`repro.obs.StageBreakdown`); populated by traced runs only.
     stage_breakdown: Optional[Dict[str, Any]] = None
     #: Versioned metrics snapshot (:meth:`MetricsRegistry.snapshot`);
-    #: populated by instrumented runs only.
+    #: populated by traced runs only.
     telemetry: Optional[Dict[str, Any]] = None
     #: What the injector did (:meth:`FaultInjector.summary`); fault runs
     #: only.
@@ -527,8 +531,8 @@ def _run_experiment(config: ExperimentConfig, *,
 
     *attach* runs after the testbed is built and before the simulation
     starts — the traced runner uses it to subscribe a
-    :class:`KernelObserver` to the server kernel's tracer, the
-    instrumented runner returns its telemetry hub from it.
+    :class:`KernelObserver` to the server kernel's tracer and returns
+    its telemetry hub from it.
 
     Build/advance/finalize live on :class:`~repro.bench.cell.ExperimentCell`
     so the sharded executor can drive the same cell in lookahead windows;
@@ -540,29 +544,28 @@ def _run_experiment(config: ExperimentConfig, *,
 
 
 # ----------------------------------------------------------------------
-# Traced runs
+# Observed runs
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceOptions:
-    """Knobs for a traced experiment run."""
-
-    #: Flight-recorder ring capacity (events).
-    capacity: int = 200_000
-    #: Bound on per-packet milestone records kept for the breakdown.
-    max_packets: int = 100_000
-    #: Queue-depth / softirq-residency sampling period (0 disables gauges);
-    #: the observer's own default.
-    gauge_interval_ns: int = 1 * MS
-
-
 @dataclass
 class TracedExperiment:
-    """A result plus the recording that explains it."""
+    """A result plus the recording and the metrics that explain it."""
 
     result: ExperimentResult
-    recorder: FlightRecorder
-    breakdown: StageBreakdown
     observer: KernelObserver
+    telemetry: KernelTelemetry
+    #: Fig. 4 over every completed packet (``result.stage_breakdown``).
+    breakdown: StageBreakdown
+    #: Fig. 4 once per receiving socket, ordered by socket name.
+    breakdowns: Dict[str, StageBreakdown]
+
+    @property
+    def recorder(self) -> FlightRecorder:
+        return self.observer.recorder
+
+    def render_breakdowns(self) -> str:
+        """The Fig. 4 table of each receiving socket."""
+        return "\n\n".join(f"socket {socket}:\n{breakdown.render()}"
+                            for socket, breakdown in self.breakdowns.items())
 
     def write_chrome(self, path: Union[str, Path]) -> Path:
         """Export the recording as Perfetto-loadable Chrome trace JSON."""
@@ -574,74 +577,8 @@ class TracedExperiment:
             meta={"scenario": config.label(), "seed": config.seed,
                   "duration_ns": config.duration_ns})
 
-
-def run_traced_experiment(config: ExperimentConfig,
-                          options: Optional[TraceOptions] = None
-                          ) -> TracedExperiment:
-    """Run one experiment with the observability layer attached.
-
-    The observer subscribes before the simulation starts, so the kernel's
-    gated emit sites light up; the measurements themselves are unchanged
-    (tracing only reads state — the determinism tests pin that a traced
-    run produces a bit-identical :class:`ExperimentResult`).
-    """
-    from repro.obs.breakdown import StageBreakdown
-    from repro.obs.observer import KernelObserver
-
-    options = options or TraceOptions()
-    holder: Dict[str, KernelObserver] = {}
-
-    def attach(testbed: Testbed) -> None:
-        observer = KernelObserver(testbed.server.kernel,
-                                  capacity=options.capacity,
-                                  max_packets=options.max_packets)
-        observer.watch_host(testbed.server)
-        if options.gauge_interval_ns > 0:
-            observer.start_gauges(options.gauge_interval_ns)
-        holder["observer"] = observer
-
-    result = _run_experiment(config, attach=attach)
-    observer = holder["observer"]
-    observer.detach()
-    breakdown = StageBreakdown.from_packets(observer.packets.values())
-    result.stage_breakdown = breakdown.to_dict()
-    return TracedExperiment(result=result, recorder=observer.recorder,
-                            breakdown=breakdown, observer=observer)
-
-
-# ----------------------------------------------------------------------
-# Instrumented (metered / profiled) runs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TelemetryOptions:
-    """Knobs for an instrumented experiment run."""
-
-    #: Also attach the simulated-time sampling profiler (subscribes to
-    #: the span tracepoints, so the kernel emits its per-skb spans —
-    #: measurements are pinned identical either way).
-    profile: bool = True
-    #: Simulated-time period between profiler stack samples
-    #: (0 keeps exact edge attribution but takes no periodic samples);
-    #: the profiler's own default.
-    sample_interval_ns: int = 100 * US
-    #: Retained-sample bound (see :class:`SimProfiler`).
-    max_samples: int = 1_000_000
-
-
-@dataclass
-class InstrumentedExperiment:
-    """A result plus the telemetry that explains it."""
-
-    result: ExperimentResult
-    telemetry: KernelTelemetry
-    profiler: Optional[SimProfiler]
-
-    @property
-    def registry(self):
-        return self.telemetry.registry
-
     def write_openmetrics(self, path: Union[str, Path]) -> Path:
-        """Export the registry as OpenMetrics text exposition."""
+        """Export the metrics registry as OpenMetrics text exposition."""
         from repro.telemetry.openmetrics import write_openmetrics
 
         return write_openmetrics(path, self.telemetry.collect())
@@ -649,6 +586,7 @@ class InstrumentedExperiment:
     def write_metrics_json(self, path: Union[str, Path]) -> Path:
         """Export the versioned JSON metrics snapshot."""
         import json
+
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w") as fh:
@@ -658,62 +596,58 @@ class InstrumentedExperiment:
         return out
 
     def write_folded(self, path: Union[str, Path]) -> Path:
-        """Export collapsed stacks (flamegraph.pl folded format)."""
-        if self.profiler is None:
-            raise RuntimeError("run was not profiled "
-                               "(TelemetryOptions.profile=False)")
-        return self.profiler.write_folded(path)
+        """Export the span attribution as collapsed stacks
+        (flamegraph.pl folded format)."""
+        from repro.obs.stacks import write_folded
+
+        return write_folded(path, self.observer.self_ns)
 
     def write_speedscope(self, path: Union[str, Path]) -> Path:
-        """Export a self-contained speedscope JSON profile."""
-        if self.profiler is None:
-            raise RuntimeError("run was not profiled "
-                               "(TelemetryOptions.profile=False)")
-        return self.profiler.write_speedscope(
-            path, name=self.result.config.label())
+        """Export the span attribution as a speedscope JSON profile."""
+        from repro.obs.stacks import write_speedscope
+
+        return write_speedscope(path, self.observer.self_ns,
+                                name=self.result.config.label())
 
 
-def run_instrumented_experiment(config: ExperimentConfig,
-                                options: Optional[TelemetryOptions] = None
-                                ) -> InstrumentedExperiment:
-    """Run one experiment with the telemetry layer attached.
+def run_traced_experiment(config: ExperimentConfig) -> TracedExperiment:
+    """Run one experiment observed, in one simulation.
 
-    A :class:`~repro.telemetry.KernelTelemetry` hub subscribes to the
-    server kernel's tracer before the simulation starts, watching the
-    host receive path and the overlay data plane; with
-    ``options.profile`` a :class:`SimProfiler` additionally subscribes to
-    the span tracepoints.  Neither touches the simulator's event
-    schedule, so the returned :class:`ExperimentResult` measurements are
-    bit-identical to an unmetered run (the neutrality tests pin this) —
-    the result additionally carries the registry snapshot in
-    :attr:`ExperimentResult.telemetry`.
+    Before the simulation starts, a :class:`KernelObserver` (flight
+    recorder, packet milestones, gauges, span attribution) and a
+    :class:`~repro.telemetry.kernel.KernelTelemetry` hub subscribe to
+    the server kernel's tracer, so its gated emit sites light up.  Both
+    only read state: the measurements are bit-identical to a plain
+    :func:`run_experiment` (the golden-digest tests pin this).  The
+    result additionally carries the Fig. 4 breakdown
+    (``stage_breakdown``) and the metrics snapshot (``telemetry``).
     """
+    from repro.obs.breakdown import StageBreakdown
+    from repro.obs.observer import KernelObserver
     from repro.telemetry.kernel import KernelTelemetry
-    from repro.telemetry.profiler import SimProfiler
 
-    options = options or TelemetryOptions()
     holder: Dict[str, Any] = {}
 
-    def attach(testbed: Testbed) -> None:
-        telemetry = KernelTelemetry(testbed.server.kernel).attach()
-        telemetry.watch_host(testbed.server)
+    def attach(testbed: Testbed) -> KernelTelemetry:
+        server = testbed.server
+        observer = holder["observer"] = KernelObserver(server.kernel)
+        observer.watch_host(server)
+        observer.start_gauges()
+        telemetry = holder["telemetry"] = KernelTelemetry(
+            server.kernel).attach()
+        telemetry.watch_host(server)
         telemetry.watch_overlay(testbed.server_overlay)
-        holder["telemetry"] = telemetry
-        if options.profile:
-            profiler = SimProfiler(
-                testbed.server.kernel,
-                sample_interval_ns=options.sample_interval_ns,
-                max_samples=options.max_samples)
-            profiler.start()
-            holder["profiler"] = profiler
         return telemetry
 
     result = _run_experiment(config, attach=attach)
+    observer: KernelObserver = holder["observer"]
     telemetry: KernelTelemetry = holder["telemetry"]
-    profiler: Optional[SimProfiler] = holder.get("profiler")
-    if profiler is not None:
-        profiler.finalize()
+    observer.detach()
     telemetry.detach()
     result.telemetry = telemetry.snapshot()
-    return InstrumentedExperiment(result=result, telemetry=telemetry,
-                                  profiler=profiler)
+    packets = observer.packets.values()
+    breakdown = StageBreakdown.from_packets(packets)
+    result.stage_breakdown = breakdown.to_dict()
+    return TracedExperiment(result=result, observer=observer,
+                            telemetry=telemetry, breakdown=breakdown,
+                            breakdowns=StageBreakdown.per_socket(packets))

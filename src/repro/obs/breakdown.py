@@ -19,6 +19,11 @@ counted.  The invariant
     sum(segment means) == mean end-to-end latency   (exactly)
 
 is pinned by ``tests/test_obs_breakdown.py``.
+
+Averaged over every packet, the table describes whatever traffic
+dominates — under a background flood, the background.
+:meth:`StageBreakdown.per_socket` therefore builds one table per
+receiving socket, so a foreground flow gets its own.
 """
 
 from __future__ import annotations
@@ -107,6 +112,22 @@ class StageBreakdown:
             segments.append(StageSegment(label, mean, share))
         return cls(segments=tuple(segments), end_to_end_ns=end_to_end,
                    path=path, packets=n, excluded=excluded)
+
+    @classmethod
+    def per_socket(cls, packets: Iterable[PacketMilestones]
+                   ) -> Dict[str, "StageBreakdown"]:
+        """One breakdown per receiving socket (``<netns>:udp:<port>``),
+        keyed and ordered by socket name.
+
+        Grouping is by socket, not by priority class: vanilla never
+        classifies, so every packet there reads low-priority.
+        """
+        groups: Dict[str, List[PacketMilestones]] = {}
+        for p in packets:
+            if p.complete:
+                groups.setdefault(p.socket, []).append(p)
+        return {socket: cls.from_packets(groups[socket])
+                for socket in sorted(groups)}
 
     # ------------------------------------------------------------------
     # Presentation / serialization

@@ -6,7 +6,9 @@ the fine-grained tracepoints the kernel emits into
 :class:`~repro.obs.recorder.FlightRecorder` events:
 
 - ``SPAN_BEGIN``/``SPAN_END`` → ``B``/``E`` spans on per-CPU tracks
-  (softirq invocations, per-device polls, per-skb stage execution);
+  (softirq invocations, per-device polls, per-skb stage execution), and
+  exact simulated-time attribution to the open-span stack
+  (:attr:`KernelObserver.self_ns`, the folded-stack profile);
 - ``QUEUE_WAIT`` → retroactive ``X`` complete events on per-queue tracks
   (ring/NAPI-queue/backlog residency, recorded at dequeue);
 - ``DROP`` / ``SYNC_INLINE`` / ``GRO_MERGE`` → instants;
@@ -20,6 +22,16 @@ the fine-grained tracepoints the kernel emits into
 It also samples periodic **gauges** (queue depths, per-CPU softirq
 residency) through :meth:`~repro.sim.engine.Simulator.every`, recorded as
 ``C`` counter events.
+
+**Span attribution.**  Every span edge attributes the simulated time
+elapsed since the previous edge on that track to the innermost open
+span, keyed by the whole open stack; per-skb stage spans carry their
+flow-priority class as an ``[hp]``/``[lp]`` frame suffix.  No simulated
+time passes between a softirq handler's yields, so a ``cpuN`` track's
+total equals that core's accounted softirq time (within one partial CPU
+slice at simulation end).  :mod:`repro.obs.stacks` exports the table as
+folded stacks and speedscope JSON.  The weight is simulated time, not
+host CPU: :mod:`repro.perf.wallprof` profiles the simulator itself.
 
 The contract with the hot path: *all* kernel-side emit sites are gated on
 ``tracer.active`` / ``tracer.has_subscribers``, so the entire layer costs
@@ -141,6 +153,12 @@ class KernelObserver:
         self.packets_overflowed = 0
         #: NAPI poll order, oldest first (the Fig. 6 tables).
         self.polls: List[PollRecord] = []
+        #: Exact self-time per (track, open-span stack), in simulated ns.
+        self.self_ns: Dict[Tuple[str, Tuple[str, ...]], int] = {}
+        #: Open-span stack per track (frame names, outermost first).
+        self._stacks: Dict[str, List[str]] = {}
+        #: Sim-time of the last span edge per track.
+        self._last_edge: Dict[str, int] = {}
         self._gauge_queues: List[Tuple[str, PacketQueue]] = []
         self._gauge_cpus: List[Tuple[str, CpuCore, Dict[CpuContext, int], int]] = []
         self._sampler: Optional["PeriodicCall"] = None
@@ -165,11 +183,57 @@ class KernelObserver:
         return self.kernel.sim.now
 
     def _on_span_begin(self, track: str, name: str, **fields: Any) -> None:
+        now = self._now()
         args = {k: _arg(v) for k, v in fields.items()} or None
-        self.recorder.begin(self._now(), track, name, args)
+        self.recorder.begin(now, track, name, args)
+        stack = self._stacks.setdefault(track, [])
+        self._attribute(track, stack, now)
+        hp = fields.get("hp")
+        if hp is not None:
+            # Per-skb stage spans carry the flow-priority class; fold it
+            # into the frame so high- and low-priority work separate in
+            # the flamegraph.
+            name = f"{name}[{'hp' if hp else 'lp'}]"
+        stack.append(name)
 
     def _on_span_end(self, track: str, name: str, **_f: Any) -> None:
-        self.recorder.end(self._now(), track, name)
+        now = self._now()
+        self.recorder.end(now, track, name)
+        stack = self._stacks.get(track)
+        if not stack:
+            return
+        self._attribute(track, stack, now)
+        # Frames close LIFO; the begin side may have suffixed a priority
+        # class onto the name, so match on the prefix.
+        while stack:
+            top = stack.pop()
+            if top == name or top.startswith(f"{name}["):
+                break
+
+    def _attribute(self, track: str, stack: List[str], now: int) -> None:
+        """Charge the time since *track*'s last edge to its open stack."""
+        last = self._last_edge.get(track)
+        if last is not None and stack and now > last:
+            key = (track, tuple(stack))
+            self.self_ns[key] = self.self_ns.get(key, 0) + (now - last)
+        self._last_edge[track] = now
+
+    def total_ns(self, track: Optional[str] = None) -> int:
+        """Total attributed simulated time (optionally for one track)."""
+        return sum(ns for (t, _stack), ns in self.self_ns.items()
+                   if track is None or t == track)
+
+    def tracks(self) -> List[str]:
+        """The tracks that have attributed time, sorted."""
+        return sorted({t for t, _stack in self.self_ns})
+
+    def stage_totals(self, track: Optional[str] = None) -> Dict[str, int]:
+        """Attributed time keyed by leaf frame (per-stage totals)."""
+        out: Dict[str, int] = {}
+        for (t, stack), ns in self.self_ns.items():
+            if track is None or t == track:
+                out[stack[-1]] = out.get(stack[-1], 0) + ns
+        return out
 
     def _on_queue_wait(self, queue: str, skb: Optional[SKBuff],
                        since: int, **_f: Any) -> None:
@@ -301,7 +365,17 @@ class KernelObserver:
     # Lifecycle
     # ------------------------------------------------------------------
     def detach(self) -> None:
-        """Unsubscribe from every tracepoint and stop the gauge sampler."""
+        """Unsubscribe from every tracepoint and stop the gauge sampler.
+
+        Call once the simulation has stopped: the first call attributes
+        the time of spans still open (the run ended mid-softirq) up to
+        *now*, so the span totals cover every simulated nanosecond the
+        spans did.  Later calls do nothing.
+        """
+        if self._callbacks:
+            now = self._now()
+            for track, stack in self._stacks.items():
+                self._attribute(track, stack, now)
         for point, callback in self._callbacks:
             self.tracer.detach(point, callback)
         self._callbacks = []

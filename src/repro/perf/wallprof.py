@@ -1,14 +1,14 @@
 """Wall-clock stack sampling for real (host-time) profiles.
 
-The telemetry profiler (:mod:`repro.telemetry.profiler`) samples
-*simulated* time — ideal for attributing virtual nanoseconds to kernel
-stages, useless for finding where the interpreter actually burns host
-CPU.  :class:`WallClockSampler` fills that gap: a daemon thread
+The kernel observer's span attribution (:mod:`repro.obs.stacks`)
+weighs *simulated* time — ideal for attributing virtual nanoseconds to
+kernel stages, useless for finding where the interpreter actually burns
+host CPU.  :class:`WallClockSampler` fills that gap: a daemon thread
 periodically snapshots the target thread's Python stack via
 ``sys._current_frames()`` and accumulates wall-nanosecond weights per
 stack, then exports the result as a self-contained speedscope JSON
-document ("sampled" profile type — the same shape the telemetry
-profiler emits, so both open in the same UI).
+document ("sampled" profile type — the same shape the observer's
+profile takes, so both open in the same UI).
 
 Sampling is cooperative with the GIL: each snapshot grabs a consistent
 frame chain without pausing the target, and the overhead is one stack

@@ -14,7 +14,8 @@ Benches, examples, and the CLI all build their workloads through
 
     traced = Scenario(mode="vanilla").background(rate_pps=300_000).run_traced()
     traced.write_chrome("out.json")          # load in Perfetto
-    print(traced.breakdown.render())         # Fig. 4 table
+    traced.write_folded("out.folded")        # flamegraph input
+    print(traced.render_breakdowns())        # Fig. 4, one table per socket
 
 A Scenario is **immutable**: every fluent call returns a new one, so
 partial scenarios can be shared and forked freely (sweeps, mode
@@ -33,12 +34,8 @@ from repro.bench.experiment import (
     FG_KINDS,
     ExperimentConfig,
     ExperimentResult,
-    InstrumentedExperiment,
-    TelemetryOptions,
-    TraceOptions,
     TracedExperiment,
     run_experiment,
-    run_instrumented_experiment,
     run_traced_experiment,
 )
 from repro.fabric.spec import Topology, TopologySpec
@@ -228,19 +225,14 @@ class Scenario:
         """Run the scenario in-process and return its measurements."""
         return run_experiment(self._config)
 
-    def run_traced(self, options: Optional[TraceOptions] = None
-                   ) -> TracedExperiment:
-        """Run with the observability layer attached (spans, gauges,
-        Fig. 4 breakdown, Chrome-trace export)."""
-        return run_traced_experiment(self._config, options)
-
-    def run_instrumented(self, options: Optional[TelemetryOptions] = None
-                         ) -> InstrumentedExperiment:
-        """Run with the telemetry layer attached (labeled metrics
-        registry, simulated-time sampling profiler, OpenMetrics /
-        folded-stack / speedscope export).  Measurements are pinned
-        identical to a plain :meth:`run`."""
-        return run_instrumented_experiment(self._config, options)
+    def run_traced(self) -> TracedExperiment:
+        """Run once with the observability layer attached: spans,
+        gauges, the Fig. 4 breakdown per receiving socket, the metrics
+        registry and the span profile, exported by the result's
+        ``write_chrome`` / ``write_openmetrics`` / ``write_metrics_json``
+        / ``write_folded`` / ``write_speedscope``.  Measurements are
+        pinned identical to a plain :meth:`run`."""
+        return run_traced_experiment(self._config)
 
     # ------------------------------------------------------------------
     # Topology dispatch

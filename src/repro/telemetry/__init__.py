@@ -1,18 +1,18 @@
-"""Aggregate telemetry: labeled metrics, sim-time profiling, diffing.
+"""Aggregate telemetry: labeled metrics and run-to-run diffing.
 
 Three layers, importable à la carte:
 
 - :mod:`repro.telemetry.registry` — ``Counter`` / ``Gauge`` /
   ``Histogram`` families with label sets, OpenMetrics exposition
   (:mod:`repro.telemetry.openmetrics`) and versioned JSON snapshots;
-- :mod:`repro.telemetry.kernel` — :class:`KernelTelemetry`, the hub a
-  metered run subscribes to the kernel's tracer, plus
-  :mod:`repro.telemetry.profiler`'s :class:`SimProfiler` (simulated-time
-  sampling profiler with folded-stack / speedscope export);
+- :mod:`repro.telemetry.kernel` — :class:`KernelTelemetry`, the hub an
+  observed run subscribes to the kernel's tracer next to the
+  :class:`~repro.obs.observer.KernelObserver`;
 - :mod:`repro.telemetry.diff` — run-to-run snapshot comparison with
   relative-delta thresholds (``python -m repro --metrics-diff``).
 
-Entry points: ``Scenario.run_instrumented()`` or
+Entry points: ``Scenario.run_traced()`` (its result's
+``write_openmetrics`` / ``write_metrics_json``) or
 ``python -m repro --metrics out.prom``.
 """
 
@@ -22,10 +22,6 @@ from repro.telemetry.adapters import (
 )
 from repro.telemetry.kernel import KernelTelemetry
 from repro.telemetry.openmetrics import render_openmetrics, write_openmetrics
-from repro.telemetry.profiler import (
-    DEFAULT_SAMPLE_INTERVAL_NS,
-    SimProfiler,
-)
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -36,13 +32,11 @@ from repro.telemetry.registry import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_SAMPLE_INTERVAL_NS",
     "Gauge",
     "Histogram",
     "KernelTelemetry",
     "MetricsRegistry",
     "SNAPSHOT_VERSION",
-    "SimProfiler",
     "register_cpu_sampler",
     "register_throughput_meter",
     "render_openmetrics",

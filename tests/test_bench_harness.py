@@ -59,6 +59,21 @@ class TestExperimentRunner:
             with pytest.raises(ValueError, match=match):
                 run_experiment(built)
 
+    @pytest.mark.parametrize("kind,name,value", [
+        ("memcached", "fg_rate_pps", 5_000.0),
+        ("memcached", "fg_payload_len", 64),
+        ("web", "fg_rate_pps", 5_000.0),
+        ("web", "fg_payload_len", 64),
+        ("web", "bg_burst", 8),
+    ])
+    def test_app_kind_refuses_unused_fields(self, kind, name, value):
+        """An application cell ignores these fields, so a non-default
+        value would only split the cache key: refused, naming it."""
+        config = ExperimentConfig(fg_kind=kind, **{name: value}, **FAST)
+        for built in (config, ExperimentConfig.from_dict(config.to_dict())):
+            with pytest.raises(ValueError, match=name):
+                run_experiment(built)
+
     def test_label(self):
         config = ExperimentConfig(mode=StackMode.PRISM_SYNC,
                                   bg_rate_pps=300_000)

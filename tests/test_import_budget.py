@@ -30,7 +30,6 @@ from typing import Any, Dict
 import pytest
 
 import repro
-from repro.bench.experiment import TelemetryOptions, TraceOptions
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -165,14 +164,3 @@ def test_probe_sees_the_datapath():
     for module in ("repro.kernel.core", "repro.netdev.nic",
                    "repro.apps.sockperf", "repro.bench.cell"):
         assert module in built
-
-
-def test_runner_defaults_are_the_subscribers_defaults():
-    """The traced and metered runners spell their sampling defaults out
-    rather than import them, so that loading the runners loads neither
-    subscriber package; the values must still agree."""
-    from repro.obs.observer import DEFAULT_GAUGE_INTERVAL_NS
-    from repro.telemetry.profiler import DEFAULT_SAMPLE_INTERVAL_NS
-
-    assert TraceOptions().gauge_interval_ns == DEFAULT_GAUGE_INTERVAL_NS
-    assert TelemetryOptions().sample_interval_ns == DEFAULT_SAMPLE_INTERVAL_NS

@@ -100,6 +100,39 @@ class TestGoldenIdentity:
         assert SB.from_dict(stored) == traced_small.breakdown
 
 
+class TestPerSocket:
+    def test_groups_by_receiving_socket(self):
+        fg = _packet(1, 0, 10, [("eth", 30)], 100)
+        bg = [_packet(i, 0, 10, [("eth", 50), ("br", 80)], 200)
+              for i in range(2, 5)]
+        fg.socket = "srv/fg:udp:1"
+        for p in bg:
+            p.socket = "srv/bg:udp:2"
+        tables = StageBreakdown.per_socket([*bg, fg])
+        assert list(tables) == ["srv/bg:udp:2", "srv/fg:udp:1"]
+        assert tables["srv/fg:udp:1"] == StageBreakdown.from_packets([fg])
+        assert tables["srv/bg:udp:2"].packets == 3
+
+    def test_fg_table_counts_the_fg_requests_on_the_canonical_cell(self):
+        """Vanilla never classifies, so only the socket tells the fg
+        requests from the 300 kpps background they are averaged into."""
+        from repro.__main__ import _canonical_scenario
+
+        traced = _canonical_scenario("vanilla", 300_000).run_traced()
+        result = traced.result
+        assert list(traced.breakdowns) == [
+            "server/bg-server:udp:12222", "server/fg-server:udp:11111"]
+        fg, bg = (traced.breakdowns[f"server/{name}"] for name in
+                  ("fg-server:udp:11111", "bg-server:udp:12222"))
+        fg_received = fg.packets + fg.excluded
+        # Every reply answers a request the server received.
+        assert 0 < result.fg_replies <= fg_received <= result.fg_sent
+        assert bg.packets + bg.excluded > 10_000
+        everything = traced.breakdown
+        assert (everything.packets + everything.excluded
+                == fg_received + bg.packets + bg.excluded)
+
+
 class TestObserverNeutrality:
     def test_traced_run_digest_matches_untraced(self, traced_small):
         """Attaching spans/gauges must not change simulation outcomes."""

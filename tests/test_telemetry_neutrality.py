@@ -1,13 +1,14 @@
 """Telemetry neutrality: metering and profiling never move a number.
 
 The telemetry layer's core contract (mirroring the tracer's): attaching
-the metrics hub and the sampling profiler must not change a single
-measurement.  Pinned against the same golden measurement digests the
-fast-path tests use, for every canonical scenario.
+the metrics hub next to the kernel observer, whose span attribution is
+the profile, must not change a single measurement.  Pinned against the
+same golden measurement digests the fast-path tests use, for every
+canonical scenario.
 
-Also pins the acceptance criteria of the metered+profiled run itself:
-the OpenMetrics exposition parses, the registry agrees with the kernel's
-own accounting, and the profiler's folded per-track totals sum to the
+Also pins the acceptance criteria of the observed run itself: the
+OpenMetrics exposition parses, the registry agrees with the kernel's own
+accounting, and the observer's folded per-track totals sum to the
 accounted softirq time within 0.1%.
 """
 
@@ -17,15 +18,11 @@ import dataclasses
 
 import pytest
 
-from repro.bench.experiment import (
-    TelemetryOptions,
-    _run_experiment,
-    run_experiment,
-    run_instrumented_experiment,
-)
+from repro.bench.experiment import _run_experiment, run_traced_experiment
 from repro.bench.runner import result_digest
 from repro.flows import FlowExportConfig
 from repro.obs import KernelObserver
+from repro.obs.stacks import folded_lines
 from repro.telemetry import KernelTelemetry
 from tests.test_fastpath_golden import GOLD, SCENARIOS
 
@@ -35,18 +32,10 @@ def test_metered_profiled_run_is_digest_identical(scenario):
     """Metered+profiled measures exactly what the unmetered run does;
     the telemetry snapshot rides along outside the digest."""
     config, golden = GOLD[scenario]
-    instrumented = run_instrumented_experiment(config)
-    assert instrumented.result.telemetry is not None
-    assert result_digest(instrumented.result) == golden
-
-
-def test_metered_unprofiled_run_is_digest_identical():
-    """Metering alone (no profiler, so no span subscribers) is neutral."""
-    config, golden = GOLD["overlay-vanilla"]
-    instrumented = run_instrumented_experiment(
-        config, TelemetryOptions(profile=False))
-    assert instrumented.profiler is None
-    assert result_digest(instrumented.result) == golden
+    observed = run_traced_experiment(config)
+    assert observed.result.telemetry is not None
+    assert observed.observer.self_ns
+    assert result_digest(observed.result) == golden
 
 
 @pytest.mark.parametrize("scenario", [
@@ -78,24 +67,24 @@ def test_all_subscribers_together_are_digest_identical(scenario):
 def test_instrumented_runs_are_reproducible():
     """Two metered runs produce identical snapshots and expositions."""
     config, _ = GOLD["overlay-vanilla"]
-    a = run_instrumented_experiment(config)
-    b = run_instrumented_experiment(config)
+    a = run_traced_experiment(config)
+    b = run_traced_experiment(config)
     assert a.result.telemetry == b.result.telemetry
     assert (a.telemetry.registry.render_openmetrics()
             == b.telemetry.registry.render_openmetrics())
 
 
 class TestInstrumentedRunContents:
-    """One metered+profiled canonical cell, checked in depth."""
+    """One observed canonical cell, checked in depth."""
 
     @pytest.fixture(scope="class")
-    def instrumented(self):
+    def observed(self):
         config, _ = GOLD["overlay-vanilla"]
-        return run_instrumented_experiment(config)
+        return run_traced_experiment(config)
 
-    def test_registry_agrees_with_kernel_accounting(self, instrumented):
-        kernel = instrumented.telemetry.kernel
-        metrics = instrumented.result.telemetry["metrics"]
+    def test_registry_agrees_with_kernel_accounting(self, observed):
+        kernel = observed.telemetry.kernel
+        metrics = observed.result.telemetry["metrics"]
 
         def series(name):
             return {tuple(sorted(s["labels"].items())): s["value"]
@@ -113,8 +102,8 @@ class TestInstrumentedRunContents:
         assert drops == {(("queue", q),): n
                          for q, n in kernel.drops.items()}
 
-    def test_live_poll_counters_cover_delivered_traffic(self, instrumented):
-        metrics = instrumented.result.telemetry["metrics"]
+    def test_live_poll_counters_cover_delivered_traffic(self, observed):
+        metrics = observed.result.telemetry["metrics"]
         polls = {s["labels"]["napi"]: s["value"]
                  for s in metrics["repro_napi_polls"]["samples"]}
         packets = {s["labels"]["napi"]: s["value"]
@@ -129,8 +118,8 @@ class TestInstrumentedRunContents:
             assert sample["sum"] == packets[napi]
             assert sample["count"] == polls[napi]
 
-    def test_openmetrics_exposition_is_valid(self, instrumented):
-        text = instrumented.telemetry.render_openmetrics()
+    def test_openmetrics_exposition_is_valid(self, observed):
+        text = observed.telemetry.render_openmetrics()
         lines = text.splitlines()
         assert lines[-1] == "# EOF"
         assert text.endswith("# EOF\n")
@@ -161,34 +150,34 @@ class TestInstrumentedRunContents:
                    for line in lines)
 
     def test_folded_totals_match_softirq_time_within_tolerance(
-            self, instrumented):
+            self, observed):
         """Acceptance criterion: per-stage folded totals sum to the
         accounted simulated softirq CPU time within 0.1%."""
-        profiler = instrumented.profiler
-        kernel = instrumented.telemetry.kernel
+        observer = observed.observer
+        kernel = observed.telemetry.kernel
         for core in kernel.cpus:
             softirq_ns = core.stats.softirq_ns
-            track_ns = profiler.total_ns(f"cpu{core.core_id}")
+            track_ns = observer.total_ns(f"cpu{core.core_id}")
             if softirq_ns == 0:
                 assert track_ns == 0
                 continue
             assert abs(track_ns - softirq_ns) <= max(1, softirq_ns // 1000)
 
-    def test_folded_export_is_parseable(self, instrumented):
-        for line in instrumented.profiler.folded():
+    def test_folded_export_is_parseable(self, observed):
+        for line in folded_lines(observed.observer.self_ns):
             frames, _, ns = line.rpartition(" ")
             assert int(ns) > 0
             assert frames.split(";")[0].startswith("cpu")
 
-    def test_profiler_separates_priority_classes(self, instrumented):
+    def test_profiler_separates_priority_classes(self, observed):
         """The hp/lp flow-priority dimension reaches the flamegraph."""
-        leaves = instrumented.profiler.stage_totals()
+        leaves = observed.observer.stage_totals()
         assert any(name.endswith("[lp]") for name in leaves), leaves
 
-    def test_harness_meters_export_through_registry(self, instrumented):
+    def test_harness_meters_export_through_registry(self, observed):
         """Satellite: CpuUtilizationSampler + ThroughputMeter gauges ride
         the one registry — values equal the result's own fields."""
-        result = instrumented.result
+        result = observed.result
         metrics = result.telemetry["metrics"]
         util = {s["labels"]["cpu"]: s["value"]
                 for s in metrics["repro_cpu_utilization"]["samples"]}
@@ -204,9 +193,9 @@ class TestInstrumentedRunContents:
             result.fg_delivered_pps)
 
     def test_snapshot_round_trips_through_result_serialization(
-            self, instrumented):
+            self, observed):
         from repro.bench.experiment import ExperimentResult
 
-        clone = ExperimentResult.from_dict(instrumented.result.to_dict())
-        assert clone.telemetry == instrumented.result.telemetry
-        assert result_digest(clone) == result_digest(instrumented.result)
+        clone = ExperimentResult.from_dict(observed.result.to_dict())
+        assert clone.telemetry == observed.result.telemetry
+        assert result_digest(clone) == result_digest(observed.result)
