@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.kernel.cpu import CpuContext, CpuCore, CpuStats
 from repro.metrics.stats import LatencySummary, summarize_ns
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.cdf import Cdf
-    from repro.metrics.streaming import ReservoirSample, StreamingQuantiles
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "CpuUtilizationSampler"]
 
@@ -18,65 +14,34 @@ __all__ = ["LatencyRecorder", "ThroughputMeter", "CpuUtilizationSampler"]
 class LatencyRecorder:
     """Collects latency samples (ns) with optional warm-up gating.
 
-    Two storage backends:
-
-    - **exact** (default) — every sample kept in a compact ``array('q')``
-      (8 bytes/sample instead of a pointer to a boxed int); summaries
-      and CDFs are computed exactly.  This is what the bench harness
-      uses — experiment results stay bit-exact.
-    - **streaming** (``streaming=True``) — O(1) memory: P² quantile
-      markers feed :meth:`summary` and a seeded reservoir of
-      ``reservoir_k`` samples feeds :meth:`cdf`.  ``samples_ns`` stays
-      empty; use this for unbounded interactive sweeps.
+    Every sample is kept in a compact ``array('q')`` (8 bytes/sample
+    instead of a pointer to a boxed int), so summaries are exact and
+    experiment results stay bit-exact.
     """
 
-    def __init__(self, name: str = "", warmup_until_ns: int = 0, *,
-                 streaming: bool = False, reservoir_k: int = 4096,
-                 seed: int = 0) -> None:
+    def __init__(self, name: str = "", warmup_until_ns: int = 0) -> None:
         self.name = name
         #: Samples recorded at virtual times before this are discarded.
         self.warmup_until_ns = warmup_until_ns
-        self.streaming = streaming
-        self.samples_ns: Sequence[int] = array("q")
+        self.samples_ns = array("q")
         self.discarded = 0
         self.count = 0
-        self._quantiles: Optional[StreamingQuantiles] = None
-        self._reservoir: Optional[ReservoirSample] = None
-        if streaming:
-            from repro.metrics.streaming import (ReservoirSample,
-                                                 StreamingQuantiles)
-            self._quantiles = StreamingQuantiles()
-            self._reservoir = ReservoirSample(reservoir_k, seed=seed)
 
     def record(self, latency_ns: int, at_ns: Optional[int] = None) -> None:
         if at_ns is not None and at_ns < self.warmup_until_ns:
             self.discarded += 1
             return
         self.count += 1
-        if self._quantiles is not None:
-            self._quantiles.add(latency_ns)
-            self._reservoir.add(latency_ns)
-            return
         self.samples_ns.append(latency_ns)
 
     def summary(self) -> Optional[LatencySummary]:
-        if self._quantiles is not None:
-            return self._quantiles.summary()
         return summarize_ns(self.samples_ns)
-
-    def cdf(self) -> Cdf:
-        from repro.metrics.cdf import Cdf  # numpy, on first use
-
-        if self._reservoir is not None:
-            return Cdf(self._reservoir.samples)
-        return Cdf(self.samples_ns)
 
     def __len__(self) -> int:
         return self.count
 
     def __repr__(self) -> str:
-        mode = "streaming" if self.streaming else "exact"
-        return f"<LatencyRecorder {self.name!r} n={self.count} {mode}>"
+        return f"<LatencyRecorder {self.name!r} n={self.count}>"
 
 
 class ThroughputMeter:
@@ -104,13 +69,6 @@ class ThroughputMeter:
         if self.first_at is None:
             self.first_at = at_ns
         self.last_at = at_ns
-
-    def rate_per_sec(self, window_start_ns: int, window_end_ns: int) -> float:
-        """Events per second over an explicit window."""
-        elapsed = window_end_ns - window_start_ns
-        if elapsed <= 0:
-            return 0.0
-        return self.count * 1e9 / elapsed
 
     def summary(self) -> Dict[str, Optional[int]]:
         """Counters as a plain dict (for reports and JSON dumps)."""

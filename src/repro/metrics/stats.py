@@ -11,23 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-__all__ = ["percentile", "LatencySummary", "summarize_ns",
-           "order_statistic_ranks", "quantile_interval"]
-
-
-def percentile(samples: Sequence[float], pct: float) -> float:
-    """The *pct*-th percentile (0-100) of *samples* (linear interpolation).
-
-    Raises ValueError on an empty sample set — silently returning 0 would
-    make a broken experiment look infinitely fast.
-    """
-    if len(samples) == 0:
-        raise ValueError("cannot take a percentile of zero samples")
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    import numpy as np
-
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), pct))
+__all__ = ["LatencySummary", "summarize_ns", "order_statistic_ranks",
+           "quantile_interval"]
 
 
 #: Each end of a two-sided 95 % interval leaves out this much mass.

@@ -1,4 +1,4 @@
-"""Tests for statistics, histograms, CDFs, and recorders."""
+"""Tests for statistics and recorders."""
 
 import math
 
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from repro.kernel.costs import CostModel
 from repro.kernel.cpu import CpuCore, Work
-from repro.metrics.cdf import Cdf
-from repro.metrics.histogram import LogHistogram
 from repro.metrics.recorder import (
     CpuUtilizationSampler,
     LatencyRecorder,
@@ -17,7 +15,6 @@ from repro.metrics.recorder import (
 )
 from repro.metrics.stats import (
     order_statistic_ranks,
-    percentile,
     quantile_interval,
     summarize_ns,
 )
@@ -40,15 +37,6 @@ class TestStats:
         summary = summarize_ns([1_500])
         assert summary.avg_us == 1.5
         assert summary.p99_us == 1.5
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_percentile_interpolation(self):
-        assert percentile([0, 10], 50) == 5.0
 
     @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=200))
     def test_summary_invariants(self, samples):
@@ -83,128 +71,6 @@ class TestStats:
             assert lo < hi
 
 
-class TestLogHistogram:
-    def test_basic_recording(self):
-        hist = LogHistogram()
-        hist.record_many([100, 200, 300])
-        assert len(hist) == 3
-        assert hist.mean == 200
-        assert hist.min_value == 100
-        assert hist.max_value == 300
-
-    def test_empty_raises(self):
-        hist = LogHistogram()
-        with pytest.raises(ValueError):
-            hist.mean
-        with pytest.raises(ValueError):
-            hist.percentile(50)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            LogHistogram(buckets_per_decade=0)
-        hist = LogHistogram()
-        with pytest.raises(ValueError):
-            hist.record(10, count=0)
-        hist.record(10)
-        with pytest.raises(ValueError):
-            hist.percentile(-1)
-
-    def test_percentile_bounded_relative_error(self):
-        hist = LogHistogram(buckets_per_decade=36)
-        samples = [1_000 + 37 * i for i in range(1_000)]
-        hist.record_many(samples)
-        exact = percentile(samples, 99)
-        approx = hist.percentile(99)
-        assert abs(approx - exact) / exact < 0.10
-
-    def test_merge(self):
-        a = LogHistogram()
-        b = LogHistogram()
-        a.record_many([100, 200])
-        b.record_many([300, 400])
-        a.merge(b)
-        assert len(a) == 4
-        assert a.max_value == 400
-
-    def test_merge_resolution_mismatch(self):
-        a = LogHistogram(buckets_per_decade=36)
-        b = LogHistogram(buckets_per_decade=10)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_zero_and_negative_values_bucketed(self):
-        hist = LogHistogram()
-        hist.record(0)
-        hist.record(100)
-        assert len(hist) == 2
-        assert hist.percentile(1) == 0.0
-
-    def test_buckets_sorted(self):
-        hist = LogHistogram()
-        hist.record_many([5_000, 50, 500])
-        midpoints = [mid for mid, _count in hist.buckets()]
-        assert midpoints == sorted(midpoints)
-
-    @given(st.lists(st.floats(min_value=1, max_value=1e9,
-                              allow_nan=False), min_size=1, max_size=100))
-    def test_percentile_within_min_max(self, values):
-        hist = LogHistogram()
-        hist.record_many(values)
-        for pct in (0, 50, 99, 100):
-            result = hist.percentile(pct)
-            assert hist.min_value <= result <= hist.max_value
-
-    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=50),
-           st.lists(st.integers(1, 10**6), min_size=1, max_size=50))
-    def test_merge_equals_combined(self, first, second):
-        merged = LogHistogram()
-        merged.record_many(first)
-        other = LogHistogram()
-        other.record_many(second)
-        merged.merge(other)
-        combined = LogHistogram()
-        combined.record_many(first + second)
-        assert len(merged) == len(combined)
-        assert merged.percentile(50) == combined.percentile(50)
-        assert math.isclose(merged.total, combined.total)
-
-
-class TestCdf:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Cdf([])
-
-    def test_at_and_quantile(self):
-        cdf = Cdf([10, 20, 30, 40])
-        assert cdf.at(5) == 0.0
-        assert cdf.at(25) == 0.5
-        assert cdf.at(100) == 1.0
-        assert cdf.quantile(0) == 10
-        assert cdf.quantile(1) == 40
-
-    def test_quantile_bounds(self):
-        with pytest.raises(ValueError):
-            Cdf([1]).quantile(1.5)
-
-    def test_points_monotonic(self):
-        cdf = Cdf(list(range(100)))
-        points = cdf.points(20)
-        values = [v for v, _q in points]
-        probs = [q for _v, q in points]
-        assert values == sorted(values)
-        assert probs == sorted(probs)
-
-    def test_points_requires_two(self):
-        with pytest.raises(ValueError):
-            Cdf([1]).points(1)
-
-    @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=100))
-    def test_at_quantile_roundtrip(self, samples):
-        cdf = Cdf(samples)
-        median = cdf.quantile(0.5)
-        assert cdf.at(median) >= 0.5
-
-
 class TestRecorders:
     def test_latency_recorder_warmup_gating(self):
         recorder = LatencyRecorder(warmup_until_ns=100)
@@ -214,12 +80,19 @@ class TestRecorders:
         assert list(recorder.samples_ns) == [7, 9]
         assert recorder.discarded == 1
 
-    def test_latency_recorder_summary_and_cdf(self):
+    def test_latency_recorder_summary(self):
         recorder = LatencyRecorder()
         recorder.record(100)
         recorder.record(300)
         assert recorder.summary().avg_ns == 200
-        assert recorder.cdf().count == 2
+
+    def test_latency_recorder_uses_compact_storage(self):
+        recorder = LatencyRecorder()
+        recorder.record(7)
+        recorder.record(9)
+        assert recorder.samples_ns.typecode == "q"
+        assert list(recorder.samples_ns) == [7, 9]
+        assert recorder.summary().avg_ns == 8
 
     def test_throughput_meter(self):
         meter = ThroughputMeter(warmup_until_ns=1_000)
@@ -229,11 +102,7 @@ class TestRecorders:
         assert meter.count == 2
         assert meter.bytes == 50
         assert meter.first_at == 1_500
-        assert meter.rate_per_sec(1_000, 1_000_000_000 + 1_000) == 2.0
-
-    def test_throughput_meter_zero_window(self):
-        meter = ThroughputMeter()
-        assert meter.rate_per_sec(100, 100) == 0.0
+        assert meter.last_at == 2_500
 
     def test_cpu_sampler_window(self):
         sim = Simulator()
@@ -263,3 +132,21 @@ class TestRecorders:
         core.raise_softirq(3)
         sim.run(until=100_000)
         assert sampler.softirq_fraction() == pytest.approx(0.3)
+
+
+class TestThroughputMeterDiscarded:
+    def test_warmup_events_are_counted_as_discarded(self):
+        meter = ThroughputMeter(warmup_until_ns=1_000)
+        meter.record(500, nbytes=100)
+        meter.record(1_500, nbytes=200)
+        assert meter.count == 1
+        assert meter.bytes == 200
+        assert meter.discarded == 1
+
+    def test_summary_exposes_discarded(self):
+        meter = ThroughputMeter(warmup_until_ns=10)
+        meter.record(5)
+        meter.record(20)
+        summary = meter.summary()
+        assert summary == {"count": 1, "bytes": 0, "discarded": 1,
+                           "first_at": 20, "last_at": 20}
