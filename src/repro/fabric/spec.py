@@ -1,12 +1,13 @@
 """Declarative topology specs — the single source of truth for *where*
-an experiment runs.
+a cluster runs.
 
 A :class:`TopologySpec` is a frozen, hashable, versioned value object
 describing hosts, switches, links, per-host containers, and the ECMP
-policy of the network an experiment runs on.  Everything that used to be
-implied by the ``network="overlay"/"host"`` string or the hardwired
-two-host :func:`~repro.bench.testbed.build_testbed` is *derivable
-from a spec* (see :meth:`repro.scenario.Scenario.on`).
+policy of the fabric a cluster runs on
+(:class:`~repro.shard.cluster.ClusterConfig`,
+``Scenario.cluster(...).topology(spec)``).  The two-host pair is not a
+spec: it is ``ExperimentConfig.network`` plus the cost model's wire
+fields.
 
 Design rules:
 
@@ -16,15 +17,9 @@ Design rules:
 - **Versioned wire format.**  :meth:`TopologySpec.to_dict` /
   :meth:`~TopologySpec.from_dict` round-trip exactly;
   ``TOPOLOGY_SCHEMA_VERSION`` gates forward compatibility.
-- **One encoding of the two-host pair.**  ``Topology.two_host()``
-  (kinds ``"two-host"`` / ``"host-pair"``) describes exactly the
-  scenario the two-host testbed builds; :meth:`Scenario.on` maps it
-  onto ``ExperimentConfig.network`` plus the cost model's wire fields,
-  which is the only way an experiment config names the pair.
 
 Build specs through the :class:`Topology` factory::
 
-    Topology.two_host()              # the classic overlay pair
     Topology.fat_tree(k=4)           # 16 hosts, 20 switches, ECMP
     Topology.mesh(hosts=8)           # full mesh, single-hop links
 """
@@ -48,14 +43,9 @@ __all__ = [
 #: Bump when the to_dict()/from_dict() wire format changes.
 TOPOLOGY_SCHEMA_VERSION = 1
 
-#: Default per-hop link parameters for fabric topologies.  The two-host
-#: defaults instead mirror :class:`~repro.kernel.costs.CostModel`
-#: (``wire_latency_ns=1_600``, ``wire_bytes_per_ns=12.5``) so the
-#: canonical two-host spec maps onto an unmodified cost model.
+#: Default per-hop link parameters for fabric topologies.
 FABRIC_LINK_LATENCY_NS = 25_000
 FABRIC_LINK_BYTES_PER_NS = 12.5
-TWO_HOST_LATENCY_NS = 1_600
-TWO_HOST_BYTES_PER_NS = 12.5
 DEFAULT_FLOWLET_GAP_NS = 100_000
 
 
@@ -74,7 +64,7 @@ class HostSpec:
     id: int
     name: str
     #: Name of the switch this host uplinks to ("" = point-to-point
-    #: topology with direct host-host links, e.g. the two-host pair).
+    #: topology with direct host-host links, e.g. a mesh).
     attach: str = ""
     containers: Tuple[ContainerSpec, ...] = ()
 
@@ -114,8 +104,8 @@ class EcmpSpec:
 class TopologySpec:
     """A frozen, hashable description of hosts, fabric, and placement."""
 
-    #: "two-host" | "host-pair" | "mesh" | "fat-tree" (open set — the
-    #: kind names the generator; consumers dispatch on structure).
+    #: "mesh" | "fat-tree" (open set — the kind names the generator;
+    #: consumers dispatch on structure).
     kind: str
     hosts: Tuple[HostSpec, ...]
     switches: Tuple[SwitchSpec, ...] = ()
@@ -160,15 +150,6 @@ class TopologySpec:
     @property
     def host_count(self) -> int:
         return len(self.hosts)
-
-    def canonical_network(self) -> Optional[str]:
-        """The ``ExperimentConfig.network`` string of a two-host spec, or
-        ``None`` for genuinely multi-host fabrics."""
-        if self.kind == "two-host":
-            return "overlay"
-        if self.kind == "host-pair":
-            return "host"
-        return None
 
     # ------------------------------------------------------------------
     # Versioned serialization
@@ -220,35 +201,6 @@ class TopologySpec:
 
 class Topology:
     """Factory for canonical :class:`TopologySpec` values."""
-
-    @staticmethod
-    def two_host(network: str = "overlay", *,
-                 latency_ns: int = TWO_HOST_LATENCY_NS,
-                 bytes_per_ns: float = TWO_HOST_BYTES_PER_NS
-                 ) -> TopologySpec:
-        """The classic Prism pair: one fully simulated server host, one
-        coarse client host, a single point-to-point wire.
-
-        ``network="overlay"`` runs container workloads over the VXLAN
-        overlay; ``"host"`` serves from root-namespace sockets.  The
-        default link parameters equal the two-host
-        :class:`~repro.kernel.costs.CostModel` wire defaults, so the
-        default spec maps onto an unmodified cost model.
-        """
-        if network not in ("overlay", "host"):
-            raise ValueError(f"unknown network type {network!r}; "
-                             "expected 'overlay' or 'host'")
-        kind = "two-host" if network == "overlay" else "host-pair"
-        containers: Tuple[ContainerSpec, ...] = ()
-        if network == "overlay":
-            containers = (ContainerSpec("fg-server", "10.0.0.10"),
-                          ContainerSpec("bg-server", "10.0.0.11"))
-        return TopologySpec(
-            kind=kind,
-            hosts=(HostSpec(0, "server", containers=containers),
-                   HostSpec(1, "client")),
-            links=(LinkSpec("server", "client", latency_ns=latency_ns,
-                            bytes_per_ns=bytes_per_ns),))
 
     @staticmethod
     def fat_tree(k: int = 4, *, hosts: Optional[int] = None,

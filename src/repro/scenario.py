@@ -235,51 +235,6 @@ class Scenario:
         return run_traced_experiment(self._config)
 
     # ------------------------------------------------------------------
-    # Topology dispatch
-    # ------------------------------------------------------------------
-    @staticmethod
-    def on(spec: TopologySpec, *,
-           mode: Union[StackMode, str] = StackMode.VANILLA,
-           seed: Optional[int] = None,
-           **knobs: object) -> Union["Scenario", "ClusterScenario"]:
-        """Build the scenario for a declarative topology spec.
-
-        The spec is the single source of truth for *where* the workload
-        runs; this dispatches on its structure:
-
-        - ``Topology.two_host(...)`` → a :class:`Scenario` on the classic
-          pair.  The pair has one encoding: the ``network`` string plus
-          the cost model's wire fields (non-default link parameters map
-          onto ``wire_latency_ns``/``wire_bytes_per_ns``).
-        - Any other spec (``Topology.mesh(8)``,
-          ``Topology.fat_tree(k=4)``, …) → a :class:`ClusterScenario`
-          carrying the spec, routed through the simulated
-          :class:`~repro.fabric.network.FabricNetwork`.
-
-        Extra knobs forward to :class:`ClusterScenario` (``users=``,
-        ``shards=``, …) and are rejected for two-host specs.
-        """
-        network = spec.canonical_network()
-        if network is not None:
-            if knobs:
-                raise TypeError(
-                    f"two-host specs take no cluster knobs: "
-                    f"{sorted(knobs)}")
-            scenario = Scenario(mode=mode, network=network,
-                                seed=1 if seed is None else seed)
-            link = spec.links[0]
-            defaults = CostModel()
-            if (link.latency_ns != defaults.wire_latency_ns
-                    or link.bytes_per_ns != defaults.wire_bytes_per_ns):
-                scenario = scenario.costs(
-                    wire_latency_ns=link.latency_ns,
-                    wire_bytes_per_ns=link.bytes_per_ns)
-            return scenario
-        return ClusterScenario(
-            spec.host_count, mode=mode, seed=0 if seed is None else seed,
-            topology=spec, **knobs)
-
-    # ------------------------------------------------------------------
     # Cluster scenarios
     # ------------------------------------------------------------------
     @staticmethod

@@ -96,10 +96,6 @@ class ClusterConfig:
             raise ValueError(
                 f"topology describes {self.topology.host_count} hosts "
                 f"but the cluster has {self.hosts}")
-        if self.topology.canonical_network() is not None:
-            raise ValueError(
-                "two-host specs run through Scenario.on(...) / "
-                "run_experiment, not the cluster executor")
 
     @property
     def end_ns(self) -> int:

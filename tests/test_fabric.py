@@ -216,7 +216,3 @@ class TestFabricCluster:
     def test_host_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="describes 8 hosts"):
             ClusterConfig(hosts=4, topology=FAT8)
-
-    def test_two_host_spec_rejected(self):
-        with pytest.raises(ValueError, match="Scenario.on"):
-            ClusterConfig(hosts=2, topology=Topology.two_host())

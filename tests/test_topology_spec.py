@@ -26,8 +26,8 @@ class TestSpecValue:
             spec.kind = "other"
 
     def test_round_trip(self):
-        for spec in (Topology.two_host(), Topology.two_host("host"),
-                     Topology.mesh(4), Topology.fat_tree(4, hosts=8)):
+        for spec in (Topology.mesh(2), Topology.mesh(4),
+                     Topology.fat_tree(4, hosts=8)):
             data = spec.to_dict()
             assert data["version"] == TOPOLOGY_SCHEMA_VERSION
             assert TopologySpec.from_dict(data) == spec
@@ -60,12 +60,6 @@ class TestSpecValue:
                             ContainerSpec("c2", "10.0.0.1"))),
                        HostSpec(1, "b")),
                 links=(LinkSpec("a", "b"),))
-
-    def test_two_host_canonical_network(self):
-        assert Topology.two_host().canonical_network() == "overlay"
-        assert Topology.two_host("host").canonical_network() == "host"
-        assert Topology.mesh(3).canonical_network() is None
-        assert Topology.fat_tree(4, hosts=4).canonical_network() is None
 
 
 class TestFatTree:

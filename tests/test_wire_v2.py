@@ -189,7 +189,7 @@ class TestBatchSortEquivalence:
 
 class TestMinPathLatency:
     @pytest.mark.parametrize("spec", [
-        Topology.two_host(),
+        Topology.mesh(2),
         Topology.mesh(5),
         Topology.fat_tree(4),
     ], ids=["two_host", "mesh", "fat_tree_k4"])
