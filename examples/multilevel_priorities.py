@@ -11,8 +11,9 @@ Run:
     python examples/multilevel_priorities.py
 """
 
-from repro import KernelConfig, StackMode, build_testbed
+from repro import KernelConfig, StackMode
 from repro.apps import SockperfUdpClient, SockperfUdpFlood, SockperfUdpServer
+from repro.bench.testbed import build_testbed
 from repro.metrics.recorder import LatencyRecorder
 from repro.sim.units import MS
 

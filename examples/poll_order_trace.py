@@ -10,8 +10,9 @@ Run:
     python examples/poll_order_trace.py
 """
 
-from repro import StackMode, build_testbed
+from repro import StackMode
 from repro.apps.remote import RemoteRequestSender
+from repro.bench.testbed import build_testbed
 from repro.obs import KernelObserver
 from repro.sim.units import MS
 

@@ -10,8 +10,9 @@ Run:
     python examples/stage_timeline.py
 """
 
-from repro import StackMode, build_testbed
+from repro import StackMode
 from repro.apps.remote import RemoteRequestSender
+from repro.bench.testbed import build_testbed
 from repro.obs import KernelObserver, render_gantt
 from repro.sim.units import MS
 

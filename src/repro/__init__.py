@@ -7,7 +7,8 @@ receive path.
 
 Quick start
 -----------
->>> from repro import build_testbed, StackMode
+>>> from repro import StackMode
+>>> from repro.bench.testbed import build_testbed
 >>> from repro.apps import SockperfUdpServer, SockperfUdpClient
 >>> testbed = build_testbed(mode=StackMode.PRISM_SYNC)
 >>> server = testbed.add_server_container("srv", "10.0.0.10")
@@ -36,10 +37,9 @@ Package map
 - ``repro.bench`` — per-figure experiment harness.
 """
 
-from repro.bench.testbed import build_testbed
 from repro.kernel.config import KernelConfig
 from repro.prism.mode import StackMode
 
 __version__ = "1.0.0"
 
-__all__ = ["KernelConfig", "StackMode", "build_testbed", "__version__"]
+__all__ = ["KernelConfig", "StackMode", "__version__"]

@@ -5,8 +5,3 @@ disabling it must never change an experiment's results.  The golden
 digest tests in ``tests/test_fastpath_golden.py`` pin that contract for
 every stack mode, with and without tracing attached.
 """
-
-from repro.fastpath.pool import SkbPool
-from repro.fastpath.headercache import CachedUdpBuilder
-
-__all__ = ["SkbPool", "CachedUdpBuilder"]

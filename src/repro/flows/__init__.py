@@ -38,7 +38,7 @@ measurement digests are equal with export on or off.
 """
 
 from repro.flows.cache import FlowCache
-from repro.flows.collector import FabricFlowTap, FlowCollector, KernelFlowTap
+from repro.flows.collector import FabricFlowTap, FlowCollector
 from repro.flows.config import FlowExportConfig
 from repro.flows.records import (
     FLOW_SCHEMA_VERSION,
@@ -46,21 +46,18 @@ from repro.flows.records import (
     flow_record_digest,
     merge_flow_blocks,
     normalize_records,
-    record_sort_key,
 )
 from repro.flows.sampler import FlowSampler
 from repro.flows.sink import (
-    FlowSink,
     JsonlSink,
     MemorySink,
     SqliteSink,
     export_flows,
     open_sink,
 )
-from repro.flows.store import FLOW_DB_SCHEMA, FlowStore
+from repro.flows.store import FlowStore
 
 __all__ = [
-    "FLOW_DB_SCHEMA",
     "FLOW_SCHEMA_VERSION",
     "FabricFlowTap",
     "FlowCache",
@@ -68,10 +65,8 @@ __all__ = [
     "FlowExportConfig",
     "FlowRecord",
     "FlowSampler",
-    "FlowSink",
     "FlowStore",
     "JsonlSink",
-    "KernelFlowTap",
     "MemorySink",
     "SqliteSink",
     "export_flows",
@@ -79,5 +74,4 @@ __all__ = [
     "merge_flow_blocks",
     "normalize_records",
     "open_sink",
-    "record_sort_key",
 ]

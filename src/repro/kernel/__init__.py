@@ -15,29 +15,3 @@ modifies or depends on:
 - :mod:`~repro.kernel.gro` — generic receive offload (coalescing);
 - :mod:`~repro.kernel.config` — per-host kernel configuration knobs.
 """
-
-from repro.kernel.config import KernelConfig
-from repro.kernel.costs import CostModel
-from repro.kernel.cpu import (
-    Block,
-    CpuContext,
-    CpuCore,
-    CpuStats,
-    UserThread,
-    Work,
-)
-from repro.kernel.softnet import NapiStruct, SoftnetData, NET_RX_SOFTIRQ
-
-__all__ = [
-    "Block",
-    "CostModel",
-    "CpuContext",
-    "CpuCore",
-    "CpuStats",
-    "KernelConfig",
-    "NET_RX_SOFTIRQ",
-    "NapiStruct",
-    "SoftnetData",
-    "UserThread",
-    "Work",
-]

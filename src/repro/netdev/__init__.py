@@ -14,51 +14,4 @@ Devices mirror the paper's Fig. 1 architecture:
   ``veth``);
 - :class:`~repro.netdev.queues.PacketQueue` — bounded FIFO with drop
   accounting, used for rx rings, NAPI queues, and socket buffers.
-
-Submodules are imported lazily (PEP 562) because the kernel package and
-the device drivers reference each other: ``kernel.softnet`` needs
-``netdev.queues`` while ``netdev.nic`` subclasses ``kernel.softnet``
-structures.
 """
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.netdev.bridge import Bridge
-    from repro.netdev.device import NetDevice, PacketStage
-    from repro.netdev.nic import PhysicalNic
-    from repro.netdev.queues import PacketQueue
-    from repro.netdev.veth import VethPair
-    from repro.netdev.vxlan import VxlanDevice
-
-__all__ = [
-    "Bridge",
-    "NetDevice",
-    "PacketQueue",
-    "PacketStage",
-    "PhysicalNic",
-    "VethPair",
-    "VxlanDevice",
-]
-
-_EXPORTS = {
-    "Bridge": "repro.netdev.bridge",
-    "NetDevice": "repro.netdev.device",
-    "PacketStage": "repro.netdev.device",
-    "PhysicalNic": "repro.netdev.nic",
-    "PacketQueue": "repro.netdev.queues",
-    "VethPair": "repro.netdev.veth",
-    "VxlanDevice": "repro.netdev.vxlan",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

@@ -27,32 +27,7 @@ subscribers: the telemetry hub (:mod:`repro.telemetry`) and the flow tap
 (:mod:`repro.flows`) take the same path.
 """
 
-from repro.obs.breakdown import StageBreakdown, StageSegment
-from repro.obs.chrome import (
-    chrome_trace_doc,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.observer import (
-    DEFAULT_GAUGE_INTERVAL_NS,
-    KernelObserver,
-    PacketMilestones,
-    PollRecord,
-    render_gantt,
-)
-from repro.obs.recorder import FlightRecorder, TraceEvent
+from repro.obs.breakdown import StageBreakdown
+from repro.obs.observer import KernelObserver, render_gantt
 
-__all__ = [
-    "DEFAULT_GAUGE_INTERVAL_NS",
-    "FlightRecorder",
-    "KernelObserver",
-    "PacketMilestones",
-    "PollRecord",
-    "StageBreakdown",
-    "StageSegment",
-    "TraceEvent",
-    "chrome_trace_doc",
-    "render_gantt",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__all__ = ["KernelObserver", "StageBreakdown", "render_gantt"]

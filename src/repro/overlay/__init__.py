@@ -12,28 +12,3 @@
 - :mod:`~repro.overlay.wirefmt` — the compact cross-shard wire format
   used by the space-parallel cluster executor.
 """
-
-from repro.overlay.container import Container
-from repro.overlay.host import Host
-from repro.overlay.network import RemoteContainer, RemoteHost, Wire
-from repro.overlay.topology import (
-    HostOverlay,
-    OverlayEndpoint,
-    OverlayNetwork,
-    register_remote_container,
-)
-from repro.overlay.wirefmt import EMPTY_FRAME, WireBatch
-
-__all__ = [
-    "Container",
-    "EMPTY_FRAME",
-    "Host",
-    "HostOverlay",
-    "OverlayEndpoint",
-    "OverlayNetwork",
-    "RemoteContainer",
-    "RemoteHost",
-    "Wire",
-    "WireBatch",
-    "register_remote_container",
-]

@@ -23,7 +23,6 @@ from repro.packet.addr import Ipv4Address, MacAddress
 from repro.packet.checksum import internet_checksum, verify_checksum
 from repro.packet.flow import FlowKey, rss_hash
 from repro.packet.headers import (
-    ETHERTYPE_IPV4,
     IPPROTO_TCP,
     IPPROTO_UDP,
     VXLAN_PORT,
@@ -37,7 +36,6 @@ from repro.packet.packet import Packet, vxlan_decapsulate, vxlan_encapsulate
 from repro.packet.skb import SKBuff
 
 __all__ = [
-    "ETHERTYPE_IPV4",
     "EthernetHeader",
     "FlowKey",
     "IPPROTO_TCP",

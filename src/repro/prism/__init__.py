@@ -20,16 +20,3 @@ hand-off loop, :func:`repro.kernel.softnet.hand_off`, driven by the
 ``prism`` / ``sync`` / ``bypass`` switches ``Kernel`` binds whenever the
 mode is set.
 """
-
-from repro.prism.classifier import PriorityClassifier
-from repro.prism.mode import StackMode
-from repro.prism.priority_db import PriorityDatabase, PriorityRule
-from repro.prism.procfs import ProcFs
-
-__all__ = [
-    "PriorityClassifier",
-    "PriorityDatabase",
-    "PriorityRule",
-    "ProcFs",
-    "StackMode",
-]

@@ -12,17 +12,14 @@
   results with exact cross-shard packet conservation.
 """
 
-from repro.shard.cluster import ClusterConfig, ClusterResult, cluster_digest
+from repro.shard.cluster import ClusterConfig, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.hostcell import HostCell
-from repro.shard.worker import PipeShardWorker, ShardWorker, partition_hosts
+from repro.shard.worker import partition_hosts
 
 __all__ = [
     "ClusterConfig",
-    "ClusterResult",
     "HostCell",
-    "PipeShardWorker",
-    "ShardWorker",
     "cluster_digest",
     "partition_hosts",
     "run_cluster",

@@ -27,29 +27,19 @@ Example
 [(10, 'b'), (30, 'a')]
 """
 
-from repro.sim.engine import PeriodicCall, ScheduledCall, Simulator
-from repro.sim.events import AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.engine import Simulator
+from repro.sim.events import Event, Timeout
+from repro.sim.process import Process
 from repro.sim.rng import SeededRng
-from repro.sim.units import MS, NS, SEC, US, format_ns, ms, ns_to_us, sec, us
+from repro.sim.units import MS, SEC, US
 
 __all__ = [
-    "AnyOf",
     "Event",
     "MS",
-    "NS",
-    "PeriodicCall",
     "Process",
-    "ProcessKilled",
-    "ScheduledCall",
     "SEC",
     "SeededRng",
     "Simulator",
     "Timeout",
     "US",
-    "format_ns",
-    "ms",
-    "ns_to_us",
-    "sec",
-    "us",
 ]

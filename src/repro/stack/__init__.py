@@ -13,19 +13,3 @@
 - :mod:`~repro.stack.egress` — packet builders and the host transmit
   path (TSO-style segmentation, VXLAN encap).
 """
-
-from repro.stack.fdb import Fdb
-from repro.stack.netns import NetNamespace
-from repro.stack.receive import protocol_rcv
-from repro.stack.sockets import SocketTable, UdpSocket
-from repro.stack.tcp import TcpEndpoint, TcpSegment
-
-__all__ = [
-    "Fdb",
-    "NetNamespace",
-    "SocketTable",
-    "TcpEndpoint",
-    "TcpSegment",
-    "UdpSocket",
-    "protocol_rcv",
-]

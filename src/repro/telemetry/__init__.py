@@ -16,29 +16,7 @@ Entry points: ``Scenario.run_traced()`` (its result's
 ``python -m repro --metrics out.prom``.
 """
 
-from repro.telemetry.adapters import (
-    register_cpu_sampler,
-    register_throughput_meter,
-)
 from repro.telemetry.kernel import KernelTelemetry
-from repro.telemetry.openmetrics import render_openmetrics, write_openmetrics
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SNAPSHOT_VERSION,
-)
+from repro.telemetry.registry import SNAPSHOT_VERSION, MetricsRegistry
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "KernelTelemetry",
-    "MetricsRegistry",
-    "SNAPSHOT_VERSION",
-    "register_cpu_sampler",
-    "register_throughput_meter",
-    "render_openmetrics",
-    "write_openmetrics",
-]
+__all__ = ["KernelTelemetry", "MetricsRegistry", "SNAPSHOT_VERSION"]

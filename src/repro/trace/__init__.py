@@ -9,7 +9,3 @@ owners — the kernel observer (:mod:`repro.obs`, per-packet milestones,
 poll order, spans), the telemetry hub (:mod:`repro.telemetry`) and the
 flow tap (:mod:`repro.flows`).
 """
-
-from repro.trace.tracer import TracePoint, Tracer
-
-__all__ = ["TracePoint", "Tracer"]

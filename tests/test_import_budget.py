@@ -13,6 +13,9 @@ through two in-process ``ShardWorker``\\ s -- and checks that
 - running a short window after the build imports no module at all, so
   no import lands inside a timed run.
 
+A last case checks that ``import repro`` alone loads none of the
+datapath.
+
 A failure names each offending module with the chain of modules that
 imported it, innermost first.
 """
@@ -164,3 +167,17 @@ def test_probe_sees_the_datapath():
     for module in ("repro.kernel.core", "repro.netdev.nic",
                    "repro.apps.sockperf", "repro.bench.cell"):
         assert module in built
+
+
+def test_import_repro_loads_no_datapath():
+    """``import repro`` -- the first step of ``python -m repro --help``
+    and of every spawned shard -- loads the package, ``StackMode`` and
+    ``KernelConfig``, and none of the datapath."""
+    code = ("import json, sys, repro; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'repro')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) <= 5, f"import repro loads {len(loaded)}: {loaded}"
