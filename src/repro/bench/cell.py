@@ -90,8 +90,9 @@ class ExperimentCell:
         self.recorder = LatencyRecorder("fg", warmup_until_ns=config.warmup_ns)
 
         self.fg_client = None
+        self.counters: Optional[Dict[str, int]] = None
         if config.network == "overlay":
-            self.fg_meter, self.bg_meter, self.counters, self.fg_client = (
+            self.fg_meter, self.bg_meter, self.fg_client = (
                 _experiment._overlay_setup(self.testbed, config,
                                            self.recorder, self.telemetry))
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-__all__ = ["Event", "Timeout", "AnyOf", "EventAlreadyTriggered"]
+__all__ = ["Event", "Timeout", "EventAlreadyTriggered"]
 
 
 class EventAlreadyTriggered(RuntimeError):
@@ -114,15 +114,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Detach one occurrence of *callback* if still pending.  No-op if
-        the callback is not attached or the event has been processed."""
-        if self.callbacks is not None:
-            try:
-                self.callbacks.remove(callback)
-            except ValueError:
-                pass
-
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator's event loop."""
         callbacks, self.callbacks = self.callbacks, None
@@ -164,38 +155,3 @@ class Timeout(Event):
         self._triggered = True
         self._value = value
         sim._schedule_event(self, delay=self.delay)
-
-
-class AnyOf(Event):
-    """Fires when the first of several events fires.
-
-    The value is the event that fired first.  Failure of a constituent
-    event fails the AnyOf with the same exception.
-
-    Once the winner fires, the ``_on_child`` callback is detached from the
-    losing children: a long-lived loser (an idle socket's wakeup event, a
-    background process) must not pin a completed AnyOf — and transitively
-    its winner's value — in memory for the rest of the simulation.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: List[Event],  # noqa: F821
-                 name: str = "") -> None:
-        super().__init__(sim, name=name)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        self.events = list(events)
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        for loser in self.events:
-            if loser is not event:
-                loser.remove_callback(self._on_child)
-        if event.ok:
-            self.succeed(event)
-        else:
-            self.fail(event.exception)  # type: ignore[arg-type]

@@ -12,8 +12,7 @@ yields one of:
 - ``None`` — reschedule immediately (cooperative yield point).
 
 A process is itself an Event that succeeds with the generator's return
-value, so processes can be joined or combined with
-:class:`~repro.sim.events.AnyOf`.
+value, so processes can be joined.
 
 Sleeps are the hot path: kernel models yield integer delays at packet
 rate.  A plain delay needs no observable Event — nothing can wait on it —

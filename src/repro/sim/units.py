@@ -5,8 +5,7 @@ event ordering exact and reproducible (no floating-point drift), which
 matters for the deterministic poll-order traces the PRISM experiments rely
 on (paper Fig. 6).
 
-Constants are multipliers; helper functions convert float quantities to
-integer nanoseconds with rounding.
+The constants are multipliers: ``5 * MS`` is five milliseconds in ns.
 """
 
 from __future__ import annotations
@@ -19,40 +18,3 @@ US = 1_000
 MS = 1_000_000
 #: Nanoseconds per second.
 SEC = 1_000_000_000
-
-
-def us(value: float) -> int:
-    """Convert microseconds to integer nanoseconds."""
-    return int(round(value * US))
-
-
-def ms(value: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return int(round(value * MS))
-
-
-def sec(value: float) -> int:
-    """Convert seconds to integer nanoseconds."""
-    return int(round(value * SEC))
-
-
-def ns_to_us(value_ns: float) -> float:
-    """Convert nanoseconds to (float) microseconds."""
-    return value_ns / US
-
-
-def format_ns(value_ns: float) -> str:
-    """Render a nanosecond quantity with a human-friendly unit.
-
-    >>> format_ns(1_500)
-    '1.50us'
-    >>> format_ns(2_000_000)
-    '2.00ms'
-    """
-    if abs(value_ns) >= SEC:
-        return f"{value_ns / SEC:.2f}s"
-    if abs(value_ns) >= MS:
-        return f"{value_ns / MS:.2f}ms"
-    if abs(value_ns) >= US:
-        return f"{value_ns / US:.2f}us"
-    return f"{value_ns:.0f}ns"

@@ -177,10 +177,10 @@ class TestCounterSelection:
         real_setup = exp_mod._overlay_setup
 
         def spy(testbed, config, recorder, telemetry=None):
-            fg_meter, bg_meter, counters, fg_client = real_setup(
+            fg_meter, bg_meter, fg_client = real_setup(
                 testbed, config, recorder, telemetry)
             captured["client"] = fg_client
-            return fg_meter, bg_meter, counters, fg_client
+            return fg_meter, bg_meter, fg_client
 
         monkeypatch.setattr(exp_mod, "_overlay_setup", spy)
         result = run_experiment(ExperimentConfig(fg_rate_pps=2_000, **FAST))

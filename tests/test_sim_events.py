@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Event, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
 from repro.sim.events import EventAlreadyTriggered
 
 
@@ -82,60 +82,6 @@ def test_timeout_negative_delay_raises():
     sim = Simulator()
     with pytest.raises(ValueError):
         Timeout(sim, -1)
-
-
-def test_anyof_fires_on_first():
-    sim = Simulator()
-    slow = sim.timeout(100)
-    fast = sim.timeout(10)
-    any_of = AnyOf(sim, [slow, fast])
-    got = []
-    any_of.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(10, fast)]
-
-
-def test_anyof_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
-def test_anyof_only_fires_once():
-    sim = Simulator()
-    a = sim.timeout(10)
-    b = sim.timeout(20)
-    any_of = AnyOf(sim, [a, b])
-    fired = []
-    any_of.add_callback(lambda e: fired.append(sim.now))
-    sim.run()
-    assert fired == [10]
-
-
-def test_anyof_detaches_from_losing_children():
-    """The winner must unhook _on_child from every loser, so a long-lived
-    loser event does not pin the completed AnyOf in memory."""
-    sim = Simulator()
-    winner = sim.timeout(10)
-    loser_a = sim.event()   # never fires in this test
-    loser_b = sim.timeout(500)
-    any_of = AnyOf(sim, [winner, loser_a, loser_b])
-    sim.run(until=20)
-    assert any_of.triggered
-    assert any_of.value is winner
-    assert any_of._on_child not in loser_a.callbacks
-    assert any_of._on_child not in loser_b.callbacks
-    # Firing a loser later is inert — the AnyOf value is unchanged.
-    loser_a.succeed("late")
-    sim.run()
-    assert any_of.value is winner
-
-
-def test_remove_callback_absent_is_noop():
-    sim = Simulator()
-    event = sim.event()
-    event.remove_callback(lambda e: None)  # never added: must not raise
-    assert event.callbacks == []
 
 
 def test_event_repr_shows_state():

@@ -2,27 +2,13 @@
 
 import pytest
 
-from repro.sim import MS, SEC, US, SeededRng, format_ns, ms, ns_to_us, sec, us
+from repro.sim import MS, SEC, US, SeededRng
 
 
 def test_unit_constants_ratio():
     assert US == 1_000
     assert MS == 1_000 * US
     assert SEC == 1_000 * MS
-
-
-def test_conversions_round_trip():
-    assert us(1.5) == 1_500
-    assert ms(2) == 2_000_000
-    assert sec(0.001) == 1_000_000
-    assert ns_to_us(2_500) == 2.5
-
-
-def test_format_ns_selects_unit():
-    assert format_ns(500) == "500ns"
-    assert format_ns(1_500) == "1.50us"
-    assert format_ns(2_000_000) == "2.00ms"
-    assert format_ns(3 * SEC) == "3.00s"
 
 
 def test_rng_is_deterministic():
