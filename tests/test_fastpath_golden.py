@@ -102,9 +102,13 @@ def test_untraced_digest_matches_golden(scenario):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_traced_digest_matches_golden(scenario):
-    """Tracing only observes: the traced run measures the same."""
+    """Tracing only observes: the traced run measures the same, and the
+    telemetry snapshot and span profile ride along outside the digest."""
     config, golden = GOLD[scenario]
-    assert result_digest(run_traced_experiment(config).result) == golden
+    observed = run_traced_experiment(config)
+    assert observed.result.telemetry is not None
+    assert observed.observer.self_ns
+    assert result_digest(observed.result) == golden
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -10,13 +10,17 @@ Two contracts are pinned here:
 """
 
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.bench.experiment import run_experiment
+from repro.bench.experiment import run_experiment, run_traced_experiment
 from repro.bench.runner import result_digest
 from repro.obs.breakdown import StageBreakdown, StageSegment
 from repro.obs.observer import PacketMilestones
 
+from repro.sim.units import MS
 from tests.conftest import TRACED_CONFIG
 
 
@@ -131,6 +135,32 @@ class TestPerSocket:
         everything = traced.breakdown
         assert (everything.packets + everything.excluded
                 == fg_received + bg.packets + bg.excluded)
+
+
+class TestTruncation:
+    def test_complete_tables_say_nothing(self, traced_small):
+        assert traced_small.observer.packets_overflowed == 0
+        assert "truncated" not in traced_small.render_breakdowns()
+
+    def test_capped_tables_end_with_the_count_and_the_cap(self,
+                                                          monkeypatch):
+        import repro.obs.observer as observer_module
+
+        monkeypatch.setattr(
+            observer_module, "KernelObserver",
+            functools.partial(observer_module.KernelObserver,
+                              max_packets=200))
+        config = dataclasses.replace(TRACED_CONFIG, duration_ns=5 * MS,
+                                     warmup_ns=2 * MS)
+        traced = run_traced_experiment(config)
+        dropped = traced.observer.packets_overflowed
+        assert dropped > 0
+        tables = sum(b.packets + b.excluded
+                     for b in traced.breakdowns.values())
+        assert tables <= 200
+        assert traced.render_breakdowns().splitlines()[-1] == (
+            f"truncated: {dropped:,} packets past the 200-packet "
+            f"milestone cap are in no table")
 
 
 class TestObserverNeutrality:

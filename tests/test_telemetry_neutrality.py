@@ -3,8 +3,9 @@
 The telemetry layer's core contract (mirroring the tracer's): attaching
 the metrics hub next to the kernel observer, whose span attribution is
 the profile, must not change a single measurement.  Pinned against the
-same golden measurement digests the fast-path tests use, for every
-canonical scenario.
+same golden measurement digests the fast-path tests use: here with
+every tracer subscriber attached at once, and in
+``tests/test_fastpath_golden.py`` with the observed runner alone.
 
 Also pins the acceptance criteria of the observed run itself: the
 OpenMetrics exposition parses, the registry agrees with the kernel's own
@@ -24,18 +25,7 @@ from repro.flows import FlowExportConfig
 from repro.obs import KernelObserver
 from repro.obs.stacks import folded_lines
 from repro.telemetry import KernelTelemetry
-from tests.test_fastpath_golden import GOLD, SCENARIOS
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_metered_profiled_run_is_digest_identical(scenario):
-    """Metered+profiled measures exactly what the unmetered run does;
-    the telemetry snapshot rides along outside the digest."""
-    config, golden = GOLD[scenario]
-    observed = run_traced_experiment(config)
-    assert observed.result.telemetry is not None
-    assert observed.observer.self_ns
-    assert result_digest(observed.result) == golden
+from tests.test_fastpath_golden import GOLD
 
 
 @pytest.mark.parametrize("scenario", [
