@@ -27,6 +27,8 @@ that contract three ways:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from typing import Optional
 
 import pytest
@@ -89,6 +91,30 @@ GOLD = {
 
 SCENARIOS = sorted(GOLD)
 
+#: scenario -> (sha256 of the traced run's metrics snapshot as sorted
+#: JSON, sha256 of its OpenMetrics exposition).  Both are pure functions
+#: of the simulated run, independent of ``PYTHONHASHSEED``.
+METRICS_GOLD = {
+    "host-vanilla": (
+        "5eafff56ea851524c7d391e36d077c14ad525a344ecc34237385b9cd212e414d",
+        "62b5f1a1e4dbaba471c5822cd260a603053c663ac4f89d15a3f0a7eb0af4341e"),
+    "overlay-bypass-lossy": (
+        "0f6c147c5d91e2068b2288a08fd73955e9f30e7a99c3ef48cfd5f2b75e821f40",
+        "57c927acf78903a278810f0796a51eee67666c5bb134fee90b75070867ee02a5"),
+    "overlay-prism-batch": (
+        "71b26e76dc2f4fec2945347ab6f1261e8f9420c1de64b8277d91f423a2d476d5",
+        "a7e6300f386c14bac80d064108628bcafb513f1533f2d84a7b260b1b50daa19c"),
+    "overlay-prism-sync": (
+        "4b58ad17a78d9886eedc4f3ac12ad5bc560a5b3a498d1b24cc2e3247173e220e",
+        "18ba4c9f5650b1746388a31431aeea1630a99981ddaa77086070abb70f0fd086"),
+    "overlay-prism-sync-lossy": (
+        "835635704cdc05b1c3b197ce2a7d5fdb5ecdd7d2f55a9b89a9b1bc3e6e6f1788",
+        "35b552921e284abcdd2442ff59ec6788d60b252145ccdedd0d25e9ee61d8bce8"),
+    "overlay-vanilla": (
+        "4c992820130ede95692c8bdba02245244d047da2c38558dfe937bdcb8462c544",
+        "cc79f9e217f0523868a770339384bc0057ce6249591eaa0733616ec57d158509"),
+}
+
 
 def _disable_pool(testbed) -> None:
     testbed.server.kernel.skb_pool.enabled = False
@@ -101,14 +127,19 @@ def test_untraced_digest_matches_golden(scenario):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_traced_digest_matches_golden(scenario):
+def test_traced_digest_matches_golden(scenario, tmp_path):
     """Tracing only observes: the traced run measures the same, and the
-    telemetry snapshot and span profile ride along outside the digest."""
+    telemetry snapshot and span profile ride along outside the digest.
+    The snapshot and its exposition are pinned too."""
     config, golden = GOLD[scenario]
     observed = run_traced_experiment(config)
     assert observed.result.telemetry is not None
     assert observed.observer.self_ns
     assert result_digest(observed.result) == golden
+    snapshot = json.dumps(observed.result.telemetry, sort_keys=True)
+    exposition = observed.write_openmetrics(tmp_path / "m.prom").read_bytes()
+    assert (hashlib.sha256(snapshot.encode()).hexdigest(),
+            hashlib.sha256(exposition).hexdigest()) == METRICS_GOLD[scenario]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
