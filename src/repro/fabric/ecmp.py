@@ -40,8 +40,9 @@ class FlowletTable:
         self.gap_ns = gap_ns
         self.salt = salt
         self._flows: Dict[Tuple, Tuple[int, int, int, int]] = {}
-        #: Idle gaps crossed (generation bumps), whether or not the
-        #: rehash landed on a different path.
+        #: Idle gaps crossed (generation bumps) with more than one path
+        #: to choose from, whether or not the rehash landed on a
+        #: different path.
         self.rehashes = 0
         #: Rehashes that actually moved the flow to a new path.
         self.path_changes = 0
@@ -57,7 +58,8 @@ class FlowletTable:
             if now_ns - last_ns > self.gap_ns:
                 # A new flowlet: rehash onto a (possibly) new path.
                 generation += 1
-                self.rehashes += 1
+                if n_paths > 1:
+                    self.rehashes += 1
                 index = ecmp_index(self.salt, flow, generation, n_paths)
                 if index != state[2]:
                     self.path_changes += 1

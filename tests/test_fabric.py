@@ -79,6 +79,15 @@ class TestFlowletTable:
         assert table.path_changes > 0
         assert len(seen) > 1
 
+    def test_one_path_gap_counts_no_rehash(self):
+        """A pair with one path has nothing to rehash onto: idle gaps
+        still start new flowlets, but count no rehash."""
+        table = FlowletTable(gap_ns=100_000, salt=1)
+        flow = (0, 7, "hi", "req")
+        for t in range(0, 40 * 200_000, 200_000):
+            assert table.assign(flow, t, 1) == 0
+        assert (table.rehashes, table.path_changes) == (0, 0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2),          # flow
                               st.integers(0, 250_000),    # gap to last send
@@ -101,7 +110,7 @@ class TestFlowletTable:
             generation = 0 if state is None else state[1]
             if state is not None and now - state[0] > gap:
                 generation += 1
-                rehashes += 1
+                rehashes += n_paths > 1
             index = ecmp_index(salt, flow, generation, n_paths)
             if state is not None and generation != state[1] \
                     and index != state[2]:

@@ -230,7 +230,7 @@ class TestGoldenDigests:
             StackMode.VANILLA, hosts=8, users=2_000,
             duration_ns=int(8 * MS))
         assert cluster_digest(run_cluster(config, shards=1)) == (
-            "441f1accf3aa081a948c604420b507664d7a69edc0f2663115b884eb67fdd68e")
+            "dcfbcab865fdeee28f8d693075777e2ae0b283b2bfd9276837facd2c39d796d6")
 
     def test_digest_matches_committed_mesh_baseline(self):
         # The cross-PR golden of the default fabric, Topology.mesh(4):
@@ -238,7 +238,7 @@ class TestGoldenDigests:
         config = ClusterConfig(hosts=4, users=200, duration_ns=8 * MS,
                                warmup_ns=2 * MS, timeout_ns=5 * MS)
         assert cluster_digest(run_cluster(config, shards=1)) == (
-            "8d7adad5ee4332c2462c146c0204019b45cf5688f17d379b7c081fb9226fe524")
+            "551187371eaf97f76e05b3dce87237925792e3fc028d718e8a2245bc2c7807ea")
 
 
 class TestWorkerDeath:
