@@ -57,19 +57,13 @@ class SockperfUdpServer:
 
     def __init__(self, container: Container, port: int, *,
                  core_id: int = 1, reply: bool = True,
-                 app_work_ns: int = 300, telemetry=None) -> None:
+                 app_work_ns: int = 300) -> None:
         self.container = container
         self.port = port
         self.reply = reply
         self.app_work_ns = int(app_work_ns)
         self.socket = container.udp_socket(port, core_id=core_id)
         self.received = ThroughputMeter(f"sockperf-server:{port}")
-        if telemetry is not None:
-            # Metered run (a KernelTelemetry hub): export this meter
-            # through the shared registry and let the collector scrape
-            # the socket's rcvbuf counters.
-            telemetry.register_meter(self.received)
-            telemetry.watch_queue(self.socket.rcvbuf)
         self.thread = container.spawn(self._run(), core_id=core_id,
                                       name=f"sockperf-srv:{port}")
 

@@ -40,13 +40,12 @@ class ExperimentCell:
 
     Construction performs everything :func:`run_experiment` used to do
     before the simulation started — testbed, fault injector, observer
-    attach hook, workload setup, CPU sampler, telemetry binding — in the
-    exact same order, so a cell driven straight to the end produces an
-    identical :class:`ExperimentResult`.
+    attach hook, workload setup, CPU sampler — in the exact same order,
+    so a cell driven straight to the end produces an identical
+    :class:`ExperimentResult`.
 
-    *attach* runs once the testbed exists and may return a
-    :class:`~repro.telemetry.KernelTelemetry` hub; the workload's servers
-    and the harness's own meters then export through it.
+    *attach* runs once the testbed exists, before the workload is set
+    up (observers subscribe to the server kernel's tracer there).
 
     The cell owns the warmup bookkeeping: :meth:`run_to` marks the CPU
     sampler precisely at the warmup boundary the first time a horizon
@@ -83,9 +82,8 @@ class ExperimentCell:
             from repro.faults.injector import FaultInjector
             self.injector = FaultInjector(config.faults,
                                           self.testbed).install()
-        #: The telemetry hub *attach* returned, or None (unmetered run).
-        self.telemetry = (attach(self.testbed) if attach is not None
-                          else None)
+        if attach is not None:
+            attach(self.testbed)
         self.sim = self.testbed.sim
         self.recorder = LatencyRecorder("fg", warmup_until_ns=config.warmup_ns)
 
@@ -94,7 +92,7 @@ class ExperimentCell:
         if config.network == "overlay":
             self.fg_meter, self.bg_meter, self.fg_client = (
                 _experiment._overlay_setup(self.testbed, config,
-                                           self.recorder, self.telemetry))
+                                           self.recorder))
         else:
             self.fg_meter, self.bg_meter, self.counters = (
                 _experiment._host_network_setup(self.testbed, config,
@@ -113,14 +111,6 @@ class ExperimentCell:
             self.flows = FlowCollector(config.flow_export, scope="server",
                                        seed=config.seed)
             KernelFlowTap(self.flows, self.testbed.server.kernel)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Metered run: export the harness's own accounting through the
-            # shared registry (no duplicated bookkeeping — callback gauges).
-            telemetry.bind_run(sampler=self.sampler,
-                               meters=(self.fg_meter, self.bg_meter))
-            telemetry.register_recovery(
-                getattr(self.fg_client, "recovery", None))
         self._marked = False
 
     @property

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.breakdown import StageBreakdown
     from repro.obs.observer import KernelObserver
     from repro.obs.recorder import FlightRecorder
-    from repro.telemetry.kernel import KernelTelemetry
 
 __all__ = [
     "ExperimentConfig",
@@ -206,8 +205,9 @@ class ExperimentResult:
     #: Fig. 4-style per-stage decomposition (dict form of
     #: :class:`repro.obs.StageBreakdown`); populated by traced runs only.
     stage_breakdown: Optional[Dict[str, Any]] = None
-    #: Versioned metrics snapshot (:meth:`MetricsRegistry.snapshot`);
-    #: populated by traced runs only.
+    #: Versioned metrics snapshot
+    #: (:func:`repro.telemetry.kernel.collect_metrics`); populated by
+    #: traced runs only.
     telemetry: Optional[Dict[str, Any]] = None
     #: What the injector did (:meth:`FaultInjector.summary`); fault runs
     #: only.
@@ -389,13 +389,11 @@ def _host_network_setup(testbed: Testbed, config: ExperimentConfig,
 
 
 def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
-                   recorder: LatencyRecorder,
-                   telemetry: Optional[KernelTelemetry] = None):
+                   recorder: LatencyRecorder):
     """Foreground/background between containers over the VXLAN overlay.
 
     Returns ``(fg_meter, bg_meter, fg_client)``; the client counts
-    requests sent and replies matched.  With a *telemetry* hub the
-    sockperf servers export through it."""
+    requests sent and replies matched."""
     sim = testbed.sim
     kind = config.fg_kind
     retry = retry_rng = None
@@ -420,7 +418,7 @@ def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
                                                       "10.0.0.100")
         reply = kind == "pingpong"
         fg_server = SockperfUdpServer(fg_server_cont, FG_PORT, core_id=1,
-                                      reply=reply, telemetry=telemetry)
+                                      reply=reply)
         fg_server.received.warmup_until_ns = config.warmup_ns
         fg_meter = fg_server.received
         if reply:
@@ -445,8 +443,7 @@ def _overlay_setup(testbed: Testbed, config: ExperimentConfig,
                             bg_meter)
         else:
             bg_server = SockperfUdpServer(bg_server_cont, BG_PORT, core_id=2,
-                                          reply=False, app_work_ns=400,
-                                          telemetry=telemetry)
+                                          reply=False, app_work_ns=400)
             bg_server.received.warmup_until_ns = config.warmup_ns
             SockperfUdpFlood(
                 sim, testbed.client, testbed.overlay, bg_client_cont,
@@ -531,9 +528,8 @@ def _run_experiment(config: ExperimentConfig, *,
     """:func:`run_experiment` plus an observability hook.
 
     *attach* runs after the testbed is built and before the simulation
-    starts — the traced runner uses it to subscribe a
-    :class:`KernelObserver` to the server kernel's tracer and returns
-    its telemetry hub from it.
+    starts — tests use it to subscribe observers to the server kernel's
+    tracer or to set kernel switches.
 
     Build/advance/finalize live on :class:`~repro.bench.cell.ExperimentCell`
     so the sharded executor can drive the same cell in lookahead windows;
@@ -553,7 +549,6 @@ class TracedExperiment:
 
     result: ExperimentResult
     observer: KernelObserver
-    telemetry: KernelTelemetry
     #: Fig. 4 over every completed packet (``result.stage_breakdown``).
     breakdown: StageBreakdown
     #: Fig. 4 once per receiving socket, ordered by socket name.
@@ -586,10 +581,10 @@ class TracedExperiment:
                   "duration_ns": config.duration_ns})
 
     def write_openmetrics(self, path: Union[str, Path]) -> Path:
-        """Export the metrics registry as OpenMetrics text exposition."""
+        """Export the metrics snapshot as OpenMetrics text exposition."""
         from repro.telemetry.openmetrics import write_openmetrics
 
-        return write_openmetrics(path, self.telemetry.collect())
+        return write_openmetrics(path, self.result.telemetry)
 
     def write_metrics_json(self, path: Union[str, Path]) -> Path:
         """Export the versioned JSON metrics snapshot."""
@@ -598,7 +593,7 @@ class TracedExperiment:
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w") as fh:
-            json.dump(self.telemetry.snapshot(), fh, indent=1,
+            json.dump(self.result.telemetry, fh, indent=1,
                       sort_keys=True)
             fh.write("\n")
         return out
@@ -622,40 +617,36 @@ def run_traced_experiment(config: ExperimentConfig) -> TracedExperiment:
     """Run one experiment observed, in one simulation.
 
     Before the simulation starts, a :class:`KernelObserver` (flight
-    recorder, packet milestones, gauges, span attribution) and a
-    :class:`~repro.telemetry.kernel.KernelTelemetry` hub subscribe to
-    the server kernel's tracer, so its gated emit sites light up.  Both
-    only read state: the measurements are bit-identical to a plain
-    :func:`run_experiment` (the golden-digest tests pin this).  The
-    result additionally carries the Fig. 4 breakdown
-    (``stage_breakdown``) and the metrics snapshot (``telemetry``).
+    recorder, packet milestones, gauges, span attribution, per-key
+    counts) subscribes to the server kernel's tracer, so its gated emit
+    sites light up.  It only reads state: the measurements are
+    bit-identical to a plain :func:`run_experiment` (the golden-digest
+    tests pin this).  The result additionally carries the Fig. 4
+    breakdown (``stage_breakdown``) and the metrics snapshot
+    (``telemetry``), read from the finished cell.
     """
     from repro.obs.breakdown import StageBreakdown
     from repro.obs.observer import KernelObserver
-    from repro.telemetry.kernel import KernelTelemetry
+    from repro.telemetry.kernel import collect_metrics
 
-    holder: Dict[str, Any] = {}
+    observers: List[KernelObserver] = []
 
-    def attach(testbed: Testbed) -> KernelTelemetry:
+    def attach(testbed: Testbed) -> None:
         server = testbed.server
-        observer = holder["observer"] = KernelObserver(server.kernel)
+        observer = KernelObserver(server.kernel)
         observer.watch_host(server)
         observer.start_gauges()
-        telemetry = holder["telemetry"] = KernelTelemetry(
-            server.kernel).attach()
-        telemetry.watch_host(server)
-        telemetry.watch_overlay(testbed.server_overlay)
-        return telemetry
+        observers.append(observer)
 
-    result = _run_experiment(config, attach=attach)
-    observer: KernelObserver = holder["observer"]
-    telemetry: KernelTelemetry = holder["telemetry"]
+    cell = ExperimentCell(config, attach=attach)
+    cell.run_to(cell.end_ns)
+    result = cell.finalize()
+    observer = observers[0]
     observer.detach()
-    telemetry.detach()
-    result.telemetry = telemetry.snapshot()
+    result.telemetry = collect_metrics(cell, observer)
     packets = observer.packets.values()
     breakdown = StageBreakdown.from_packets(packets)
     result.stage_breakdown = breakdown.to_dict()
     return TracedExperiment(result=result, observer=observer,
-                            telemetry=telemetry, breakdown=breakdown,
+                            breakdown=breakdown,
                             breakdowns=StageBreakdown.per_socket(packets))

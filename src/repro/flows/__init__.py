@@ -1,6 +1,6 @@
 """Sampled flow-record export — the repo's sFlow/NetFlow analogue.
 
-Aggregate metrics (the telemetry registry) answer "how much"; traces
+Aggregate metrics (the telemetry snapshot) answer "how much"; traces
 (the obs layer) answer "what happened in this one run" — neither can
 answer *which flows* starved, on which link, during which fault window,
 once a 16-host cluster is pushing hundreds of thousands of aggregated

@@ -4,8 +4,8 @@
 needs: the CPU cores (with NET_RX softirq handlers installed), per-CPU
 ``softnet_data``, the PRISM priority database/classifier, the procfs
 configuration surface, and the tracer — the one path every observation
-takes (the kernel observer, the telemetry hub and the flow tap are all
-tracer subscribers; the kernel holds no other observation hook).
+takes (the kernel observer and the flow tap are its subscribers; the
+kernel holds no other observation hook).
 
 The stack mode (vanilla / prism-batch / prism-sync) is a *runtime*
 property, switchable through procfs mid-simulation, exactly like the

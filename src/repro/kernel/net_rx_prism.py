@@ -39,13 +39,10 @@ def net_rx_action_prism(kernel: "Kernel", softnet: SoftnetData
     tracer = kernel.tracer
     # Hoist the subscriber checks: with nothing attached this function
     # must not build tracepoint field dicts or poll-list snapshots.
-    # ``tracer.active`` short-circuits all three per-softirq probes.
+    # ``tracer.active`` short-circuits both per-softirq probes.
     active = tracer.active
     trace_polls = active and tracer.has_subscribers(TracePoint.NAPI_POLL)
     spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
-    if active and tracer.has_subscribers(TracePoint.NET_RX_ACTION):
-        tracer.emit(TracePoint.NET_RX_ACTION, cpu=cpu.core_id,
-                    mode=str(kernel.mode))
     if spans:
         track = f"cpu{cpu.core_id}"
         tracer.emit(TracePoint.SPAN_BEGIN, track=track, name="net_rx_action")

@@ -73,8 +73,6 @@ class NapiStruct:
         #: GRO engine that coalesces skbs handed to this napi (the vxlan
         #: gro_cells); None for every other napi.
         self.gro = gro
-        self.polls = 0
-        self.packets_processed = 0
 
     # ------------------------------------------------------------------
     # Queue state
@@ -137,14 +135,13 @@ class NapiStruct:
         so a batch with no per-skb subscriber pays two local bool tests
         per skb and nothing else.
         """
-        self.polls += 1
         kernel = self.kernel
         tracer = kernel.tracer
         active = tracer.active
         trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
         spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
         stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
-        traced = trace_waits or spans or stage_done
+        traced = trace_waits or spans
         gates = InlineGates(tracer) if active else None
         ns = kernel.costs.device_poll_overhead_ns
         if charge(ns):
@@ -181,17 +178,15 @@ class NapiStruct:
             if charge(ns):
                 yield ns
             napi = stage.run(skb, softnet)
+            if stage_done:
+                tracer.emit(TracePoint.STAGE_DONE, device=self.name,
+                            skb=skb, stage=stage.name)
             if napi is not None:
                 yield from hand_off(napi, skb, gates, charge)
-            if traced:
-                if spans:
-                    tracer.emit(TracePoint.SPAN_END, track=track,
-                                name=f"skb:{stage.name}")
-                if stage_done:
-                    tracer.emit(TracePoint.STAGE_DONE, device=self.name,
-                                skb=skb, stage=stage.name)
+            if spans:
+                tracer.emit(TracePoint.SPAN_END, track=track,
+                            name=f"skb:{stage.name}")
             processed += 1
-        self.packets_processed += processed
         if active and tracer.has_subscribers(TracePoint.NAPI_POLL_DONE):
             tracer.emit(TracePoint.NAPI_POLL_DONE, napi=self.name,
                         processed=processed)
@@ -244,8 +239,9 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"],
     those of the nested per-stage generators this loop replaces.  *gates*
     is None in an untraced batch; otherwise each inline stage fires
     ``SYNC_INLINE`` and a ``SPAN_BEGIN``/``SPAN_END`` pair nested inside
-    the previous stage's, and ``STAGE_DONE`` once the stages after it
-    have finished, as a nested call would.
+    the previous stage's, as a nested call would, and ``STAGE_DONE``
+    when its own ``run`` returns, so the Fig. 4 milestones follow the
+    pipeline order in every mode.
     """
     kernel = napi.kernel
     costs = kernel.costs
@@ -268,15 +264,18 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"],
             stage = napi.stage
             if stage is None:
                 stage = napi._stage_for(skb)
-            napi.packets_processed += 1
             if gates is not None:
                 if inline is None:
                     inline = []
-                inline.append((napi, stage, gates.begin(napi, stage, skb)))
+                inline.append((stage, gates.begin(napi, stage, skb)))
             ns = stage.cost(skb)
             if charge(ns):
                 yield ns
+            done = napi
             napi = stage.run(skb, napi.softnet)
+            if gates is not None and gates.stage_done:
+                kernel.tracer.emit(TracePoint.STAGE_DONE, device=done.name,
+                                   skb=skb, stage=stage.name)
             continue
         gro = napi.gro
         if gro is not None and gro.try_merge_into_queue(
@@ -312,8 +311,8 @@ def hand_off(napi: NapiStruct, skb: SKBuff, gates: Optional["InlineGates"],
                 softnet.napi_schedule(napi)
         break
     while inline:
-        napi, stage, track = inline.pop()
-        gates.end(napi, stage, skb, track)
+        stage, track = inline.pop()
+        gates.end(stage, track)
 
 
 class InlineGates:
@@ -341,16 +340,11 @@ class InlineGates:
                     name=f"skb:{stage.name}", hp=skb.is_high_priority)
         return track
 
-    def end(self, napi: NapiStruct, stage: "PacketStage", skb: SKBuff,
-            track: Optional[str]) -> None:
+    def end(self, stage: "PacketStage", track: Optional[str]) -> None:
         """An inline stage and every stage after it have finished."""
-        tracer = self.tracer
         if track is not None:
-            tracer.emit(TracePoint.SPAN_END, track=track,
-                        name=f"skb:{stage.name}")
-        if self.stage_done:
-            tracer.emit(TracePoint.STAGE_DONE, device=napi.name,
-                        skb=skb, stage=stage.name)
+            self.tracer.emit(TracePoint.SPAN_END, track=track,
+                             name=f"skb:{stage.name}")
 
 
 class SoftnetData:

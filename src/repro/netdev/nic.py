@@ -129,7 +129,6 @@ class NicNapi(NapiStruct):
         *charge* (see :meth:`NapiStruct.poll`); tracepoint gates are read
         once per batch.
         """
-        self.polls += 1
         kernel = self.kernel
         tracer = kernel.tracer
         active = tracer.active
@@ -137,7 +136,7 @@ class NicNapi(NapiStruct):
         trace_waits = active and tracer.has_subscribers(TracePoint.QUEUE_WAIT)
         spans = active and tracer.has_subscribers(TracePoint.SPAN_BEGIN)
         stage_done = active and tracer.has_subscribers(TracePoint.STAGE_DONE)
-        traced = trace_allocs or spans or stage_done
+        traced = trace_allocs or spans
         gates = InlineGates(tracer) if active else None
         pool = kernel.skb_pool
         classify = kernel.classifier.classify
@@ -192,17 +191,15 @@ class NicNapi(NapiStruct):
             if charge(ns):
                 yield ns
             napi = stage.run(skb, softnet)
+            if stage_done:
+                tracer.emit(TracePoint.STAGE_DONE, device=self.name,
+                            skb=skb, stage=stage.name)
             if napi is not None:
                 yield from hand_off(napi, skb, gates, charge)
-            if traced:
-                if spans:
-                    tracer.emit(TracePoint.SPAN_END, track=track,
-                                name=f"skb:{stage.name}")
-                if stage_done:
-                    tracer.emit(TracePoint.STAGE_DONE, device=self.name,
-                                skb=skb, stage=stage.name)
+            if spans:
+                tracer.emit(TracePoint.SPAN_END, track=track,
+                            name=f"skb:{stage.name}")
             processed += 1
-        self.packets_processed += processed
         if active and tracer.has_subscribers(TracePoint.NAPI_POLL_DONE):
             tracer.emit(TracePoint.NAPI_POLL_DONE, napi=self.name,
                         processed=processed)

@@ -22,9 +22,10 @@ and ``tracer.has_subscribers``, so with no observer attached the receive
 path pays ~nothing.  The high-level entry points are
 :meth:`repro.scenario.Scenario.run_traced` and the ``--trace``,
 ``--metrics``, ``--metrics-json``, ``--folded`` and ``--speedscope``
-output paths of one CLI run.  The observer is one of several tracer
-subscribers: the telemetry hub (:mod:`repro.telemetry`) and the flow tap
-(:mod:`repro.flows`) take the same path.
+output paths of one CLI run.  The observer is one of two tracer
+subscribers; the flow tap (:mod:`repro.flows`) is the other.  The
+metrics snapshot (:mod:`repro.telemetry`) subscribes to nothing: it
+reads the observer's per-key counts after the run.
 """
 
 from repro.obs.breakdown import StageBreakdown

@@ -17,7 +17,11 @@ the fine-grained tracepoints the kernel emits into
   in-kernel times (:meth:`KernelObserver.completed_packets`) and the
   Fig. 5 Gantt chart (:func:`render_gantt`);
 - ``NAPI_POLL`` → poll-order records under the paper's stage labels,
-  the Fig. 6 tables (:meth:`KernelObserver.poll_table`).
+  the Fig. 6 tables (:meth:`KernelObserver.poll_table`);
+- ``NAPI_POLL_DONE`` / ``GRO_MERGE`` / ``SOCKET_ENQUEUE`` → per-key
+  counts (batch sizes per napi, merges per device, deliveries per
+  socket) that :func:`repro.telemetry.kernel.collect_metrics` reads
+  into the metrics snapshot once the run has ended.
 
 It also samples periodic **gauges** (queue depths, per-CPU softirq
 residency) through :meth:`~repro.sim.engine.Simulator.every`, recorded as
@@ -153,6 +157,12 @@ class KernelObserver:
         self.packets_overflowed = 0
         #: NAPI poll order, oldest first (the Fig. 6 tables).
         self.polls: List[PollRecord] = []
+        #: napi -> {batch size: polls}, every NAPI poll batch.
+        self.poll_batches: Dict[str, Dict[int, int]] = {}
+        #: GRO merges per device and socket deliveries per socket,
+        #: counted before the *max_packets* cap.
+        self.gro_merges: Dict[str, int] = {}
+        self.socket_delivered: Dict[str, int] = {}
         #: Exact self-time per (track, open-span stack), in simulated ns.
         self.self_ns: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         #: Open-span stack per track (frame names, outermost first).
@@ -174,7 +184,8 @@ class KernelObserver:
                 (TracePoint.SKB_ALLOC, self._on_alloc),
                 (TracePoint.STAGE_DONE, self._on_stage_done),
                 (TracePoint.SOCKET_ENQUEUE, self._on_socket),
-                (TracePoint.NAPI_POLL, self._on_napi_poll))]
+                (TracePoint.NAPI_POLL, self._on_napi_poll),
+                (TracePoint.NAPI_POLL_DONE, self._on_poll_done))]
 
     # ------------------------------------------------------------------
     # Span / interval / instant callbacks
@@ -253,6 +264,8 @@ class KernelObserver:
                               {"skb": skb.skb_id})
 
     def _on_gro_merge(self, device: str, skb: SKBuff, **_f: Any) -> None:
+        merges = self.gro_merges
+        merges[device] = merges.get(device, 0) + 1
         self.recorder.instant(self._now(), "gro", f"merge:{device}",
                               {"skb": skb.skb_id})
 
@@ -279,6 +292,8 @@ class KernelObserver:
             entry.high_priority = skb.is_high_priority
 
     def _on_socket(self, socket: str, skb: SKBuff, **_f: Any) -> None:
+        delivered = self.socket_delivered
+        delivered[socket] = delivered.get(socket, 0) + 1
         entry = self.packets.get(skb.skb_id)
         if entry is not None:
             entry.socket_at = self._now()
@@ -302,6 +317,12 @@ class KernelObserver:
             iteration=len(polls) + 1, device=_paper_label(device),
             poll_list=tuple(_paper_label(name)
                             for name in (*local_list, *global_list))))
+
+    def _on_poll_done(self, napi: str, processed: int, **_f: Any) -> None:
+        sizes = self.poll_batches.get(napi)
+        if sizes is None:
+            sizes = self.poll_batches[napi] = {}
+        sizes[processed] = sizes.get(processed, 0) + 1
 
     def device_order(self) -> List[str]:
         """The sequence of polled devices, under the paper's labels."""

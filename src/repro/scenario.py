@@ -228,7 +228,7 @@ class Scenario:
     def run_traced(self) -> TracedExperiment:
         """Run once with the observability layer attached: spans,
         gauges, the Fig. 4 breakdown per receiving socket, the metrics
-        registry and the span profile, exported by the result's
+        snapshot and the span profile, exported by the result's
         ``write_chrome`` / ``write_openmetrics`` / ``write_metrics_json``
         / ``write_folded`` / ``write_speedscope``.  Measurements are
         pinned identical to a plain :meth:`run`."""

@@ -165,6 +165,12 @@ class SocketTable:
             self.unmatched += 1
         return endpoint
 
+    def rcvbufs(self) -> list:
+        """Every bound socket's receive queue, UDP first, then TCP."""
+        return [socket.rcvbuf
+                for table in (self._udp, self._tcp)
+                for socket in table.values()]
+
     @staticmethod
     def _key(ip: Optional[Ipv4Address], port: int) -> Tuple[Optional[int], int]:
         if not 0 < port < 65536:

@@ -1,13 +1,13 @@
-"""Aggregate telemetry: labeled metrics and run-to-run diffing.
+"""Aggregate telemetry: the metrics snapshot of a run and run-to-run diffing.
 
-Three layers, importable à la carte:
+Three modules, importable à la carte:
 
-- :mod:`repro.telemetry.registry` — ``Counter`` / ``Gauge`` /
-  ``Histogram`` families with label sets, OpenMetrics exposition
-  (:mod:`repro.telemetry.openmetrics`) and versioned JSON snapshots;
-- :mod:`repro.telemetry.kernel` — :class:`KernelTelemetry`, the hub an
-  observed run subscribes to the kernel's tracer next to the
-  :class:`~repro.obs.observer.KernelObserver`;
+- :mod:`repro.telemetry.kernel` — :func:`collect_metrics`, which reads
+  the versioned JSON snapshot out of a finished observed run (the
+  server kernel's accounting, the observer's per-key counts and the
+  harness's meters); nothing here subscribes to the tracer;
+- :mod:`repro.telemetry.openmetrics` — the snapshot's OpenMetrics text
+  exposition;
 - :mod:`repro.telemetry.diff` — run-to-run snapshot comparison with
   relative-delta thresholds (``python -m repro --metrics-diff``).
 
@@ -16,7 +16,6 @@ Entry points: ``Scenario.run_traced()`` (its result's
 ``python -m repro --metrics out.prom``.
 """
 
-from repro.telemetry.kernel import KernelTelemetry
-from repro.telemetry.registry import SNAPSHOT_VERSION, MetricsRegistry
+from repro.telemetry.kernel import SNAPSHOT_VERSION, collect_metrics
 
-__all__ = ["KernelTelemetry", "MetricsRegistry", "SNAPSHOT_VERSION"]
+__all__ = ["SNAPSHOT_VERSION", "collect_metrics"]

@@ -5,8 +5,8 @@ optionally failing when any delta exceeds a threshold.  Two input
 shapes are understood:
 
 - a **telemetry snapshot** (``{"version": 1, "metrics": {...}}`` — what
-  :meth:`MetricsRegistry.snapshot` produces and ``--metrics`` writes
-  alongside the ``.prom`` exposition);
+  :func:`repro.telemetry.kernel.collect_metrics` produces and
+  ``--metrics-json`` writes);
 - a serialized **ExperimentResult** carrying an embedded ``telemetry``
   snapshot (its scalar measurement fields are diffed too).
 

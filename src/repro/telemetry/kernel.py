@@ -1,364 +1,236 @@
-"""Telemetry hub: tracer-fed live counters + collect-time scraping.
+"""The metrics snapshot of one observed run, read after the run ends.
 
-:class:`KernelTelemetry` is one subscriber on a kernel's tracer.  Its
-callbacks are plain counter bumps: they never touch the simulator, so a
-metered run's event schedule (and therefore its ``ExperimentResult``) is
-bit-identical to an unmetered run.
+:func:`collect_metrics` builds the versioned snapshot
+(``{"version": 1, "metrics": {...}}``) from a finished
+:class:`~repro.bench.cell.ExperimentCell` and the
+:class:`~repro.obs.observer.KernelObserver` that watched it.  Nothing
+here subscribes to the tracer or holds live state: every value is
+accounting the run keeps anyway.
 
-Two classes of instrumentation, deliberately split:
+- The observer's per-key counts give NAPI batch sizes per napi, GRO
+  merges per device and socket deliveries per socket.
+- The server kernel gives softirq invocations, per-context CPU time,
+  hardirqs, C-state wake-ups and drops.  A walk of the host and its
+  overlay gives queue, device, bridge and GRO counters.
+- The fault injector gives its forced drops, event totals and ledger.
+- The harness gives its CPU sampler, the fg/bg meters and the fg
+  client's loss-recovery stats.
 
-- **Live counters** come from tracepoints and count things no existing
-  accounting attributes per label: softirq invocations per (cpu, mode)
-  (``NET_RX_ACTION``), NAPI batch sizes per device (``NAPI_POLL_DONE``,
-  emitted inside the poll, so poll-mode-driver batches count too), GRO
-  merges per device (``GRO_MERGE``) and socket deliveries per socket
-  (``SOCKET_ENQUEUE``).
-- **Scrape-on-collect** (:meth:`collect`) reads accounting the simulated
-  kernel maintains anyway — per-context CPU time, ``kernel.drops``,
-  queue depth/high-watermark/enqueue counters, device rx counters,
-  bridge/GRO totals — into the registry at collection time, so the
-  unmetered hot path carries zero extra bookkeeping.
-
-:meth:`bind_run` additionally exports the bench harness's own meters
-(:class:`~repro.metrics.recorder.CpuUtilizationSampler`,
-:class:`~repro.metrics.recorder.ThroughputMeter`) as callback gauges via
-:mod:`repro.telemetry.adapters` — one export path, no duplicated
-accounting.  Build-time code that wants to export through the hub (the
-sockperf servers, the experiment cell) is handed it explicitly.
+Families appear in :data:`FAMILIES` order and samples sort by label
+values, so identical runs serialize identically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Tuple
 
-from repro.telemetry.registry import MetricsRegistry
-from repro.trace.tracer import TracePoint
+__all__ = ["FAMILIES", "SNAPSHOT_VERSION", "batch_histogram", "collect_metrics"]
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.kernel.core import Kernel
-    from repro.metrics.recorder import CpuUtilizationSampler, ThroughputMeter
-    from repro.netdev.device import NetDevice
-    from repro.netdev.queues import PacketQueue
+#: Bump when the snapshot/exposition wire format changes.
+SNAPSHOT_VERSION = 1
 
-__all__ = ["KernelTelemetry"]
+#: Upper bounds of the NAPI batch-size histogram buckets.
+BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
+#: name -> (type, help, label names), in exposition order.
+FAMILIES: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
+    "repro_softirq_invocations": (
+        "counter", "NET_RX softirq handler invocations", ("cpu", "mode")),
+    "repro_napi_polls": (
+        "counter", "NAPI poll batches executed", ("napi",)),
+    "repro_napi_packets": (
+        "counter", "Packets processed by NAPI polls", ("napi",)),
+    "repro_napi_batch_size": (
+        "histogram", "Packets per NAPI poll batch", ("napi",)),
+    "repro_gro_merges": (
+        "counter", "Skbs GRO-coalesced into a held super-skb", ("device",)),
+    "repro_socket_delivered": (
+        "counter", "Skbs delivered to a socket rcvbuf", ("socket",)),
+    "repro_cpu_time_ns": (
+        "counter", "Cumulative per-context CPU time (sim ns)",
+        ("cpu", "context")),
+    "repro_hardirqs": (
+        "counter", "Hardware interrupts delivered", ("cpu",)),
+    "repro_cstate_wakeups": (
+        "counter", "C-state exits paid on wake-up", ("cpu",)),
+    "repro_drops": (
+        "counter", "Packets dropped at a full queue", ("queue",)),
+    "repro_device_rx_packets": (
+        "counter", "Packets received per device", ("device",)),
+    "repro_device_rx_bytes": (
+        "counter", "Bytes received per device", ("device",)),
+    "repro_queue_depth": (
+        "gauge", "Queue occupancy at collection time", ("queue",)),
+    "repro_queue_max_depth": (
+        "gauge", "Queue occupancy high-watermark", ("queue",)),
+    "repro_queue_enqueued": (
+        "counter", "Successful enqueues per queue", ("queue",)),
+    "repro_queue_dropped": (
+        "counter", "Tail drops per queue", ("queue",)),
+    "repro_bridge_forwarded": (
+        "counter", "Skbs the bridge forwarded", ("bridge",)),
+    "repro_bridge_flood_drops": (
+        "counter", "Bridge FDB-miss drops", ("bridge",)),
+    "repro_gro_merged_segments": (
+        "counter", "Segments held in GRO super-skbs", ("device",)),
+    "repro_queue_cleared": (
+        "counter", "Items discarded by explicit clear()", ("queue",)),
+    "repro_irq_moderation_window_ns": (
+        "gauge", "Rx-interrupt coalescing window at collection time "
+        "(0 = immediate interrupts)", ("device",)),
+    "repro_pmd_events": (
+        "counter", "Poll-mode-driver activity (BYPASS datapath only)",
+        ("device", "kind")),
+    "repro_fault_forced": (
+        "counter", "Forced drops/events by fault site", ("site",)),
+    "repro_fault_events": (
+        "counter", "Fault-injector event totals", ("kind",)),
+    "repro_recovery_events": (
+        "counter", "Loss-recovery events per client", ("client", "event")),
+    "repro_conservation": (
+        "gauge", "Packet-conservation ledger totals at collection time",
+        ("bucket",)),
+    "repro_meter_events": (
+        "gauge", "Events the meter counted inside its window", ("meter",)),
+    "repro_meter_bytes": (
+        "gauge", "Bytes the meter counted inside its window", ("meter",)),
+    "repro_meter_discarded": (
+        "gauge", "Events discarded by the meter's warm-up gate", ("meter",)),
+    "repro_meter_first_at_ns": (
+        "gauge", "Sim-time of the meter's first counted event", ("meter",)),
+    "repro_meter_last_at_ns": (
+        "gauge", "Sim-time of the meter's last counted event", ("meter",)),
+    "repro_cpu_utilization": (
+        "gauge", "Non-idle fraction of the sampler's measurement window",
+        ("cpu",)),
+    "repro_cpu_softirq_fraction": (
+        "gauge", "Softirq-context fraction of the sampler's measurement "
+        "window", ("cpu",)),
+}
 
-class KernelTelemetry:
-    """Metrics registry + instrumentation hooks for one kernel."""
-
-    def __init__(self, kernel: "Kernel",
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.kernel = kernel
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-
-        # --- live-site families --------------------------------------
-        self._softirqs = reg.counter(
-            "repro_softirq_invocations",
-            "NET_RX softirq handler invocations", ("cpu", "mode"))
-        self._polls = reg.counter(
-            "repro_napi_polls", "NAPI poll batches executed", ("napi",))
-        self._poll_packets = reg.counter(
-            "repro_napi_packets", "Packets processed by NAPI polls",
-            ("napi",))
-        self._batch = reg.histogram(
-            "repro_napi_batch_size", "Packets per NAPI poll batch",
-            ("napi",))
-        self._gro = reg.counter(
-            "repro_gro_merges", "Skbs GRO-coalesced into a held super-skb",
-            ("device",))
-        self._sock = reg.counter(
-            "repro_socket_delivered", "Skbs delivered to a socket rcvbuf",
-            ("socket",))
-
-        # --- scrape-on-collect families ------------------------------
-        self._cpu_ns = reg.counter(
-            "repro_cpu_time_ns", "Cumulative per-context CPU time (sim ns)",
-            ("cpu", "context"))
-        self._hardirqs = reg.counter(
-            "repro_hardirqs", "Hardware interrupts delivered", ("cpu",))
-        self._cstate = reg.counter(
-            "repro_cstate_wakeups", "C-state exits paid on wake-up", ("cpu",))
-        self._drops = reg.counter(
-            "repro_drops", "Packets dropped at a full queue", ("queue",))
-        self._dev_rx_packets = reg.counter(
-            "repro_device_rx_packets", "Packets received per device",
-            ("device",))
-        self._dev_rx_bytes = reg.counter(
-            "repro_device_rx_bytes", "Bytes received per device", ("device",))
-        self._q_depth = reg.gauge(
-            "repro_queue_depth", "Queue occupancy at collection time",
-            ("queue",))
-        self._q_max_depth = reg.gauge(
-            "repro_queue_max_depth", "Queue occupancy high-watermark",
-            ("queue",))
-        self._q_enqueued = reg.counter(
-            "repro_queue_enqueued", "Successful enqueues per queue",
-            ("queue",))
-        self._q_dropped = reg.counter(
-            "repro_queue_dropped", "Tail drops per queue", ("queue",))
-        self._bridge_forwarded = reg.counter(
-            "repro_bridge_forwarded", "Skbs the bridge forwarded",
-            ("bridge",))
-        self._bridge_flood_drops = reg.counter(
-            "repro_bridge_flood_drops", "Bridge FDB-miss drops", ("bridge",))
-        self._gro_segments = reg.counter(
-            "repro_gro_merged_segments", "Segments held in GRO super-skbs",
-            ("device",))
-        self._q_cleared = reg.counter(
-            "repro_queue_cleared", "Items discarded by explicit clear()",
-            ("queue",))
-        self._mod_window = reg.gauge(
-            "repro_irq_moderation_window_ns",
-            "Rx-interrupt coalescing window at collection time "
-            "(0 = immediate interrupts)", ("device",))
-        self._pmd_stats = reg.counter(
-            "repro_pmd_events",
-            "Poll-mode-driver activity (BYPASS datapath only)",
-            ("device", "kind"))
-
-        # --- fault-injection / loss-recovery families -----------------
-        # Scraped from ``kernel.faults`` (the installed FaultInjector)
-        # and any registered RecoveryStats; all-zero on loss-free runs.
-        self._fault_forced = reg.counter(
-            "repro_fault_forced", "Forced drops/events by fault site",
-            ("site",))
-        self._fault_events = reg.counter(
-            "repro_fault_events", "Fault-injector event totals", ("kind",))
-        self._recovery = reg.counter(
-            "repro_recovery_events", "Loss-recovery events per client",
-            ("client", "event"))
-        self._conservation = reg.gauge(
-            "repro_conservation",
-            "Packet-conservation ledger totals at collection time",
-            ("bucket",))
-
-        # Per-name child caches so the per-batch hooks cost one dict
-        # lookup, not a labels() tuple build.
-        self._poll_cache: Dict[str, Tuple[Any, Any, Any]] = {}
-        self._softirq_cache: Dict[Tuple[Any, ...], Any] = {}
-        self._gro_cache: Dict[Tuple[Any, ...], Any] = {}
-        self._sock_cache: Dict[Tuple[Any, ...], Any] = {}
-        self._callbacks: List[Tuple[str, Any]] = []
-
-        self._watched_queues: List["PacketQueue"] = []
-        self._watched_devices: List["NetDevice"] = []
-        self._watched_bridges: List[Any] = []
-        self._watched_gro: List[Tuple[str, Any]] = []
-        self._watched_overlays: List[Any] = []
-        self._watched_recovery: List[Any] = []
-
-    # ------------------------------------------------------------------
-    # Attach/detach: subscribe the live hooks to the kernel's tracer
-    # ------------------------------------------------------------------
-    def attach(self) -> "KernelTelemetry":
-        """Subscribe the live hooks to the kernel's tracer (idempotent)."""
-        if not self._callbacks:
-            tracer = self.kernel.tracer
-            self._callbacks = [
-                (point, tracer.attach(point, hook)) for point, hook in (
-                    (TracePoint.NET_RX_ACTION, self.on_softirq),
-                    (TracePoint.NAPI_POLL_DONE, self.on_poll),
-                    (TracePoint.GRO_MERGE, self.on_gro_merge),
-                    (TracePoint.SOCKET_ENQUEUE, self.on_socket_deliver))]
-        return self
-
-    def detach(self) -> None:
-        tracer = self.kernel.tracer
-        for point, hook in self._callbacks:
-            tracer.detach(point, hook)
-        self._callbacks = []
-
-    # ------------------------------------------------------------------
-    # Live hooks (tracepoint callbacks)
-    # ------------------------------------------------------------------
-    def on_softirq(self, cpu: int, mode: str, **_f: Any) -> None:
-        """One NET_RX softirq invocation on *cpu* under *mode*."""
-        _bump(self._softirq_cache, self._softirqs, cpu, mode)
-
-    def on_poll(self, napi: str, processed: int, **_f: Any) -> None:
-        """One NAPI poll batch of *processed* packets on *napi*."""
-        entry = self._poll_cache.get(napi)
-        if entry is None:
-            entry = (self._polls.labels(napi),
-                     self._poll_packets.labels(napi),
-                     self._batch.labels(napi))
-            self._poll_cache[napi] = entry
-        polls, packets, batch = entry
-        polls.value += 1
-        packets.value += processed
-        batch.observe(processed)
-
-    def on_gro_merge(self, device: str, **_f: Any) -> None:
-        _bump(self._gro_cache, self._gro, device)
-
-    def on_socket_deliver(self, socket: str, **_f: Any) -> None:
-        _bump(self._sock_cache, self._sock, socket)
-
-    # ------------------------------------------------------------------
-    # Scrape sources
-    # ------------------------------------------------------------------
-    def watch_queue(self, queue: "PacketQueue") -> None:
-        if queue not in self._watched_queues:
-            self._watched_queues.append(queue)
-
-    def watch_device(self, device: "NetDevice") -> None:
-        if device not in self._watched_devices:
-            self._watched_devices.append(device)
-
-    def watch_host(self, host: Any) -> None:
-        """Watch a :class:`~repro.overlay.host.Host`'s standard receive
-        path: NIC ring(s), per-CPU backlogs and NAPI input queues, plus
-        the NIC device itself.  Overlay devices (vxlan, bridge, veths)
-        join via :meth:`watch_overlay` once the topology exists."""
-        nic = getattr(host, "nic", None)
-        if nic is not None:
-            self.watch_device(nic)
-            self.watch_queue(nic.ring)
-            if nic.ring_high is not None:
-                self.watch_queue(nic.ring_high)
-        for softnet in host.kernel.softnets:
-            self.watch_queue(softnet.backlog.queue_low)
-            self.watch_queue(softnet.backlog.queue_high)
-
-    def watch_overlay(self, host_overlay: Any) -> None:
-        """Watch a :class:`~repro.overlay.topology.HostOverlay`'s data
-        plane: the bridge, the vxlan device and its GRO engine, per-CPU
-        gro_cells queues, and container veth ends.  Containers and
-        gro_cells materialize lazily *after* attach, so the overlay is
-        remembered and re-walked at :meth:`collect` time."""
-        if host_overlay not in self._watched_overlays:
-            self._watched_overlays.append(host_overlay)
-
-    def _scrape_overlay_topology(self, host_overlay: Any) -> None:
-        bridge = getattr(host_overlay, "bridge", None)
-        if bridge is not None and bridge not in self._watched_bridges:
-            self._watched_bridges.append(bridge)
-        vxlan = getattr(host_overlay, "vxlan", None)
-        if vxlan is not None:
-            self.watch_device(vxlan)
-            if all(gro is not vxlan.gro for _n, gro in self._watched_gro):
-                self._watched_gro.append((vxlan.name, vxlan.gro))
-            for cell in vxlan._cells.values():
-                self.watch_queue(cell.queue_low)
-                self.watch_queue(cell.queue_high)
-        for container in getattr(host_overlay, "containers", {}).values():
-            veth = getattr(container, "veth", None)
-            if veth is not None:
-                for end in veth.devices():
-                    self.watch_device(end)
-
-    def register_recovery(self, stats: Any) -> None:
-        """Export one :class:`~repro.faults.recovery.RecoveryStats` —
-        a client's loss-recovery accounting, scraped at collect time."""
-        if stats is not None and \
-                all(s is not stats for s in self._watched_recovery):
-            self._watched_recovery.append(stats)
-
-    def register_meter(self, meter: "ThroughputMeter",
-                       label: str = "") -> None:
-        """Export one :class:`ThroughputMeter` as callback gauges.
-
-        Apps handed a hub call this at construction, so their meters
-        export through the one registry with no duplicated accounting."""
-        from repro.telemetry.adapters import register_throughput_meter
-        register_throughput_meter(self.registry, meter, label)
-
-    def bind_run(self, *, sampler: Optional["CpuUtilizationSampler"] = None,
-                 meters: Tuple["ThroughputMeter", ...] = ()) -> None:
-        """Export the bench harness's own accounting as callback gauges."""
-        from repro.telemetry.adapters import register_cpu_sampler
-        if sampler is not None:
-            register_cpu_sampler(self.registry, sampler)
-        for meter in meters:
-            if meter is not None:
-                self.register_meter(meter)
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def collect(self) -> MetricsRegistry:
-        """Scrape every watched source into the registry; returns it."""
-        kernel = self.kernel
-        for core in kernel.cpus:
-            for context, ns in core.stats.ns.items():
-                self._cpu_ns.labels(core.core_id,
-                                    context.value).set_total(ns)
-            self._hardirqs.labels(core.core_id).set_total(
-                core.stats.hardirqs)
-            self._cstate.labels(core.core_id).set_total(
-                core.stats.cstate_wakeups)
-        for queue_name, count in kernel.drops.items():
-            self._drops.labels(queue_name).set_total(count)
-        for overlay in self._watched_overlays:
-            self._scrape_overlay_topology(overlay)
-        for queue in self._watched_queues:
-            self._q_depth.labels(queue.name).set(len(queue))
-            self._q_max_depth.labels(queue.name).set(queue.max_depth)
-            self._q_enqueued.labels(queue.name).set_total(queue.enqueued)
-            self._q_dropped.labels(queue.name).set_total(queue.dropped)
-            self._q_cleared.labels(queue.name).set_total(queue.cleared)
-        for device in self._watched_devices:
-            self._dev_rx_packets.labels(device.name).set_total(
-                device.rx_packets)
-            self._dev_rx_bytes.labels(device.name).set_total(
-                device.rx_bytes)
-            window = getattr(device, "moderation_window_ns", None)
-            if window is not None:
-                self._mod_window.labels(device.name).set(window)
-            pmd = getattr(device, "_pmd", None)
-            if pmd is not None:
-                self._pmd_stats.labels(device.name, "batches").set_total(
-                    pmd.batches)
-                self._pmd_stats.labels(device.name, "packets").set_total(
-                    pmd.packets)
-                self._pmd_stats.labels(device.name, "idle_spins").set_total(
-                    pmd.idle_spins)
-        for bridge in self._watched_bridges:
-            self._bridge_forwarded.labels(bridge.name).set_total(
-                bridge.forwarded)
-            self._bridge_flood_drops.labels(bridge.name).set_total(
-                bridge.flood_drops)
-        for device_name, gro in self._watched_gro:
-            self._gro_segments.labels(device_name).set_total(
-                gro.merged_segments)
-        for stats in self._watched_recovery:
-            for event in ("sent", "retries", "timeouts", "gave_up",
-                          "duplicates"):
-                self._recovery.labels(stats.name, event).set_total(
-                    getattr(stats, event))
-        injector = getattr(kernel, "faults", None)
-        if injector is not None:
-            for site, count in injector.stats.items():
-                self._fault_forced.labels(site).set_total(count)
-            self._fault_events.labels("bursts").set_total(
-                injector.bursts_fired)
-            self._fault_events.labels("burst_packets").set_total(
-                injector.burst_packets)
-            self._fault_events.labels("flaps").set_total(injector.flaps)
-            self._fault_events.labels("irqs_lost").set_total(
-                injector.irqs_lost)
-            for bucket, value in injector.ledger.totals().items():
-                self._conservation.labels(bucket).set(value)
-        return self.registry
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Collect, then return the registry's versioned JSON snapshot."""
-        return self.collect().snapshot()
-
-    def render_openmetrics(self) -> str:
-        """Collect, then render the OpenMetrics exposition."""
-        return self.collect().render_openmetrics()
-
-    def __repr__(self) -> str:
-        return (f"<KernelTelemetry kernel={self.kernel.name!r} "
-                f"{self.registry!r}>")
+#: ThroughputMeter summary field -> its gauge family.
+_METER_FAMILIES = {
+    "count": "repro_meter_events",
+    "bytes": "repro_meter_bytes",
+    "discarded": "repro_meter_discarded",
+    "first_at": "repro_meter_first_at_ns",
+    "last_at": "repro_meter_last_at_ns",
+}
 
 
-def _bump(cache: Dict[Tuple[Any, ...], Any], family: Any, *labels: Any
-          ) -> None:
-    """Increment *family*'s child for *labels*, cached per label tuple."""
-    child = cache.get(labels)
-    if child is None:
-        child = cache[labels] = family.labels(*labels)
-    child.value += 1
+def batch_histogram(sizes: Dict[int, int]) -> Dict[str, Any]:
+    """A histogram sample of *sizes* (batch size -> polls): cumulative
+    counts per :data:`BATCH_BUCKETS` bound and ``+Inf``, sum and count."""
+    count = sum(sizes.values())
+    bounds = [str(float(bound)) for bound in BATCH_BUCKETS] + ["+Inf"]
+    counts = [sum(n for size, n in sizes.items() if size <= bound)
+              for bound in BATCH_BUCKETS] + [count]
+    return {"buckets": dict(zip(bounds, counts)),
+            "sum": sum(size * n for size, n in sizes.items()),
+            "count": count}
+
+
+def collect_metrics(cell: Any, observer: Any) -> Dict[str, Any]:
+    """The metrics snapshot of *cell*'s server, after its last window."""
+    values: Dict[str, Dict[Tuple[str, ...], Any]] = {
+        name: {} for name in FAMILIES}
+
+    def put(name: str, value: Any, *labels: Any) -> None:
+        values[name][tuple(str(label) for label in labels)] = value
+
+    testbed = cell.testbed
+    host = testbed.server
+    kernel = host.kernel
+    # The bound NET_RX handler's mode: bypass runs the vanilla one.
+    mode = str(kernel.mode) if kernel.prism else "vanilla"
+    for core in kernel.cpus:
+        stats = core.stats
+        if stats.softirq_invocations:
+            put("repro_softirq_invocations", stats.softirq_invocations,
+                core.core_id, mode)
+        for context, ns in stats.ns.items():
+            put("repro_cpu_time_ns", ns, core.core_id, context.value)
+        put("repro_hardirqs", stats.hardirqs, core.core_id)
+        put("repro_cstate_wakeups", stats.cstate_wakeups, core.core_id)
+    for napi, sizes in observer.poll_batches.items():
+        histogram = batch_histogram(sizes)
+        put("repro_napi_polls", histogram["count"], napi)
+        put("repro_napi_packets", histogram["sum"], napi)
+        put("repro_napi_batch_size", histogram, napi)
+    for device, n in observer.gro_merges.items():
+        put("repro_gro_merges", n, device)
+    for socket, n in observer.socket_delivered.items():
+        put("repro_socket_delivered", n, socket)
+    for queue_name, n in kernel.drops.items():
+        put("repro_drops", n, queue_name)
+
+    nic = host.nic
+    overlay = testbed.server_overlay
+    vxlan = overlay.vxlan
+    queues = [nic.ring]
+    if nic.ring_high is not None:
+        queues.append(nic.ring_high)
+    for softnet in kernel.softnets:
+        queues += (softnet.backlog.queue_low, softnet.backlog.queue_high)
+    for cell_napi in vxlan._cells.values():
+        queues += (cell_napi.queue_low, cell_napi.queue_high)
+    devices = [nic, vxlan]
+    for container in overlay.containers.values():
+        devices += container.veth.devices()
+        queues += container.netns.sockets.rcvbufs()
+    for queue in queues:
+        put("repro_queue_depth", len(queue), queue.name)
+        put("repro_queue_max_depth", queue.max_depth, queue.name)
+        put("repro_queue_enqueued", queue.enqueued, queue.name)
+        put("repro_queue_dropped", queue.dropped, queue.name)
+        put("repro_queue_cleared", queue.cleared, queue.name)
+    for device in devices:
+        put("repro_device_rx_packets", device.rx_packets, device.name)
+        put("repro_device_rx_bytes", device.rx_bytes, device.name)
+    put("repro_irq_moderation_window_ns", nic.moderation_window_ns, nic.name)
+    pmd = nic._pmd
+    if pmd is not None:
+        for kind in ("batches", "packets", "idle_spins"):
+            put("repro_pmd_events", getattr(pmd, kind), nic.name, kind)
+    bridge = overlay.bridge
+    put("repro_bridge_forwarded", bridge.forwarded, bridge.name)
+    put("repro_bridge_flood_drops", bridge.flood_drops, bridge.name)
+    put("repro_gro_merged_segments", vxlan.gro.merged_segments, vxlan.name)
+
+    recovery = getattr(cell.fg_client, "recovery", None)
+    if recovery is not None:
+        for event in ("sent", "retries", "timeouts", "gave_up",
+                      "duplicates"):
+            put("repro_recovery_events", getattr(recovery, event),
+                recovery.name, event)
+    injector = kernel.faults
+    if injector is not None:
+        for site, n in injector.stats.items():
+            put("repro_fault_forced", n, site)
+        put("repro_fault_events", injector.bursts_fired, "bursts")
+        put("repro_fault_events", injector.burst_packets, "burst_packets")
+        put("repro_fault_events", injector.flaps, "flaps")
+        put("repro_fault_events", injector.irqs_lost, "irqs_lost")
+        for bucket, value in injector.ledger.totals().items():
+            put("repro_conservation", value, bucket)
+
+    for meter in (cell.fg_meter, cell.bg_meter):
+        for field, value in meter.summary().items():
+            put(_METER_FAMILIES[field], 0 if value is None else value,
+                meter.name or "meter")
+    sampler = cell.sampler
+    cpu = f"cpu{sampler.core.core_id}"
+    put("repro_cpu_utilization", sampler.utilization(), cpu)
+    put("repro_cpu_softirq_fraction", sampler.softirq_fraction(), cpu)
+
+    metrics: Dict[str, Any] = {}
+    for name, (kind, help_text, label_names) in FAMILIES.items():
+        samples = []
+        for key, value in sorted(values[name].items()):
+            labels = dict(zip(label_names, key))
+            samples.append({"labels": labels, **value} if kind == "histogram"
+                           else {"labels": labels, "value": value})
+        metrics[name] = {"type": kind, "help": help_text,
+                         "label_names": list(label_names),
+                         "samples": samples}
+    return {"version": SNAPSHOT_VERSION, "metrics": metrics}

@@ -1,20 +1,17 @@
-"""OpenMetrics text exposition for a :class:`MetricsRegistry`.
+"""OpenMetrics text exposition of a metrics snapshot.
 
-Renders the subset of the OpenMetrics 1.0 text format that the registry's
-three metric kinds need: ``# TYPE``/``# HELP`` metadata, ``_total``
-suffixed counter samples, plain gauge samples, ``_bucket{le=...}`` /
-``_sum`` / ``_count`` histogram series, and the mandatory ``# EOF``
-terminator.  Output is deterministic: families appear in registration
-order, children sorted by label values, and no timestamps are emitted
-(a simulated run has no meaningful wall clock).
+Renders the subset of the OpenMetrics 1.0 text format that the
+snapshot's three metric types need: ``# TYPE``/``# HELP`` metadata,
+``_total`` suffixed counter samples, plain gauge samples,
+``_bucket{le=...}`` / ``_sum`` / ``_count`` histogram series, and the
+mandatory ``# EOF`` terminator.  Families render in the snapshot's
+order, samples in theirs, and no timestamps are emitted (a simulated
+run has no meaningful wall clock).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TYPE_CHECKING, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.registry import MetricsRegistry
+from typing import Any, Dict, Iterable, Tuple
 
 __all__ = ["render_openmetrics", "write_openmetrics"]
 
@@ -24,28 +21,20 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 
 #: HELP text is not quoted, so per the exposition format only backslash
 #: and newline are escaped there — a double quote passes through
-#: verbatim.  Escaping it too (the old behaviour) made scrapers render
-#: ``\"`` literally in metric descriptions.
+#: verbatim.
 _HELP_ESCAPES = {"\\": "\\\\", "\n": "\\n"}
 
 
-def _escape(value: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in value)
+def _escape(value: str, escapes: Dict[str, str] = _ESCAPES) -> str:
+    return "".join(escapes.get(ch, ch) for ch in value)
 
 
-def _escape_help(value: str) -> str:
-    return "".join(_HELP_ESCAPES.get(ch, ch) for ch in value)
-
-
-def _labels(names: Iterable[str], values: Iterable[str],
-            extra: Tuple[str, str] = None) -> str:
-    parts = [f'{n}="{_escape(v)}"' for n, v in zip(names, values)]
-    if extra is not None:
-        parts.append(f'{extra[0]}="{_escape(extra[1])}"')
+def _labels(labels: Iterable[Tuple[str, str]]) -> str:
+    parts = [f'{name}="{_escape(value)}"' for name, value in labels]
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def _num(value) -> str:
+def _num(value: Any) -> str:
     """A canonical decimal rendering (ints without the trailing ``.0``)."""
     if isinstance(value, float) and value.is_integer() and \
             abs(value) < 2 ** 53:
@@ -53,49 +42,39 @@ def _num(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _bound(bound: float) -> str:
-    """Bucket bound rendering: integral bounds print as integers."""
-    return _num(bound)
-
-
-def render_openmetrics(registry: "MetricsRegistry") -> str:
-    """The full exposition for *registry*, ``# EOF`` included."""
+def render_openmetrics(snapshot: Dict[str, Any]) -> str:
+    """The full exposition of *snapshot*, ``# EOF`` included."""
     lines = []
-    for family in registry.families():
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        if family.help:
-            lines.append(f"# HELP {family.name} "
-                         f"{_escape_help(family.help)}")
-        names = family.label_names
-        for values, child in family.samples():
-            if family.kind == "counter":
-                lines.append(f"{family.name}_total"
-                             f"{_labels(names, values)} {_num(child.value)}")
-            elif family.kind == "gauge":
-                lines.append(f"{family.name}"
-                             f"{_labels(names, values)} {_num(child.current())}")
-            elif family.kind == "histogram":
-                cumulative = child.cumulative()
-                bounds = [_bound(b) for b in child.buckets] + ["+Inf"]
-                for bound, count in zip(bounds, cumulative):
-                    lines.append(
-                        f"{family.name}_bucket"
-                        f"{_labels(names, values, ('le', bound))} {count}")
-                lines.append(f"{family.name}_sum"
-                             f"{_labels(names, values)} {_num(child.sum)}")
-                lines.append(f"{family.name}_count"
-                             f"{_labels(names, values)} {child.count}")
-            else:  # pragma: no cover - no other kinds exist
-                raise ValueError(f"unknown metric kind {family.kind!r}")
+    for name, family in snapshot["metrics"].items():
+        kind = family["type"]
+        lines.append(f"# TYPE {name} {kind}")
+        if family["help"]:
+            lines.append(f"# HELP {name} "
+                         f"{_escape(family['help'], _HELP_ESCAPES)}")
+        for sample in family["samples"]:
+            labels = list(sample["labels"].items())
+            if kind == "histogram":
+                for bound, count in sample["buckets"].items():
+                    le = bound if bound == "+Inf" else _num(float(bound))
+                    lines.append(f"{name}_bucket"
+                                 f"{_labels(labels + [('le', le)])} {count}")
+                lines.append(f"{name}_sum{_labels(labels)} "
+                             f"{_num(sample['sum'])}")
+                lines.append(f"{name}_count{_labels(labels)} "
+                             f"{sample['count']}")
+            else:
+                suffix = "_total" if kind == "counter" else ""
+                lines.append(f"{name}{suffix}{_labels(labels)} "
+                             f"{_num(sample['value'])}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
 
-def write_openmetrics(path, registry: "MetricsRegistry"):
-    """Write the exposition to *path*; returns the path."""
+def write_openmetrics(path, snapshot: Dict[str, Any]):
+    """Write the exposition of *snapshot* to *path*; returns the path."""
     from pathlib import Path
 
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_openmetrics(registry))
+    out.write_text(render_openmetrics(snapshot))
     return out

@@ -2,9 +2,10 @@
 
 Kernel code calls :meth:`Tracer.emit` at well-known points; analysis tools
 attach callbacks.  This is the simulated kernel's only observation
-mechanism: the kernel observer (:mod:`repro.obs`), the telemetry hub
-(:mod:`repro.telemetry`) and the flow tap (:mod:`repro.flows`) are all
-subscribers.  Emitting with no subscriber costs one dict lookup, and hot
+mechanism: the kernel observer (:mod:`repro.obs`) and the flow tap
+(:mod:`repro.flows`) are its two subscribers; the metrics snapshot
+(:mod:`repro.telemetry`) is read from the observer and the kernel's own
+accounting after the run.  Emitting with no subscriber costs one dict lookup, and hot
 loops read :attr:`Tracer.active` and :meth:`Tracer.has_subscribers` once
 per batch, so tracepoints can stay in the hot path permanently (like
 compiled-in kernel tracepoints).
@@ -20,8 +21,6 @@ __all__ = ["Tracer", "TracePoint"]
 class TracePoint:
     """Well-known tracepoint names used by the simulated kernel."""
 
-    #: A softirq invocation of net_rx_action begins. fields: cpu
-    NET_RX_ACTION = "net_rx_action"
     #: One device is polled. fields: cpu, device, local_list, global_list
     #: (poll-list names after the poll; emitted by net_rx_action).
     NAPI_POLL = "napi_poll"

@@ -176,9 +176,9 @@ class TestCounterSelection:
         captured = {}
         real_setup = exp_mod._overlay_setup
 
-        def spy(testbed, config, recorder, telemetry=None):
+        def spy(testbed, config, recorder):
             fg_meter, bg_meter, fg_client = real_setup(
-                testbed, config, recorder, telemetry)
+                testbed, config, recorder)
             captured["client"] = fg_client
             return fg_meter, bg_meter, fg_client
 

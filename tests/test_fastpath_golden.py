@@ -97,7 +97,7 @@ SCENARIOS = sorted(GOLD)
 METRICS_GOLD = {
     "host-vanilla": (
         "5eafff56ea851524c7d391e36d077c14ad525a344ecc34237385b9cd212e414d",
-        "62b5f1a1e4dbaba471c5822cd260a603053c663ac4f89d15a3f0a7eb0af4341e"),
+        "ecfacfa67e14f2f2ad10e0bb2834a996cf09792967835b60ea6efd6abbb38324"),
     "overlay-bypass-lossy": (
         "0f6c147c5d91e2068b2288a08fd73955e9f30e7a99c3ef48cfd5f2b75e821f40",
         "57c927acf78903a278810f0796a51eee67666c5bb134fee90b75070867ee02a5"),

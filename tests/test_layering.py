@@ -1,11 +1,12 @@
 """Layering guard: the packet path knows only the tracer.
 
 The kernel, the devices, the protocol stack and the applications emit
-tracepoints; the observer (``repro.obs``), the telemetry hub
-(``repro.telemetry``) and the flow tap (``repro.flows``) subscribe to
-them.  This walks every ``repro`` import reachable from the packet-path
-packages, including imports inside functions and ``TYPE_CHECKING``
-blocks, and fails if any of the subscriber packages is among them.
+tracepoints; the observer (``repro.obs``) and the flow tap
+(``repro.flows``) subscribe to them, and the metrics snapshot
+(``repro.telemetry``) is read from the observer after the run.  This
+walks every ``repro`` import reachable from the packet-path packages,
+including imports inside functions and ``TYPE_CHECKING`` blocks, and
+fails if any of these observability packages is among them.
 """
 
 from __future__ import annotations

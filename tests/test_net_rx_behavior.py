@@ -9,11 +9,10 @@ from repro.kernel.config import KernelConfig
 from repro.prism.mode import StackMode
 from repro.sim.units import MS
 from repro.obs import KernelObserver
-from repro.trace.tracer import TracePoint, Tracer
 
 
-def setup(mode=StackMode.VANILLA, config=None, tracer=None):
-    testbed = build_testbed(mode=mode, config=config, tracer=tracer)
+def setup(mode=StackMode.VANILLA, config=None):
+    testbed = build_testbed(mode=mode, config=config)
     server = testbed.add_server_container("srv", "10.0.0.10")
     client = testbed.add_client_container("cli", "10.0.0.100")
     socket = server.udp_socket(5000, core_id=1)
@@ -33,16 +32,13 @@ class TestBudget:
                                       StackMode.PRISM_BATCH])
     def test_budget_splits_softirq_invocations(self, mode):
         # Budget 100 with a 300-packet burst: several softirq rounds.
-        tracer = Tracer()
         config = KernelConfig(napi_budget=100)
-        testbed, socket, sender = setup(mode, config, tracer)
-        invocations = []
-        tracer.attach(TracePoint.NET_RX_ACTION,
-                      lambda **kw: invocations.append(kw))
+        testbed, socket, sender = setup(mode, config)
         send_burst(sender, 300)
         testbed.sim.run(until=20 * MS)
         assert socket.delivered == 300
-        assert len(invocations) >= 3
+        stats = testbed.server.kernel.cpu(0).stats
+        assert stats.softirq_invocations >= 3
 
     @pytest.mark.parametrize("mode", list(StackMode))
     def test_everything_delivered_with_tiny_budget(self, mode):

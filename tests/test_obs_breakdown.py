@@ -19,7 +19,7 @@ from repro.bench.experiment import run_experiment, run_traced_experiment
 from repro.bench.runner import result_digest
 from repro.obs.breakdown import StageBreakdown, StageSegment
 from repro.obs.observer import PacketMilestones
-
+from repro.prism.mode import StackMode
 from repro.sim.units import MS
 from tests.conftest import TRACED_CONFIG
 
@@ -102,6 +102,24 @@ class TestGoldenIdentity:
         stored = traced_small.result.stage_breakdown
         assert stored is not None
         assert SB.from_dict(stored) == traced_small.breakdown
+
+
+class TestPipelineOrder:
+    @pytest.mark.parametrize("mode", [
+        StackMode.VANILLA, StackMode.PRISM_BATCH, StackMode.PRISM_SYNC,
+        StackMode.BYPASS], ids=str)
+    def test_fg_path_follows_the_pipeline(self, mode):
+        """Each stage's milestone fires when its own run returns, so the
+        fg table reads ``eth -> br -> veth`` in every mode; where the
+        stages run inline (PRISM-sync, bypass), eth and br still get
+        their own time instead of all of it landing on veth."""
+        config = dataclasses.replace(TRACED_CONFIG, mode=mode,
+                                     duration_ns=6 * MS, warmup_ns=2 * MS)
+        fg = run_traced_experiment(config).breakdowns[
+            "server/fg-server:udp:11111"]
+        assert fg.path == ("eth", "br", "veth")
+        means = {s.name: s.mean_ns for s in fg.segments}
+        assert means["eth"] > 0 and means["br"] > 0 and means["veth"] > 0
 
 
 class TestPerSocket:

@@ -98,26 +98,27 @@ class TestSyncInlineChain:
     """The tracepoints one PRISM-sync fg packet fires on the server.
 
     The inline stages run inside the NIC stage's span: each fires
-    SYNC_INLINE and opens its span nested in the previous one, and they
-    close innermost first, each followed by its STAGE_DONE — the nesting
-    ``obs.StageBreakdown`` and ``render_gantt`` read.  Times are ns after
-    the skb's allocation.
+    SYNC_INLINE and opens its span nested in the previous one, and the
+    spans close innermost first — the nesting the folded stacks read.
+    Each stage's STAGE_DONE fires when its own run returns, in pipeline
+    order — the milestones ``obs.StageBreakdown`` and ``render_gantt``
+    read.  Times are ns after the skb's allocation.
     """
 
     EXPECTED = [
         (0, "skb_alloc", "eth", None, None),
         (0, "span_begin", None, "cpu0", "skb:eth"),
+        (700, "stage_done", "eth", None, "eth"),
         (1150, "sync_inline", "br", None, None),
         (1150, "span_begin", None, "cpu0", "skb:br"),
+        (1600, "stage_done", "br", None, "br"),
         (2050, "sync_inline", "backlog:cpu0", None, None),
         (2050, "span_begin", None, "cpu0", "skb:veth"),
         (3152, "socket_enqueue", "server/fg-server:udp:11111", None, None),
-        (3152, "span_end", None, "cpu0", "skb:veth"),
         (3152, "stage_done", "backlog:cpu0", None, "veth"),
+        (3152, "span_end", None, "cpu0", "skb:veth"),
         (3152, "span_end", None, "cpu0", "skb:br"),
-        (3152, "stage_done", "br", None, "br"),
         (3152, "span_end", None, "cpu0", "skb:eth"),
-        (3152, "stage_done", "eth", None, "eth"),
     ]
 
     def test_first_fg_packet_after_warmup(self):

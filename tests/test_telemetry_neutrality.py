@@ -1,14 +1,15 @@
 """Telemetry neutrality: metering and profiling never move a number.
 
-The telemetry layer's core contract (mirroring the tracer's): attaching
-the metrics hub next to the kernel observer, whose span attribution is
-the profile, must not change a single measurement.  Pinned against the
-same golden measurement digests the fast-path tests use: here with
-every tracer subscriber attached at once, and in
-``tests/test_fastpath_golden.py`` with the observed runner alone.
+The observability layer's core contract (mirroring the tracer's): the
+kernel observer, whose span attribution is the profile and whose
+per-key counts feed the metrics snapshot, and the flow tap must not
+change a single measurement.  Pinned against the same golden measurement
+digests the fast-path tests use: here with every tracer subscriber
+attached at once, and in ``tests/test_fastpath_golden.py`` with the
+observed runner alone.
 
 Also pins the acceptance criteria of the observed run itself: the
-OpenMetrics exposition parses, the registry agrees with the kernel's own
+OpenMetrics exposition parses, the snapshot agrees with the kernel's own
 accounting, and the observer's folded per-track totals sum to the
 accounted softirq time within 0.1%.
 """
@@ -24,7 +25,7 @@ from repro.bench.runner import result_digest
 from repro.flows import FlowExportConfig
 from repro.obs import KernelObserver
 from repro.obs.stacks import folded_lines
-from repro.telemetry import KernelTelemetry
+from repro.telemetry.openmetrics import render_openmetrics
 from tests.test_fastpath_golden import GOLD
 
 
@@ -32,8 +33,8 @@ from tests.test_fastpath_golden import GOLD
     "overlay-vanilla", "overlay-prism-batch", "overlay-prism-sync",
     "overlay-bypass-lossy", "overlay-prism-sync-lossy"])
 def test_all_subscribers_together_are_digest_identical(scenario):
-    """The observer, the telemetry hub and flow export share one tracer
-    in one run, and the measurements still match the plain run's."""
+    """The observer and flow export share one tracer in one run, and the
+    measurements still match the plain run's."""
     config, golden = GOLD[scenario]
     holder = {}
 
@@ -42,9 +43,6 @@ def test_all_subscribers_together_are_digest_identical(scenario):
         observer = holder["observer"] = KernelObserver(kernel)
         observer.watch_host(testbed.server)
         observer.start_gauges()
-        telemetry = KernelTelemetry(kernel).attach()
-        telemetry.watch_host(testbed.server)
-        return telemetry
 
     flows = FlowExportConfig(sample_rate=4)
     result = _run_experiment(
@@ -60,8 +58,8 @@ def test_instrumented_runs_are_reproducible():
     a = run_traced_experiment(config)
     b = run_traced_experiment(config)
     assert a.result.telemetry == b.result.telemetry
-    assert (a.telemetry.registry.render_openmetrics()
-            == b.telemetry.registry.render_openmetrics())
+    assert (render_openmetrics(a.result.telemetry)
+            == render_openmetrics(b.result.telemetry))
 
 
 class TestInstrumentedRunContents:
@@ -73,7 +71,7 @@ class TestInstrumentedRunContents:
         return run_traced_experiment(config)
 
     def test_registry_agrees_with_kernel_accounting(self, observed):
-        kernel = observed.telemetry.kernel
+        kernel = observed.observer.kernel
         metrics = observed.result.telemetry["metrics"]
 
         def series(name):
@@ -109,7 +107,7 @@ class TestInstrumentedRunContents:
             assert sample["count"] == polls[napi]
 
     def test_openmetrics_exposition_is_valid(self, observed):
-        text = observed.telemetry.render_openmetrics()
+        text = render_openmetrics(observed.result.telemetry)
         lines = text.splitlines()
         assert lines[-1] == "# EOF"
         assert text.endswith("# EOF\n")
@@ -144,7 +142,7 @@ class TestInstrumentedRunContents:
         """Acceptance criterion: per-stage folded totals sum to the
         accounted simulated softirq CPU time within 0.1%."""
         observer = observed.observer
-        kernel = observed.telemetry.kernel
+        kernel = observer.kernel
         for core in kernel.cpus:
             softirq_ns = core.stats.softirq_ns
             track_ns = observer.total_ns(f"cpu{core.core_id}")
@@ -165,8 +163,8 @@ class TestInstrumentedRunContents:
         assert any(name.endswith("[lp]") for name in leaves), leaves
 
     def test_harness_meters_export_through_registry(self, observed):
-        """Satellite: CpuUtilizationSampler + ThroughputMeter gauges ride
-        the one registry — values equal the result's own fields."""
+        """The CpuUtilizationSampler and ThroughputMeter gauges in the
+        snapshot equal the result's own fields."""
         result = observed.result
         metrics = result.telemetry["metrics"]
         util = {s["labels"]["cpu"]: s["value"]

@@ -1,174 +1,160 @@
-"""Registry semantics + OpenMetrics exposition golden.
+"""The metrics snapshot and its OpenMetrics exposition.
 
-The registry is the aggregate-telemetry wire format: its snapshot rides
-inside ``ExperimentResult`` and its text exposition is what
-``--metrics`` writes, so both are pinned here — including an exact
-exposition golden (format drift would silently break downstream tooling
-like promtool or the metrics differ).
+The snapshot (``{"version": 1, "metrics": {...}}``) is the
+aggregate-telemetry wire format: it rides inside ``ExperimentResult``,
+``--metrics-json`` writes it and ``--metrics-diff`` reads it, and its
+text exposition is what ``--metrics`` writes.  Both are pinned here —
+including an exact exposition golden (format drift would silently break
+downstream tooling like promtool or the metrics differ).  The snapshot
+is read from a finished :class:`~repro.bench.cell.ExperimentCell` and
+its :class:`~repro.obs.observer.KernelObserver`.
 """
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
-from repro.telemetry import MetricsRegistry, SNAPSHOT_VERSION
+from repro.bench.cell import ExperimentCell
+from repro.bench.experiment import ExperimentConfig
+from repro.obs.observer import KernelObserver
+from repro.sim.units import MS
+from repro.telemetry import SNAPSHOT_VERSION, collect_metrics
+from repro.telemetry.kernel import FAMILIES, batch_histogram
 from repro.telemetry.openmetrics import render_openmetrics
 
 
+def observed_cell(**overrides):
+    """A short overlay cell run to its end, with its observer."""
+    config = ExperimentConfig(**{
+        "fg_rate_pps": 2_000, "bg_rate_pps": 50_000.0,
+        "duration_ns": 4 * MS, "warmup_ns": 1 * MS, **overrides})
+    observers = []
+
+    def attach(testbed):
+        observers.append(KernelObserver(testbed.server.kernel))
+
+    cell = ExperimentCell(config, attach=attach)
+    cell.run_to(cell.end_ns)
+    return cell, observers[0]
+
+
+def series(snapshot, name):
+    return {tuple(s["labels"].values()): s["value"]
+            for s in snapshot["metrics"][name]["samples"]}
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return collect_metrics(*observed_cell())
+
+
 class TestCounter:
-    def test_unlabeled_counter_is_its_own_child(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_ticks", "ticks")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.labels().value == 5
+    def test_labeled_counter_children_are_independent(self, snapshot):
+        """Deliveries count per socket, each equal to the deliveries its
+        own receive queue accepted."""
+        delivered = series(snapshot, "repro_socket_delivered")
+        enqueued = series(snapshot, "repro_queue_enqueued")
+        assert len(delivered) == 2
+        assert len(set(delivered.values())) == 2
+        for socket, n in delivered.items():
+            assert n == enqueued[socket] > 0
 
-    def test_labeled_counter_children_are_independent(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_drops", "drops", ("queue",))
-        c.labels("ring").inc(3)
-        c.labels("backlog").inc()
-        assert c.labels("ring").value == 3
-        assert c.labels("backlog").value == 1
-
-    def test_counter_rejects_negative_increment(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_ticks", "ticks")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_set_total_overwrites_with_scraped_value(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_rx", "rx", ("dev",))
-        c.labels("eth").set_total(100)
-        c.labels("eth").set_total(250)
-        assert c.labels("eth").value == 250
-
-    def test_label_values_are_stringified(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_irqs", "irqs", ("cpu",))
-        c.labels(0).inc()
-        assert c.labels("0").value == 1
-
-    def test_label_arity_mismatch_raises(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_drops", "drops", ("queue",))
-        with pytest.raises(ValueError):
-            c.labels("a", "b")
+    def test_label_values_are_stringified(self, snapshot):
+        for family in snapshot["metrics"].values():
+            for sample in family["samples"]:
+                assert all(isinstance(v, str)
+                           for v in sample["labels"].values())
+        assert ("0", "softirq") in series(snapshot, "repro_cpu_time_ns")
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_depth", "depth")
-        g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.current() == 7
-
     def test_callback_gauge_reads_source_at_collect_time(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_util", "utilization", ("cpu",))
-        state = {"v": 0.25}
-        g.labels(0).set_function(lambda: state["v"])
-        assert g.labels(0).current() == 0.25
-        state["v"] = 0.75
-        assert g.labels(0).current() == 0.75
+        """Each collection reads the sources as they stand then."""
+        cell, observer = observed_cell()
+        first = collect_metrics(cell, observer)
+        cell.run_to(cell.end_ns + 2 * MS)
+        second = collect_metrics(cell, observer)
+        events = [series(snap, "repro_meter_events")[
+            (cell.fg_meter.name,)] for snap in (first, second)]
+        assert events[0] < events[1] == cell.fg_meter.count
 
     def test_callback_gauge_maps_none_to_zero(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_first_at", "first event")
-        g.set_function(lambda: None)
-        assert g.current() == 0
+        """A meter that counted nothing has no first/last event time;
+        its gauges read 0."""
+        snap = collect_metrics(*observed_cell(bg_rate_pps=0.0))
+        assert series(snap, "repro_meter_first_at_ns")[("bg",)] == 0
+        assert series(snap, "repro_meter_last_at_ns")[("bg",)] == 0
 
 
 class TestHistogram:
     def test_observe_fills_buckets_cumulatively(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_batch", "batch", buckets=(1, 4, 16))
-        for v in (1, 2, 5, 100):
-            h.observe(v)
-        child = h.labels()
-        assert child.cumulative() == [1, 2, 3, 4]
-        assert child.sum == 108
-        assert child.count == 4
-
-    def test_labeled_histogram_requires_labels_for_observe(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_batch", "batch", ("napi",))
-        with pytest.raises(ValueError):
-            h.observe(3)
-        h.labels("eth").observe(3)
-        assert h.labels("eth").count == 1
-
-    def test_empty_bucket_list_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("repro_batch", "batch", buckets=())
+        sample = batch_histogram({1: 1, 2: 1, 5: 1, 100: 1})
+        assert sample["buckets"] == {
+            "1.0": 1, "2.0": 2, "4.0": 2, "8.0": 3, "16.0": 3, "32.0": 3,
+            "64.0": 3, "+Inf": 4}
+        assert sample["sum"] == 108
+        assert sample["count"] == 4
 
 
 class TestRegistry:
-    def test_reregistration_is_idempotent_for_identical_shape(self):
-        reg = MetricsRegistry()
-        a = reg.counter("repro_x", "x", ("l",))
-        b = reg.counter("repro_x", "x", ("l",))
-        assert a is b
+    def test_snapshot_shape_and_version(self, snapshot):
+        assert snapshot["version"] == SNAPSHOT_VERSION
+        assert list(snapshot["metrics"]) == list(FAMILIES)
+        for name, (kind, help_text, label_names) in FAMILIES.items():
+            family = snapshot["metrics"][name]
+            assert family["type"] == kind
+            assert family["help"] == help_text
+            assert family["label_names"] == list(label_names)
+            keys = ({"labels", "buckets", "sum", "count"}
+                    if kind == "histogram" else {"labels", "value"})
+            for sample in family["samples"]:
+                assert set(sample) == keys
+                assert list(sample["labels"]) == list(label_names)
 
-    def test_reregistration_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x", "x", ("l",))
-        with pytest.raises(ValueError):
-            reg.gauge("repro_x", "x", ("l",))
-        with pytest.raises(ValueError):
-            reg.counter("repro_x", "x", ("other",))
+    def test_children_sorted_by_label_values_in_snapshot(self, snapshot):
+        for family in snapshot["metrics"].values():
+            keys = [tuple(s["labels"].values()) for s in family["samples"]]
+            assert keys == sorted(keys)
 
-    def test_invalid_metric_names_rejected(self):
-        reg = MetricsRegistry()
-        for bad in ("", "9lives", "has space", "dash-ed"):
-            with pytest.raises(ValueError):
-                reg.counter(bad, "bad")
+    def test_family_and_label_names_are_valid(self):
+        valid = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
+        for name, (kind, _help, label_names) in FAMILIES.items():
+            assert valid.match(name) and kind in (
+                "counter", "gauge", "histogram")
+            assert all(valid.match(label) for label in label_names)
 
-    def test_snapshot_shape_and_version(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_c", "c", ("l",)).labels("a").inc(2)
-        reg.gauge("repro_g", "g").set(1.5)
-        reg.histogram("repro_h", "h", buckets=(1, 2)).observe(1)
-        snap = reg.snapshot()
-        assert snap["version"] == SNAPSHOT_VERSION
-        assert snap["metrics"]["repro_c"]["type"] == "counter"
-        assert snap["metrics"]["repro_c"]["samples"] == [
-            {"labels": {"l": "a"}, "value": 2}]
-        assert snap["metrics"]["repro_g"]["samples"] == [
-            {"labels": {}, "value": 1.5}]
-        hist = snap["metrics"]["repro_h"]["samples"][0]
-        assert hist["buckets"] == {"1.0": 1, "2.0": 1, "+Inf": 1}
-        assert hist["sum"] == 1 and hist["count"] == 1
 
-    def test_children_sorted_by_label_values_in_snapshot(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_c", "c", ("l",))
-        c.labels("zeta").inc()
-        c.labels("alpha").inc()
-        values = [s["labels"]["l"]
-                  for s in reg.snapshot()["metrics"]["repro_c"]["samples"]]
-        assert values == ["alpha", "zeta"]
+def family(kind, help_text, label_names, samples):
+    return {"type": kind, "help": help_text,
+            "label_names": list(label_names), "samples": samples}
+
+
+def counter_snapshot(name, help_text, **values):
+    """One single-label counter family; *values* maps label -> count."""
+    return {"version": SNAPSHOT_VERSION, "metrics": {name: family(
+        "counter", help_text, ("l",),
+        [{"labels": {"l": l}, "value": v} for l, v in values.items()])}}
 
 
 class TestOpenMetricsExposition:
     def test_exposition_golden(self):
         """Exact text format — pinned so downstream parsers never drift."""
-        reg = MetricsRegistry()
-        c = reg.counter("repro_drops", "Packets dropped", ("queue",))
-        c.labels("ring").inc(7)
-        c.labels('we"ird\\q').inc(1)
-        g = reg.gauge("repro_depth", "Queue depth", ("queue",))
-        g.labels("ring").set(3)
-        h = reg.histogram("repro_batch", "Batch size", ("napi",),
-                          buckets=(1, 8))
-        h.labels("eth").observe(1)
-        h.labels("eth").observe(5)
-        assert render_openmetrics(reg) == (
+        snapshot = {"version": SNAPSHOT_VERSION, "metrics": {
+            "repro_drops": family("counter", "Packets dropped", ("queue",), [
+                {"labels": {"queue": "ring"}, "value": 7},
+                {"labels": {"queue": 'we"ird\\q'}, "value": 1}]),
+            "repro_depth": family("gauge", "Queue depth", ("queue",), [
+                {"labels": {"queue": "ring"}, "value": 3.0},
+                {"labels": {"queue": "veth"}, "value": 0.5}]),
+            "repro_batch": family("histogram", "Batch size", ("napi",), [
+                {"labels": {"napi": "eth"},
+                 "buckets": {"1.0": 1, "8.0": 2, "+Inf": 2},
+                 "sum": 6, "count": 2}]),
+        }}
+        assert render_openmetrics(snapshot) == (
             '# TYPE repro_drops counter\n'
             '# HELP repro_drops Packets dropped\n'
             'repro_drops_total{queue="ring"} 7\n'
@@ -176,6 +162,7 @@ class TestOpenMetricsExposition:
             '# TYPE repro_depth gauge\n'
             '# HELP repro_depth Queue depth\n'
             'repro_depth{queue="ring"} 3\n'
+            'repro_depth{queue="veth"} 0.5\n'
             '# TYPE repro_batch histogram\n'
             '# HELP repro_batch Batch size\n'
             'repro_batch_bucket{napi="eth",le="1"} 1\n'
@@ -186,26 +173,21 @@ class TestOpenMetricsExposition:
             '# EOF\n'
         )
 
-    def test_exposition_is_deterministic(self):
-        def build():
-            reg = MetricsRegistry()
-            c = reg.counter("repro_c", "c", ("l",))
-            for v in ("b", "a", "c"):
-                c.labels(v).inc()
-            reg.gauge("repro_g", "g").set(0.5)
-            return render_openmetrics(reg)
-
-        assert build() == build()
+    def test_exposition_is_deterministic(self, snapshot):
+        """The exposition is a function of the snapshot alone: a JSON
+        round trip renders the same text."""
+        clone = json.loads(json.dumps(snapshot))
+        assert render_openmetrics(clone) == render_openmetrics(snapshot)
 
     def test_exposition_ends_with_eof(self):
-        assert render_openmetrics(MetricsRegistry()) == "# EOF\n"
+        assert render_openmetrics(
+            {"version": SNAPSHOT_VERSION, "metrics": {}}) == "# EOF\n"
 
     def test_label_value_escaping(self):
         """Exposition format: label values escape \\, ", and newline."""
-        reg = MetricsRegistry()
-        c = reg.counter("repro_c", "c", ("l",))
-        c.labels('a\\b"c\nd').inc()
-        line = [l for l in render_openmetrics(reg).splitlines()
+        text = render_openmetrics(
+            counter_snapshot("repro_c", "c", **{'a\\b"c\nd': 1}))
+        line = [l for l in text.splitlines()
                 if l.startswith("repro_c_total")][0]
         assert line == 'repro_c_total{l="a\\\\b\\"c\\nd"} 1'
 
@@ -213,9 +195,9 @@ class TestOpenMetricsExposition:
         """HELP text is unquoted: only \\ and newline are escaped there —
         a double quote must appear verbatim (regression: it used to be
         escaped like a label value)."""
-        reg = MetricsRegistry()
-        reg.counter("repro_c", 'drops on "ring" queues\nper class\\site')
-        help_line = [l for l in render_openmetrics(reg).splitlines()
+        text = render_openmetrics(counter_snapshot(
+            "repro_c", 'drops on "ring" queues\nper class\\site'))
+        help_line = [l for l in text.splitlines()
                      if l.startswith("# HELP ")][0]
         assert help_line == (
             '# HELP repro_c drops on "ring" queues\\nper class\\\\site')

@@ -53,10 +53,16 @@ class TestStageTimeline:
         timeline = run_with_timeline(StackMode.PRISM_SYNC)
         highs = [e for e in timeline.completed_packets() if e.high_priority]
         assert highs
+        inline_ns = set()
         for entry in highs:
-            # Inline stages still emit stage_done, but delivery happens
-            # within the same softirq: socket time == eth stage time.
-            assert entry.socket_at <= dict(entry.stages)["eth"]
+            # The inline stages complete in pipeline order, the last at
+            # delivery, and nothing queues after eth: every packet
+            # spends the same inline-call time from eth to its socket.
+            assert entry.path_signature() == ("eth", "br", "veth")
+            done = [at for _stage, at in entry.stages]
+            assert done == sorted(done) and done[-1] == entry.socket_at
+            inline_ns.add(entry.socket_at - done[0])
+        assert len(inline_ns) == 1
 
     def test_kernel_times_positive(self):
         timeline = run_with_timeline(StackMode.PRISM_BATCH)
