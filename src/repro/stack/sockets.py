@@ -10,7 +10,7 @@ API (``yield from socket.recv()``) usable from
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.cpu import Block
 from repro.netdev.queues import PacketQueue
@@ -165,7 +165,7 @@ class SocketTable:
             self.unmatched += 1
         return endpoint
 
-    def rcvbufs(self) -> list:
+    def rcvbufs(self) -> List[PacketQueue]:
         """Every bound socket's receive queue, UDP first, then TCP."""
         return [socket.rcvbuf
                 for table in (self._udp, self._tcp)

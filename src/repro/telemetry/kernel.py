@@ -22,7 +22,11 @@ values, so identical runs serialize identically.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bench.cell import ExperimentCell
+    from repro.obs.observer import KernelObserver
 
 __all__ = ["FAMILIES", "SNAPSHOT_VERSION", "batch_histogram", "collect_metrics"]
 
@@ -130,7 +134,8 @@ def batch_histogram(sizes: Dict[int, int]) -> Dict[str, Any]:
             "count": count}
 
 
-def collect_metrics(cell: Any, observer: Any) -> Dict[str, Any]:
+def collect_metrics(cell: "ExperimentCell",
+                    observer: "KernelObserver") -> Dict[str, Any]:
     """The metrics snapshot of *cell*'s server, after its last window."""
     values: Dict[str, Dict[Tuple[str, ...], Any]] = {
         name: {} for name in FAMILIES}
