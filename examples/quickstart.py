@@ -15,16 +15,20 @@ Run:
 """
 
 import sys
+from typing import Optional
 
 from repro.scenario import Scenario
 from repro.sim.units import MS
 
 
-def main(trace_out: str | None = None) -> None:
+def main(trace_out: Optional[str] = None, *, duration_ns: int = 250 * MS,
+         warmup_ns: int = 50 * MS) -> None:
+    """Run every cell over *warmup_ns* of warm-up and a *duration_ns*
+    measured window."""
     base = (Scenario(network="overlay", seed=7)
             .foreground("pingpong", rate_pps=1_000)
             .background(rate_pps=300_000)
-            .timing(duration_ns=250 * MS, warmup_ns=50 * MS))
+            .timing(duration_ns=duration_ns, warmup_ns=warmup_ns))
 
     print("High-priority flow latency under 300 Kpps background:\n")
     for mode in ("vanilla", "prism-batch", "prism-sync"):

@@ -12,8 +12,9 @@ aggregated closed-loop process:
 - replies and timeouts **reclaim credits** and schedule the user's next
   request after a think time, so event count scales with *packet rate*,
   not user count;
-- timeouts use a single FIFO scan process (requests expire in send
-  order, because the timeout is constant), not a timer per request;
+- timeouts use one reaper event, not a timer per request: the timeout
+  is constant, so requests expire in send order, and the oldest entry of
+  the in-flight table is always the next to expire;
 - :class:`FlowClassLedger` keeps exact per-class accounting with the
   invariant ``sent == replies + timed_out + outstanding`` checked on
   demand and at finalize.
@@ -26,8 +27,7 @@ a cross-shard outbox append) and is fed replies via :meth:`on_reply`.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.metrics.recorder import LatencyRecorder
 from repro.sim.engine import Simulator
@@ -111,11 +111,9 @@ class AggregatedClientPopulation:
         self.ledger = FlowClassLedger(label, users)
         self._next_seq = 1
         #: seq -> sent_at for in-flight requests (bounded by *users*).
+        #: Insertion order is send order, and the timeout is constant, so
+        #: the first entry is always the next request to expire.
         self._pending: Dict[int, int] = {}
-        #: FIFO of (deadline_ns, seq): constant timeout means requests
-        #: expire in send order, so one scan process replaces per-request
-        #: timers.  Entries for already-answered seqs are skipped lazily.
-        self._expiry: Deque[Tuple[int, int]] = deque()
         self._reaper_armed = False
         self.ramp_ns = think_ns if ramp_ns is None else ramp_ns
         self._launcher = sim.process(self._ramp_up(),
@@ -143,8 +141,8 @@ class AggregatedClientPopulation:
         self._pending[seq] = now
         self.ledger.sent += 1
         self.ledger.outstanding += 1
-        self._expiry.append((now + self.timeout_ns, seq))
-        self._arm_reaper()
+        if not self._reaper_armed:
+            self._arm_reaper()
         self._send(seq, now)
 
     def _think_then_send(self) -> None:
@@ -176,20 +174,30 @@ class AggregatedClientPopulation:
         self._think_then_send()
 
     def _arm_reaper(self) -> None:
-        if self._reaper_armed or not self._expiry:
+        """Schedule the reaper at the oldest in-flight request's deadline.
+
+        Called only while the reaper is unarmed: finding the oldest entry
+        walks past the slots that answered requests left at the front of
+        the table, so it is done once per reap, not once per send.
+        """
+        pending = self._pending
+        if not pending:
             return
-        deadline = self._expiry[0][0]
         self._reaper_armed = True
-        self.sim.schedule_at(max(deadline, self.sim.now + 1), self._reap)
+        self.sim.schedule_at(pending[next(iter(pending))] + self.timeout_ns,
+                             self._reap)
 
     def _reap(self) -> None:
         self._reaper_armed = False
-        now = self.sim.now
-        while self._expiry and self._expiry[0][0] <= now:
-            _deadline, seq = self._expiry.popleft()
-            if seq not in self._pending:
-                continue  # answered before expiring
-            del self._pending[seq]
+        pending = self._pending
+        cutoff = self.sim.now - self.timeout_ns
+        expired = []
+        for seq, sent_at in pending.items():
+            if sent_at > cutoff:
+                break
+            expired.append(seq)
+        for seq in expired:
+            del pending[seq]
             self.ledger.timed_out += 1
             self.ledger.outstanding -= 1
             # The user gives up on this request and moves on — the

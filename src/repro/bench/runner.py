@@ -27,7 +27,6 @@ import json
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -202,6 +201,10 @@ def run_batch(configs: Sequence[ExperimentConfig], *,
     miss_configs = [configs[i] for i in miss_indices]
     if miss_configs:
         if jobs > 1 and len(miss_configs) > 1:
+            # Imported here: digesting or reading cached results loads
+            # no process-pool stack.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(jobs, len(miss_configs))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 fresh = list(pool.map(run_experiment, miss_configs,

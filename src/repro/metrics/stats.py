@@ -1,8 +1,10 @@
-"""Latency summary statistics.
+"""Latency summary statistics, in the standard library only.
 
-numpy is imported inside the functions that use it: a run imports this
-module for :class:`LatencySummary` at start-up but needs numpy only at
-finalize.
+Samples are integer nanoseconds.  :func:`summarize_ns` sorts them once
+and reads every field off the sorted list; its percentiles follow
+numpy's default ``linear`` method operation for operation, so a summary
+equals the one ``numpy.percentile`` gives on the same samples, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -49,9 +51,7 @@ def quantile_interval(samples: Sequence[float], q: float
                       ) -> Tuple[float, float]:
     """The 95 % order-statistic interval of :func:`order_statistic_ranks`
     as sample values; an unbounded end is ``-inf`` / ``inf``."""
-    import numpy as np
-
-    ordered = np.sort(np.asarray(samples, dtype=np.float64))
+    ordered = sorted(samples)
     lo, hi = order_statistic_ranks(len(ordered), q)
     return (float(ordered[lo - 1]) if lo else -math.inf,
             float(ordered[hi - 1]) if hi else math.inf)
@@ -96,20 +96,39 @@ class LatencySummary:
                 f"max={self.max_us:.1f}us")
 
 
-def summarize_ns(samples: Sequence[float]) -> Optional[LatencySummary]:
-    """Summarize a nanosecond sample set; None when empty."""
-    if len(samples) == 0:
-        return None
-    import numpy as np
+def _percentile(ordered: Sequence[int], q: float) -> float:
+    """The *q*-th percentile of the sorted *ordered*, by numpy's
+    ``linear`` method: the same float operations in the same order."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return float(ordered[-1])
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a = float(ordered[below])
+    b = float(ordered[below + 1])
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
 
-    array = np.asarray(samples, dtype=np.float64)
+
+def summarize_ns(samples: Sequence[int]) -> Optional[LatencySummary]:
+    """Summarize a nanosecond sample set; None when empty.
+
+    ``avg_ns`` is the exact integer sum over the count, correctly
+    rounded -- what numpy's mean gives while the sum stays below 2**53.
+    """
+    n = len(samples)
+    if n == 0:
+        return None
+    ordered = sorted(samples)
     return LatencySummary(
-        count=int(array.size),
-        min_ns=float(array.min()),
-        avg_ns=float(array.mean()),
-        p50_ns=float(np.percentile(array, 50)),
-        p90_ns=float(np.percentile(array, 90)),
-        p99_ns=float(np.percentile(array, 99)),
-        p999_ns=float(np.percentile(array, 99.9)),
-        max_ns=float(array.max()),
+        count=n,
+        min_ns=float(ordered[0]),
+        avg_ns=sum(ordered) / n,
+        p50_ns=_percentile(ordered, 50),
+        p90_ns=_percentile(ordered, 90),
+        p99_ns=_percentile(ordered, 99),
+        p999_ns=_percentile(ordered, 99.9),
+        max_ns=float(ordered[-1]),
     )

@@ -11,10 +11,15 @@ properties the replacement must preserve:
   permanently shrink the population (the deadlock class the aggregated
   model is explicitly designed out of);
 - late replies (after the timeout already fired) are counted separately
-  and do not double-credit.
+  and do not double-credit;
+- the in-flight table is the only per-request state, and every timeout
+  fires at exactly ``sent_at + timeout_ns``, as it did when a FIFO of
+  ``(deadline, seq)`` per request sent drove the reaper.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
@@ -125,3 +130,124 @@ def test_deterministic_across_runs():
         return (population.ledger.to_dict(), transport.sent)
 
     assert run_once() == run_once()
+
+
+class _DequeReaper(AggregatedClientPopulation):
+    """Reference: the reaper driven by a FIFO of ``(deadline, seq)``, one
+    entry per request sent, kept until its deadline even once answered."""
+
+    def __init__(self, *args, **kwargs):
+        self._expiry = deque()
+        super().__init__(*args, **kwargs)
+
+    def _send_one(self):
+        self._expiry.append((self.sim.now + self.timeout_ns,
+                             self._next_seq))
+        super()._send_one()
+
+    def _arm_reaper(self):
+        if self._reaper_armed or not self._expiry:
+            return
+        self._reaper_armed = True
+        self.sim.schedule_at(max(self._expiry[0][0], self.sim.now + 1),
+                             self._reap)
+
+    def _reap(self):
+        self._reaper_armed = False
+        now = self.sim.now
+        while self._expiry and self._expiry[0][0] <= now:
+            _deadline, seq = self._expiry.popleft()
+            if seq not in self._pending:
+                continue
+            del self._pending[seq]
+            self.ledger.timed_out += 1
+            self.ledger.outstanding -= 1
+            self._think_then_send()
+        self._arm_reaper()
+
+
+class _Recording:
+    """Notes ``(seq, now)`` of each request a reap times out, counts the
+    reaps, and checks the in-flight table against the ledger."""
+
+    def __init__(self, *args, **kwargs):
+        self.reaps = 0
+        self.expired = []
+        super().__init__(*args, **kwargs)
+
+    def _reap(self):
+        before = set(self._pending)
+        super()._reap()
+        assert len(self._pending) == self.ledger.outstanding
+        self.reaps += 1
+        self.expired.extend((seq, self.sim.now)
+                            for seq in sorted(before - set(self._pending)))
+
+
+class _RecordingDeque(_Recording, _DequeReaper):
+    pass
+
+
+class _RecordingPopulation(_Recording, AggregatedClientPopulation):
+    pass
+
+
+class _Shuffled(_Loopback):
+    """Drops every seventh request; replies take 0.1-1.3 ms, or 3.1 ms
+    (after the 2 ms timeout) for every eleventh, so replies overtake one
+    another and some arrive late."""
+
+    def send(self, seq, now):
+        population = self.population
+        assert len(population._pending) == population.ledger.outstanding
+        self.sent.append((seq, now))
+        if seq % 7 == 0:
+            return
+        delay = 3_100_000 if seq % 11 == 0 else 100_000 * (1 + seq * 5 % 13)
+        self.sim.schedule(delay, self.on_reply, seq)
+
+    def on_reply(self, seq):
+        population = self.population
+        population.on_reply(seq)
+        assert len(population._pending) == population.ledger.outstanding
+
+
+def _shuffled_run(cls):
+    sim = Simulator()
+    transport = _Shuffled(sim)
+    population = cls(sim, transport.send, users=25, think_ns=1 * MS,
+                     timeout_ns=2 * MS, rng=SeededRng(7), label="test:hi",
+                     jitter_frac=0.2)
+    transport.population = population
+    sim.run(until=80 * MS)
+    return population, transport
+
+
+def test_timeouts_fire_at_deadline_like_the_fifo_reaper():
+    population, transport = _shuffled_run(_RecordingPopulation)
+    reference, ref_transport = _shuffled_run(_RecordingDeque)
+    ledger = population.ledger
+    ledger.check()
+    assert ledger.timed_out > 20 and ledger.late_replies > 20
+    sent_at = dict(transport.sent)
+    assert population.expired
+    for seq, fired_at in population.expired:
+        assert fired_at == sent_at[seq] + population.timeout_ns
+    assert population.expired == reference.expired
+    assert transport.sent == ref_transport.sent
+    assert ledger.to_dict() == reference.ledger.to_dict()
+    # The FIFO reaper wakes at the deadline of every request sent; this
+    # one only at that of the oldest request in flight when it is armed.
+    assert population.reaps < reference.reaps
+
+
+def test_in_flight_table_is_the_only_per_request_state():
+    sim = Simulator()
+    transport = _Loopback(sim, drop=lambda seq: seq % 4 == 0)
+    population = _population(sim, transport, users=30, timeout_ns=2 * MS)
+    sim.run(until=40 * MS)
+    assert population.ledger.sent > 500
+    assert len(population._pending) == population.ledger.outstanding <= 30
+    containers = [name for name, value in vars(population).items()
+                  if isinstance(value, (list, dict, set, tuple, deque))]
+    assert containers == ["_pending"]

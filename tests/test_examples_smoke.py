@@ -65,7 +65,10 @@ def test_fault_demo_runs(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_quickstart_runs(capsys):
+    # 5 ms + 20 ms of simulated time instead of the shipped 50 ms +
+    # 250 ms: the same three modes and traced run, a twelfth of the work.
     module = load_example("quickstart.py")
-    module.main()
+    module.main(duration_ns=20_000_000, warmup_ns=5_000_000)
     out = capsys.readouterr().out
     assert "vanilla" in out and "prism-sync" in out
+    assert "prism-batch" in out and "(Fig. 4)" in out

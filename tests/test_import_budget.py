@@ -11,7 +11,11 @@ through two in-process ``ShardWorker``\\ s -- and checks that
   figure harness, the memcached/nginx models, the process-pool stack
   and, without a fault plan, the fault injector all load on first use;
 - running a short window after the build imports no module at all, so
-  no import lands inside a timed run.
+  no import lands inside a timed run;
+- the whole run -- build, window, finalize and the measurement digest,
+  as ``perfbench/`` takes them -- never loads numpy or the process-pool
+  stack: the latency summaries use only the standard library, and the
+  digest path leaves the fan-out's imports alone.
 
 A last case checks that ``import repro`` alone loads none of the
 datapath.
@@ -42,6 +46,9 @@ OPTIONAL = ("numpy", "repro.obs", "repro.telemetry", "repro.flows",
             "repro.apps.memcached", "repro.apps.webserver",
             "multiprocessing", "concurrent.futures", "sqlite3")
 
+#: Never loaded by a whole measured run, finalize and digest included.
+UNUSED = ("numpy", "multiprocessing", "concurrent.futures", "subprocess")
+
 LOSSY = ("loss:eth:0.02; skbfail:0.01; retries=5; timeout=2ms; "
          "jitter=0")
 
@@ -55,8 +62,9 @@ SHAPES = {
 
 #: Runs in a fresh interpreter: argv is (shape, mode, faults).  A
 #: meta-path finder that finds nothing notes which module imported each
-#: new one; the modules loaded at build time and those added by the
-#: window come back as JSON.
+#: new one; the modules loaded at build time, those added by the window
+#: and those loaded once the result is finalized and digested come back
+#: as JSON.
 PROBE = r'''
 import json
 import sys
@@ -97,8 +105,12 @@ if shape.startswith("overlay"):
     built = set(sys.modules)
     cell.run_to(cell.end_ns)
     ran = set(sys.modules)
+    result = cell.finalize()
+    from repro.bench.runner import result_digest
+    result_digest(result)
 else:
     from repro.fabric.experiment import priority_survival_config
+    from repro.shard.cluster import cluster_digest
     from repro.shard.executor import run_cluster
     from repro.shard.worker import ShardWorker
 
@@ -117,12 +129,13 @@ else:
 
     ShardWorker.post_step = first_post_step
     ShardWorker.finalize = first_finalize
-    run_cluster(priority_survival_config(
+    result = run_cluster(priority_survival_config(
         StackMode.parse(mode), hosts=8, users=2_000, duration_ns=2 * MS,
         seed=1), shards=2, processes=False)
     built, ran = seen
+    cluster_digest(result)
 print(json.dumps({"built": sorted(built), "window": sorted(ran - built),
-                  "importer": importer}))
+                  "done": sorted(sys.modules), "importer": importer}))
 '''
 
 
@@ -160,6 +173,15 @@ def test_window_imports_nothing(shape):
     out = probe(shape)
     late = [_chain(out["importer"], m) for m in out["window"]]
     assert not late, f"{shape} imports inside its window:\n" + "\n".join(late)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_whole_run_loads_no_numpy_or_process_pool(shape):
+    out = probe(shape)
+    done = set(out["done"])
+    leaks = [_chain(out["importer"], m) for m in UNUSED if m in done]
+    assert not leaks, (f"{shape} loads after finalize and digest:\n"
+                       + "\n".join(leaks))
 
 
 def test_probe_sees_the_datapath():

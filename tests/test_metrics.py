@@ -1,6 +1,8 @@
 """Tests for statistics and recorders."""
 
 import math
+import random
+from array import array
 
 import pytest
 from hypothesis import given
@@ -69,6 +71,77 @@ class TestStats:
         assert hi is None or 1 <= hi <= n
         if lo is not None and hi is not None:
             assert lo < hi
+
+
+def _seeded_samples(n):
+    """*n* integer ns samples spanning four to nine decimal digits."""
+    rng = random.Random(n)
+    return [rng.randrange(1_000, 10 ** rng.randint(4, 9)) for _ in range(n)]
+
+
+#: n -> (min, avg, p50, p90, p99, p99.9, max) of ``summarize_ns`` and
+#: the p50 and p99 ``quantile_interval`` ends, as numpy 2.4.6 computed
+#: them (``np.percentile`` / ``np.mean`` on float64) for
+#: ``_seeded_samples(n)``.  Interpolation weights on both sides of 0.5
+#: occur (n = 2: p50 at 0.5; n = 10: p50 at 0.5, p90 at 0.1; n = 100:
+#: p99 at 0.01); n = 1 and n = 101 land on a sample exactly.
+NUMPY_GOLD = {
+    1: ((75606.0, 75606.0, 75606.0, 75606.0, 75606.0, 75606.0, 75606.0),
+        (-math.inf, math.inf, 75606.0, math.inf)),
+    2: ((2500.0, 4707.5, 4707.5, 6473.5, 6870.85, 6910.585, 6915.0),
+        (-math.inf, math.inf, 6915.0, math.inf)),
+    3: ((78678.0, 6182055.333333333, 961437.0, 14197128.200000001,
+         17175158.72, 17472961.772000004, 17506051.0),
+        (-math.inf, math.inf, 961437.0, math.inf)),
+    10: ((5509.0, 95554244.9, 3183135.0, 146240885.2999997,
+          797980754.9300001, 863154741.8930012, 870396296.0),
+         (61631.0, 65779173.0, 65779173.0, math.inf)),
+    100: ((2310.0, 109683089.58, 813677.5, 491798794.70000017,
+           788063709.4600004, 856050347.1460007, 863604418.0),
+          (252445.0, 5218438.0, 767451139.0, math.inf)),
+    101: ((1524.0, 99585213.6039604, 965578.0, 386131945.0, 885302851.0,
+           918516522.1000003, 922206930.0),
+          (315789.0, 3844953.0, 849540141.0, math.inf)),
+    300: ((1206.0, 86907952.05666667, 889999.0, 326214865.60000265,
+           898701976.8099998, 973158746.7350005, 979452169.0),
+          (595311.0, 3266649.0, 785535954.0, math.inf)),
+    1000: ((1035.0, 92380357.796, 825729.0, 393880214.6000001,
+            942044692.7199999, 985147073.7150006, 992015913.0),
+           (671131.0, 1290855.0, 880420355.0, 977105812.0)),
+    1001: ((1038.0, 108271923.12187812, 873710.0, 509987301.0,
+            960949240.0, 994435522.0, 994785154.0),
+           (665143.0, 1274364.0, 933251103.0, 990176129.0)),
+    21217: ((1001.0, 92841460.9056417, 920768.0, 394417453.6000004,
+             941926972.8800001, 993322122.0960001, 999707133.0),
+            (888552.0, 962153.0, 933164783.0, 950811136.0)),
+}
+
+
+class TestNumpyEquivalence:
+    """The standard-library summaries equal numpy's, bit for bit."""
+
+    @pytest.mark.parametrize("n", sorted(NUMPY_GOLD))
+    def test_summary_matches_numpy(self, n):
+        fields, _ = NUMPY_GOLD[n]
+        for samples in (_seeded_samples(n), array("q", _seeded_samples(n))):
+            s = summarize_ns(samples)
+            assert s.count == n
+            assert (s.min_ns, s.avg_ns, s.p50_ns, s.p90_ns, s.p99_ns,
+                    s.p999_ns, s.max_ns) == fields
+
+    @pytest.mark.parametrize("n", sorted(NUMPY_GOLD))
+    def test_quantile_interval_matches_numpy(self, n):
+        _, ends = NUMPY_GOLD[n]
+        samples = _seeded_samples(n)
+        assert (quantile_interval(samples, 0.5)
+                + quantile_interval(samples, 0.99)) == ends
+
+    def test_summary_fields_are_floats(self):
+        s = summarize_ns(array("q", [3, 1, 2]))
+        assert all(type(v) is float for v in (
+            s.min_ns, s.avg_ns, s.p50_ns, s.p90_ns, s.p99_ns, s.p999_ns,
+            s.max_ns))
+        assert type(quantile_interval(range(10), 0.5)[0]) is float
 
 
 class TestRecorders:
