@@ -19,20 +19,14 @@ LOADS = (0, 25_000, 100_000, 200_000, 300_000, 370_000, 430_000)
 MODES = (StackMode.VANILLA, StackMode.PRISM_SYNC)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep (default: 1)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse cached results for repeat runs")
-    args = parser.parse_args()
-
+def main(*, jobs: int = 1, cache: bool = False,
+         duration_ns: int = 200 * MS, warmup_ns: int = 40 * MS) -> None:
     scenarios = [
         Scenario(mode=mode).foreground("pingpong", rate_pps=1_000)
         .background(rate_pps=bg)
-        .timing(duration_ns=200 * MS, warmup_ns=40 * MS)
+        .timing(duration_ns=duration_ns, warmup_ns=warmup_ns)
         for bg in LOADS for mode in MODES]
-    results = run_scenarios(scenarios, jobs=args.jobs, cache=args.cache)
+    results = run_scenarios(scenarios, jobs=jobs, cache=cache)
 
     print(f"{'bg kpps':>8} {'cpu':>5}  "
           f"{'vanilla min/avg/p99 (us)':>26}  {'prism min/avg/p99 (us)':>24}")
@@ -53,4 +47,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the sweep (default: 1)")
+    parser.add_argument("--cache", action="store_true",
+                        help="reuse cached results for repeat runs")
+    args = parser.parse_args()
+    main(jobs=args.jobs, cache=args.cache)

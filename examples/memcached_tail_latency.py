@@ -11,14 +11,16 @@ Run:
 
 from repro import StackMode
 from repro.scenario import Scenario
+from repro.sim.units import MS
 
 
-def main() -> None:
+def main(*, duration_ns: int = 300 * MS, warmup_ns: int = 60 * MS) -> None:
     print("memcached (memaslap window=4, 9:1 get:set, 1KB values)\n")
     print(f"{'config':24s} {'ops/s':>10s} {'avg':>9s} {'p99':>9s}")
     for mode in (StackMode.VANILLA, StackMode.PRISM_SYNC):
         for busy in (False, True):
-            scenario = Scenario(mode=mode).foreground("memcached")
+            scenario = (Scenario(mode=mode).foreground("memcached")
+                        .timing(duration_ns=duration_ns, warmup_ns=warmup_ns))
             if busy:
                 scenario = scenario.background(rate_pps=300_000)
             result = scenario.run()

@@ -21,7 +21,8 @@ WARMUP = 50 * MS
 DURATION = 250 * MS
 
 
-def run(high_priority_max_level: int) -> dict:
+def run(high_priority_max_level: int, *, duration_ns: int = DURATION,
+        warmup_ns: int = WARMUP) -> dict:
     testbed = build_testbed(
         mode=StackMode.PRISM_BATCH,
         config=KernelConfig(high_priority_max_level=high_priority_max_level))
@@ -32,7 +33,7 @@ def run(high_priority_max_level: int) -> dict:
         server = testbed.add_server_container(f"{name}-srv", server_ip)
         client = testbed.add_client_container(f"{name}-cli", client_ip)
         SockperfUdpServer(server, port, core_id=1)
-        recorder = LatencyRecorder(name, warmup_until_ns=WARMUP)
+        recorder = LatencyRecorder(name, warmup_until_ns=warmup_ns)
         SockperfUdpClient(testbed.sim, testbed.client, testbed.overlay,
                           client, server_ip, port, rate_pps=1_000,
                           src_port=src_port, recorder=recorder)
@@ -48,15 +49,16 @@ def run(high_priority_max_level: int) -> dict:
                      bulk_client, "10.0.0.11", 6000,
                      rate_pps=300_000, src_port=30002, burst=96)
 
-    testbed.sim.run(until=WARMUP + DURATION)
+    testbed.sim.run(until=warmup_ns + duration_ns)
     return {name: recorder.summary() for name, recorder in recorders.items()}
 
 
-def main() -> None:
+def main(*, duration_ns: int = DURATION, warmup_ns: int = WARMUP) -> None:
     for max_level, label in ((0, "binary (paper prototype): high = {gold}"),
                              (1, "widened: high = {gold, silver}")):
         print(f"\n--- {label} ---")
-        for name, summary in run(max_level).items():
+        for name, summary in run(max_level, duration_ns=duration_ns,
+                                 warmup_ns=warmup_ns).items():
             print(f"  {name:8s} {summary}")
     print("\nWidening the high class pulls silver down to the fast tier "
           "without hurting gold.")

@@ -66,6 +66,11 @@ class ExperimentCell:
                 and config.fg_kind in _experiment.APP_KINDS):
             raise ValueError(f"foreground kind {config.fg_kind!r} runs on "
                              "the overlay only")
+        if config.network == "host" and config.faults is not None:
+            # The host ping client has no retry tracker: its lost pings
+            # would vanish from the samples instead of being retried.
+            raise ValueError("a fault plan needs network='overlay': loss "
+                             "recovery runs only on the overlay")
         for name in _experiment.APP_FIXED_FIELDS.get(config.fg_kind, ()):
             default = getattr(_experiment.ExperimentConfig, name)
             if getattr(config, name) != default:

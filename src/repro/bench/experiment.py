@@ -12,7 +12,7 @@ counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
@@ -71,9 +71,6 @@ MEMASLAP_WINDOW = 4
 #: loop), so it measures from the actual write.
 WRK2_RATE_RPS = 50_000.0
 
-#: Bump when the to_dict()/from_dict() wire format changes.
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,10 +78,11 @@ class ExperimentConfig:
 
     .. note::
        Prefer building configs through :class:`repro.scenario.Scenario`
-       — this dataclass is kept as the thin frozen view the runner,
-       cache, and serialization layers operate on.  Every field is part
-       of the disk-cache key (:func:`repro.bench.runner.config_key`);
-       result digests hash measurements only, never the config.
+       — this dataclass is kept as the thin frozen view the runner
+       and cache operate on.  Every field is part of the disk-cache key
+       (:func:`repro.bench.runner.config_key`, which encodes it with
+       :func:`~repro.bench.digest.jsonable`); nothing decodes a config,
+       and result digests hash measurements only, never the config.
     """
 
     mode: StackMode = StackMode.VANILLA
@@ -125,67 +123,6 @@ class ExperimentConfig:
     def label(self) -> str:
         busy = f"+bg{self.bg_rate_pps / 1000:.0f}k" if self.bg_rate_pps else ""
         return f"{self.network}/{self.mode}{busy}"
-
-    # ------------------------------------------------------------------
-    # Versioned serialization (the disk cache's wire format)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict that :meth:`from_dict` round-trips exactly."""
-        out: Dict[str, Any] = {"version": SCHEMA_VERSION}
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, StackMode):
-                value = str(value)
-            elif isinstance(value, (CostModel, KernelConfig)):
-                value = _frozen_to_dict(value)
-            elif value is not None and f.name in ("faults", "flow_export"):
-                value = value.to_dict()
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentConfig":
-        version = data.get("version", SCHEMA_VERSION)
-        if version > SCHEMA_VERSION:
-            raise ValueError(f"config schema v{version} is newer than "
-                             f"this code (v{SCHEMA_VERSION})")
-        kwargs = {k: v for k, v in data.items() if k != "version"}
-        kwargs["mode"] = StackMode.parse(kwargs["mode"])
-        if kwargs.get("costs") is not None:
-            kwargs["costs"] = _frozen_from_dict(CostModel, kwargs["costs"])
-        if kwargs.get("kernel_config") is not None:
-            kwargs["kernel_config"] = _frozen_from_dict(
-                KernelConfig, kwargs["kernel_config"])
-        if kwargs.get("faults") is not None:
-            kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("flow_export") is not None:
-            from repro.flows.config import FlowExportConfig
-            kwargs["flow_export"] = FlowExportConfig.from_dict(
-                kwargs["flow_export"])
-        return cls(**kwargs)
-
-
-def _frozen_to_dict(value: Union[CostModel, KernelConfig]) -> Dict[str, Any]:
-    """Serialize a frozen knob dataclass field-by-field."""
-    out: Dict[str, Any] = {}
-    for f in dataclass_fields(value):
-        v = getattr(value, f.name)
-        if isinstance(v, StackMode):
-            v = str(v)
-        elif isinstance(v, tuple):
-            v = [list(x) if isinstance(x, tuple) else x for x in v]
-        out[f.name] = v
-    return out
-
-
-def _frozen_from_dict(cls: type, data: Dict[str, Any]) -> Any:
-    kwargs = dict(data)
-    if "initial_mode" in kwargs:
-        kwargs["initial_mode"] = StackMode.parse(kwargs["initial_mode"])
-    if "cstate_levels" in kwargs:
-        kwargs["cstate_levels"] = tuple(
-            tuple(level) for level in kwargs["cstate_levels"])
-    return cls(**kwargs)
 
 
 @dataclass
@@ -231,64 +168,29 @@ class ExperimentResult:
                 f"cpu={self.cpu_utilization * 100:.0f}%")
 
     # ------------------------------------------------------------------
-    # Versioned serialization (the disk cache's wire format)
+    # The disk cache's entry (repro.bench.runner.ResultCache)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict that :meth:`from_dict` round-trips exactly.
+        """A JSON-safe dict of every field.  ``config`` is written as
+        :func:`~repro.bench.digest.jsonable` text for readers; it is
+        never read back (:meth:`from_dict` takes the config)."""
+        from repro.bench.digest import jsonable
 
-        Replaces the ad-hoc pickle serialization the disk cache used:
-        the format is versioned, inspectable, and stable across Python
-        versions (floats survive via JSON's repr round-trip).
-        """
-        latency = None
+        out = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        out["config"] = jsonable(self.config)
         if self.fg_latency is not None:
-            latency = {f.name: getattr(self.fg_latency, f.name)
-                       for f in dataclass_fields(self.fg_latency)}
-        return {
-            "version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "fg_latency": latency,
-            "fg_samples_ns": list(self.fg_samples_ns),
-            "fg_sent": self.fg_sent,
-            "fg_replies": self.fg_replies,
-            "fg_delivered_pps": self.fg_delivered_pps,
-            "bg_delivered_pps": self.bg_delivered_pps,
-            "cpu_utilization": self.cpu_utilization,
-            "softirq_fraction": self.softirq_fraction,
-            "drops": dict(self.drops),
-            "stage_breakdown": self.stage_breakdown,
-            "telemetry": self.telemetry,
-            "fault_summary": self.fault_summary,
-            "conservation": self.conservation,
-            "recovery": self.recovery,
-            "flows": self.flows,
-        }
+            out["fg_latency"] = asdict(self.fg_latency)
+        return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
-        version = data.get("version", SCHEMA_VERSION)
-        if version > SCHEMA_VERSION:
-            raise ValueError(f"result schema v{version} is newer than "
-                             f"this code (v{SCHEMA_VERSION})")
-        latency = data["fg_latency"]
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            fg_latency=LatencySummary(**latency) if latency else None,
-            fg_samples_ns=list(data["fg_samples_ns"]),
-            fg_sent=data["fg_sent"],
-            fg_replies=data["fg_replies"],
-            fg_delivered_pps=data["fg_delivered_pps"],
-            bg_delivered_pps=data["bg_delivered_pps"],
-            cpu_utilization=data["cpu_utilization"],
-            softirq_fraction=data["softirq_fraction"],
-            drops=dict(data["drops"]),
-            stage_breakdown=data.get("stage_breakdown"),
-            telemetry=data.get("telemetry"),
-            fault_summary=data.get("fault_summary"),
-            conservation=data.get("conservation"),
-            recovery=data.get("recovery"),
-            flows=data.get("flows"),
-        )
+    def from_dict(cls, data: Dict[str, Any],
+                  config: ExperimentConfig) -> "ExperimentResult":
+        """Rebuild a :meth:`to_dict` entry cached under *config*."""
+        kwargs = {f.name: data[f.name] for f in dataclass_fields(cls)
+                  if f.name != "config"}
+        if kwargs["fg_latency"] is not None:
+            kwargs["fg_latency"] = LatencySummary(**kwargs["fg_latency"])
+        return cls(config=config, **kwargs)
 
 
 def _host_network_setup(testbed: Testbed, config: ExperimentConfig,

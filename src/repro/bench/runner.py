@@ -54,11 +54,6 @@ __all__ = [
 
 #: Environment override for the on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Bump to invalidate every cached result regardless of code digest.
-#: v2: entries are versioned JSON (ExperimentResult.to_dict), not pickle.
-#: v3: configs serialize every field (no omit-when-default keys).
-CACHE_SCHEMA = 3
-
 _code_digest: Optional[str] = None
 
 
@@ -82,9 +77,12 @@ def code_version() -> str:
 
 
 def config_key(config: ExperimentConfig) -> str:
-    """Stable cache key for one experiment under the current code."""
+    """Stable cache key for one experiment under the current code.
+
+    The code digest keys every entry, so an entry is only ever read by
+    the code that wrote it: the cache needs no format version.
+    """
     payload = {
-        "schema": CACHE_SCHEMA,
         "code": code_version(),
         "config": jsonable(config),
     }
@@ -102,9 +100,12 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """On-disk JSON cache of :class:`ExperimentResult`, one file per key.
 
-    Entries are the versioned ``ExperimentResult.to_dict()`` wire format,
-    so they are inspectable with any JSON tool and survive Python/pickle
-    protocol changes.  Any unreadable or wrong-shape entry is a miss.
+    Entries are ``ExperimentResult.to_dict()``, inspectable with any JSON
+    tool; the config in an entry is :func:`jsonable` text for readers.
+    :meth:`get` is the one place a result is decoded, and it hands the
+    config it looked up to :meth:`ExperimentResult.from_dict`, so no
+    config is ever decoded.  Any unreadable or wrong-shape entry is a
+    miss.
     """
 
     def __init__(self, directory: Optional[Path] = None) -> None:
@@ -119,10 +120,10 @@ class ResultCache:
         path = self._path(config_key(config))
         try:
             with path.open("r", encoding="utf-8") as fh:
-                result = ExperimentResult.from_dict(json.load(fh))
+                result = ExperimentResult.from_dict(json.load(fh), config)
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            # Missing file, truncated/corrupt JSON, or a schema this code
-            # cannot read — all of these are simply cache misses.
+            # Missing file, truncated/corrupt JSON, or a wrong-shape
+            # entry — all of these are simply cache misses.
             self.misses += 1
             return None
         self.hits += 1

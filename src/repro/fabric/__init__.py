@@ -4,7 +4,7 @@ datacenter fabric (fat-tree, ECMP, flowlet switching).
 Public surface:
 
 - :class:`~repro.fabric.spec.TopologySpec` and the :class:`Topology`
-  factory (``fat_tree`` / ``mesh``) — the frozen, versioned single
+  factory (``fat_tree`` / ``mesh``) — the frozen single
   source of truth for where a cluster runs;
 - :class:`~repro.fabric.network.FabricNetwork` — the executable
   store-and-forward fabric the sharded executor routes through;
@@ -24,7 +24,6 @@ from repro.fabric.network import (
     min_path_latency_ns,
 )
 from repro.fabric.spec import (
-    TOPOLOGY_SCHEMA_VERSION,
     ContainerSpec,
     HostSpec,
     LinkSpec,
@@ -33,7 +32,6 @@ from repro.fabric.spec import (
 )
 
 __all__ = [
-    "TOPOLOGY_SCHEMA_VERSION",
     "ContainerSpec",
     "FabricNetwork",
     "HostSpec",

@@ -1,7 +1,7 @@
 """Declarative topology specs — the single source of truth for *where*
 a cluster runs.
 
-A :class:`TopologySpec` is a frozen, hashable, versioned value object
+A :class:`TopologySpec` is a frozen, hashable value object
 describing hosts, switches, links, per-host containers, and the ECMP
 policy of the fabric a cluster runs on
 (:class:`~repro.shard.cluster.ClusterConfig`,
@@ -14,9 +14,9 @@ Design rules:
 - **Pure value.**  All collections are tuples, so specs hash, compare,
   pickle, and serve as ``functools.lru_cache`` keys (path enumeration
   caches on the spec itself).
-- **Versioned wire format.**  :meth:`TopologySpec.to_dict` /
-  :meth:`~TopologySpec.from_dict` round-trip exactly;
-  ``TOPOLOGY_SCHEMA_VERSION`` gates forward compatibility.
+- **No wire format of its own.**  A spec inside a cluster config is
+  encoded by :func:`repro.bench.digest.jsonable` like every other
+  config value, and nothing decodes it.
 
 Build specs through the :class:`Topology` factory::
 
@@ -27,10 +27,9 @@ Build specs through the :class:`Topology` factory::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
-    "TOPOLOGY_SCHEMA_VERSION",
     "ContainerSpec",
     "HostSpec",
     "SwitchSpec",
@@ -39,9 +38,6 @@ __all__ = [
     "TopologySpec",
     "Topology",
 ]
-
-#: Bump when the to_dict()/from_dict() wire format changes.
-TOPOLOGY_SCHEMA_VERSION = 1
 
 #: Default per-hop link parameters for fabric topologies.
 FABRIC_LINK_LATENCY_NS = 25_000
@@ -150,53 +146,6 @@ class TopologySpec:
     @property
     def host_count(self) -> int:
         return len(self.hosts)
-
-    # ------------------------------------------------------------------
-    # Versioned serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict that :meth:`from_dict` round-trips exactly."""
-        return {
-            "version": TOPOLOGY_SCHEMA_VERSION,
-            "kind": self.kind,
-            "hosts": [
-                {"id": h.id, "name": h.name, "attach": h.attach,
-                 "containers": [{"name": c.name, "ip": c.ip}
-                                for c in h.containers]}
-                for h in self.hosts],
-            "switches": [{"name": s.name, "tier": s.tier}
-                         for s in self.switches],
-            "links": [{"a": l.a, "b": l.b, "latency_ns": l.latency_ns,
-                       "bytes_per_ns": l.bytes_per_ns}
-                      for l in self.links],
-            "ecmp": {"hash_salt": self.ecmp.hash_salt,
-                     "flowlet_gap_ns": self.ecmp.flowlet_gap_ns},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopologySpec":
-        version = data.get("version", TOPOLOGY_SCHEMA_VERSION)
-        if version > TOPOLOGY_SCHEMA_VERSION:
-            raise ValueError(
-                f"topology schema v{version} is newer than this code "
-                f"(v{TOPOLOGY_SCHEMA_VERSION})")
-        return cls(
-            kind=data["kind"],
-            hosts=tuple(
-                HostSpec(id=h["id"], name=h["name"],
-                         attach=h.get("attach", ""),
-                         containers=tuple(
-                             ContainerSpec(name=c["name"], ip=c["ip"])
-                             for c in h.get("containers", ())))
-                for h in data["hosts"]),
-            switches=tuple(SwitchSpec(name=s["name"],
-                                      tier=s.get("tier", "tor"))
-                           for s in data.get("switches", ())),
-            links=tuple(LinkSpec(a=l["a"], b=l["b"],
-                                 latency_ns=l["latency_ns"],
-                                 bytes_per_ns=l["bytes_per_ns"])
-                        for l in data.get("links", ())),
-            ecmp=EcmpSpec(**data.get("ecmp", {})))
 
 
 class Topology:

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a pure value: frozen dataclasses of tuples, so it
 is hashable (usable in :func:`repro.bench.runner.config_key` cache keys),
-picklable (survives the ``ProcessPoolExecutor`` fan-out), and has a
-versioned ``to_dict``/``from_dict`` pair like every other config object in
-the bench layer.  All randomness is derived from ``FaultPlan.seed`` via
+picklable (survives the ``ProcessPoolExecutor`` fan-out), and its
+``to_dict`` is the plan block of the injector's summary.  All randomness
+is derived from ``FaultPlan.seed`` via
 :meth:`repro.sim.rng.SeededRng.fork`, never from global state, so the same
 plan on the same scenario reproduces the same drops packet-for-packet.
 
@@ -166,23 +166,6 @@ class FaultPlan:
             "link_flaps": [_record_to_dict(f) for f in self.link_flaps],
             "retry": _record_to_dict(self.retry),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        schema = data.get("schema", FAULT_SCHEMA)
-        if schema != FAULT_SCHEMA:
-            raise ValueError(f"unsupported FaultPlan schema {schema!r}")
-        return cls(
-            seed=data["seed"],
-            ring_bursts=tuple(RingBurst(**b) for b in data["ring_bursts"]),
-            losses=tuple(PacketLoss(**l) for l in data["losses"]),
-            skb_alloc=(SkbAllocFailure(**data["skb_alloc"])
-                       if data.get("skb_alloc") else None),
-            irq_loss=(IrqLoss(**data["irq_loss"])
-                      if data.get("irq_loss") else None),
-            link_flaps=tuple(LinkFlap(**f) for f in data["link_flaps"]),
-            retry=RetryPolicy(**data["retry"]),
-        )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":

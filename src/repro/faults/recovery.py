@@ -7,7 +7,7 @@ exponential backoff schedule and the :class:`RecoveryStats` counter block
 that experiment results and telemetry surface.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.faults.plan import RetryPolicy
@@ -48,18 +48,7 @@ class RecoveryStats:
     duplicates: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sent": self.sent,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "gave_up": self.gave_up,
-            "duplicates": self.duplicates,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryStats":
-        return cls(**data)
+        return asdict(self)
 
 
 def merge_recovery(stats: List[RecoveryStats]) -> Dict[str, int]:

@@ -3,19 +3,15 @@
 :class:`FlowExportConfig` is the single spec object threaded through
 ``ExperimentConfig.flow_export`` / ``ClusterConfig.flow_export``.  Like
 ``FaultPlan`` and ``TopologySpec`` it is frozen and hashable (it rides
-inside frozen configs and cache keys) and serializes via versioned
-``to_dict``/``from_dict``.  Flow export only observes: measurement
+inside frozen configs and cache keys), and like them it is encoded by
+:func:`repro.bench.digest.jsonable`.  Flow export only observes: measurement
 digests hash no config and no flow records, so a run digests the same
 with export on or off.
 """
 
 import dataclasses
-from typing import Optional
 
 from repro.sim.units import MS
-
-#: Bump when the serialized config shape changes incompatibly.
-FLOW_CONFIG_SCHEMA = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,28 +47,3 @@ class FlowExportConfig:
             raise ValueError(f"max_flows must be >= 1: {self.max_flows}")
         if self.active_timeout_ns <= 0 or self.idle_timeout_ns <= 0:
             raise ValueError("flow timeouts must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": FLOW_CONFIG_SCHEMA,
-            "sample_rate": self.sample_rate,
-            "max_flows": self.max_flows,
-            "active_timeout_ns": self.active_timeout_ns,
-            "idle_timeout_ns": self.idle_timeout_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Optional[dict]) -> Optional["FlowExportConfig"]:
-        if data is None:
-            return None
-        schema = data.get("schema", FLOW_CONFIG_SCHEMA)
-        if schema != FLOW_CONFIG_SCHEMA:
-            raise ValueError(
-                f"unsupported flow-export config schema {schema} "
-                f"(supported: {FLOW_CONFIG_SCHEMA})")
-        return cls(
-            sample_rate=data["sample_rate"],
-            max_flows=data["max_flows"],
-            active_timeout_ns=data["active_timeout_ns"],
-            idle_timeout_ns=data["idle_timeout_ns"],
-        )

@@ -108,25 +108,6 @@ class FlowRecord:
             "reason": self.reason,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlowRecord":
-        schema = data.get("schema", FLOW_SCHEMA_VERSION)
-        if schema != FLOW_SCHEMA_VERSION:
-            raise ValueError(f"unsupported flow record schema {schema} "
-                             f"(supported: {FLOW_SCHEMA_VERSION})")
-        record = cls(data["scope"], data["src"], data["dst"],
-                     data["src_port"], data["dst_port"], data["proto"],
-                     data["cls"], data["first_ns"])
-        record.last_ns = data["last_ns"]
-        record.packets = data["packets"]
-        record.bytes = data["bytes"]
-        record.drops = data["drops"]
-        record.latency_sum_ns = data["latency_sum_ns"]
-        record.latency_samples = data["latency_samples"]
-        record.sites = {site: list(triple)
-                        for site, triple in data["sites"].items()}
-        record.reason = data["reason"]
-        return record
 
     def __repr__(self):
         return (f"FlowRecord({self.scope} {self.src}:{self.src_port}->"

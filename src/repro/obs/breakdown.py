@@ -159,14 +159,3 @@ class StageBreakdown:
                           "share": s.share} for s in self.segments],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StageBreakdown":
-        segments = tuple(
-            StageSegment(name=s["name"], mean_ns=s["mean_ns"],
-                         share=s["share"])
-            for s in data.get("segments", ()))  # type: ignore[index]
-        return cls(segments=segments,
-                   end_to_end_ns=float(data["end_to_end_ns"]),
-                   path=tuple(data.get("path", ())),  # type: ignore[arg-type]
-                   packets=int(data["packets"]),
-                   excluded=int(data["excluded"]))

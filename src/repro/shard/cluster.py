@@ -20,7 +20,7 @@ equal digests ⇔ identical simulation outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.bench.digest import jsonable, measurement_digest
@@ -129,54 +129,6 @@ class ClusterConfig:
                 placement[(src, dst, cls)] = base + (1 if i < rem else 0)
         return placement
 
-    # ------------------------------------------------------------------
-    # Serde (CLI / JSON reports)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "hosts": self.hosts,
-            "users": self.users,
-            "hi_fraction": self.hi_fraction,
-            "think_ns": self.think_ns,
-            "timeout_ns": self.timeout_ns,
-            "payload_len": self.payload_len,
-            "lo_payload_len": self.lo_payload_len,
-            "duration_ns": self.duration_ns,
-            "warmup_ns": self.warmup_ns,
-            "seed": self.seed,
-            "mode": self.mode.value,
-            "local_bg_pps": self.local_bg_pps,
-            "faults": self.faults.to_dict() if self.faults else None,
-            "topology": self.topology.to_dict(),
-            "flow_export": (self.flow_export.to_dict()
-                            if self.flow_export else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        data = dict(data)
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            # Fabric link knobs live on the spec, not on the config.
-            raise ValueError(
-                f"unknown cluster config keys {unknown}; link latency "
-                f"and bandwidth belong to the fabric spec, e.g. "
-                f"topology=Topology.mesh(n, latency_ns=..., "
-                f"bytes_per_ns=...)")
-        if data.get("mode") is not None:
-            data["mode"] = StackMode(data["mode"])
-        if data.get("faults"):
-            data["faults"] = FaultPlan.from_dict(data["faults"])
-        else:
-            data["faults"] = None
-        if data.get("topology") is not None:
-            data["topology"] = TopologySpec.from_dict(data["topology"])
-        if data.get("flow_export") is not None:
-            from repro.flows.config import FlowExportConfig
-            data["flow_export"] = FlowExportConfig.from_dict(
-                data["flow_export"])
-        return cls(**data)
-
 
 @dataclass
 class ClusterResult:
@@ -188,7 +140,7 @@ class ClusterResult:
     8-shard run of the same config must hash identically.
     """
 
-    config: Dict[str, Any]
+    config: ClusterConfig
     #: Per-host result dicts, sorted by host id.
     hosts: List[Dict[str, Any]]
     #: Merged hi-class latency summary (all hosts' samples pooled).

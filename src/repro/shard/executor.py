@@ -242,7 +242,7 @@ def _merge(config: ClusterConfig, host_results: Dict[int, dict], *,
             f"injected={injected_total} + pending={pending_total}")
 
     return ClusterResult(
-        config=config.to_dict(),
+        config=config,
         hosts=hosts,
         fg_latency=summarize_ns(samples),
         totals=totals,

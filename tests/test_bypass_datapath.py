@@ -9,12 +9,13 @@ restriction, and serialization neutrality of the new cost knobs.
 """
 
 import dataclasses
-import json
+import pickle
 
 import pytest
 
+from repro.bench.digest import jsonable
 from repro.bench.experiment import ExperimentConfig, run_experiment
-from repro.bench.runner import result_digest
+from repro.bench.runner import config_key, result_digest
 from repro.bench.testbed import build_testbed
 from repro.faults.plan import FaultPlan
 from repro.kernel.config import KernelConfig
@@ -164,15 +165,16 @@ class TestBuildTimeOnly:
 
 
 class TestSerializationNeutrality:
-    """New knobs round-trip through the config wire format, and a knob
-    a mode ignores leaves that mode's measurements untouched."""
+    """New knobs are encoded into the cache key and survive the trip to
+    a pool worker, and a knob a mode ignores leaves that mode's
+    measurements untouched."""
 
     def test_default_dict_writes_every_knob(self):
-        wire = ExperimentConfig(costs=CostModel(),
-                                kernel_config=KernelConfig()).to_dict()
+        wire = jsonable(ExperimentConfig(costs=CostModel(),
+                                         kernel_config=KernelConfig()))
         for name in ("bypass_stage_overhead_ns", "bypass_stage_cost_scale",
                      "irq_mod_epoch_ns", "irq_mod_max_ns"):
-            assert wire["costs"][name] == getattr(CostModel(), name)
+            assert wire["costs"][name] == jsonable(getattr(CostModel(), name))
         assert wire["kernel_config"]["irq_moderation"] == (
             KernelConfig().irq_moderation)
 
@@ -181,11 +183,13 @@ class TestSerializationNeutrality:
             costs=CostModel().replace(bypass_stage_cost_scale=0.25,
                                       irq_mod_max_ns=90_000),
             kernel_config=KernelConfig(irq_moderation="adaptive"))
-        wire = json.loads(json.dumps(config.to_dict()))
-        restored = ExperimentConfig.from_dict(wire)
+        restored = pickle.loads(pickle.dumps(config))
         assert restored == config
         assert restored.costs.bypass_stage_cost_scale == 0.25
         assert restored.kernel_config.irq_moderation == "adaptive"
+        default = ExperimentConfig(costs=CostModel(),
+                                   kernel_config=KernelConfig())
+        assert config_key(config) != config_key(default)
 
     def test_bypass_discount_scales_only_the_base(self):
         costs = CostModel()

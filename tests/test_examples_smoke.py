@@ -72,3 +72,50 @@ def test_quickstart_runs(capsys):
     out = capsys.readouterr().out
     assert "vanilla" in out and "prism-sync" in out
     assert "prism-batch" in out and "(Fig. 4)" in out
+
+
+@pytest.mark.slow
+def test_load_sweep_runs(capsys):
+    # 5 ms + 10 ms per cell instead of the shipped 40 ms + 200 ms.
+    module = load_example("load_sweep.py")
+    module.main(duration_ns=10_000_000, warmup_ns=5_000_000)
+    out = capsys.readouterr().out
+    assert "vanilla min/avg/p99 (us)" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert [int(row[0]) for row in rows] == [
+        bg // 1000 for bg in module.LOADS]
+    assert "Fig. 11" in out
+
+
+@pytest.mark.slow
+def test_memcached_tail_latency_runs(capsys):
+    # 5 ms + 10 ms per cell instead of the shipped 60 ms + 300 ms.
+    module = load_example("memcached_tail_latency.py")
+    module.main(duration_ns=10_000_000, warmup_ns=5_000_000)
+    out = capsys.readouterr().out
+    for label in ("vanilla/idle", "vanilla/busy", "prism-sync/idle",
+                  "prism-sync/busy"):
+        assert label in out
+    assert "ops/s" in out and "Paper:" in out
+
+
+@pytest.mark.slow
+def test_multilevel_priorities_runs(capsys):
+    # 5 ms + 10 ms per run instead of the shipped 50 ms + 250 ms.
+    module = load_example("multilevel_priorities.py")
+    module.main(duration_ns=10_000_000, warmup_ns=5_000_000)
+    out = capsys.readouterr().out
+    assert "binary (paper prototype)" in out and "widened" in out
+    assert out.count("gold") >= 2 and out.count("silver") >= 2
+
+
+def test_package_docstring_quick_start_runs():
+    """The quick start in ``repro``'s docstring runs as written."""
+    import doctest
+
+    import repro
+
+    failed, attempted = doctest.testmod(repro)
+    assert attempted > 0
+    assert failed == 0

@@ -8,7 +8,8 @@ from repro.fabric import (FabricNetwork, Topology, ecmp_index,
                           min_path_latency_ns)
 from repro.fabric.ecmp import FlowletTable
 from repro.overlay.wirefmt import CLS_CODE, KIND_CODE, WireBatch
-from repro.shard.cluster import ClusterConfig, cluster_digest
+from repro.bench.digest import jsonable
+from repro.shard.cluster import ClusterConfig, ClusterResult, cluster_digest
 from repro.shard.executor import run_cluster
 from repro.shard.worker import partition_hosts
 from repro.sim.units import MS
@@ -208,19 +209,15 @@ class TestFabricCluster:
         assert mesh.lookahead_ns == 70_000
 
     def test_topology_round_trips_through_to_dict(self):
-        config = small_config()
-        assert config.to_dict()["topology"] == FAT8.to_dict()
-        assert ClusterConfig.from_dict(config.to_dict()) == config
-        default = ClusterConfig(hosts=4)
-        assert default.topology == Topology.mesh(4)
-        assert default.to_dict()["topology"] == Topology.mesh(4).to_dict()
-        assert ClusterConfig.from_dict(default.to_dict()) == default
-
-    def test_removed_fabric_knobs_rejected_by_from_dict(self):
-        data = ClusterConfig(hosts=4).to_dict()
-        data["fabric_latency_ns"] = 50_000
-        with pytest.raises(ValueError, match=r"Topology\.mesh"):
-            ClusterConfig.from_dict(data)
+        """A cluster result holds its config; ``to_dict`` encodes it,
+        topology included, with :func:`jsonable`."""
+        for config, spec in ((small_config(), FAT8),
+                             (ClusterConfig(hosts=4), Topology.mesh(4))):
+            assert config.topology == spec
+            result = ClusterResult(config=config, hosts=[], fg_latency=None,
+                                   totals={}, conservation={}, fabric={})
+            assert result.config is config
+            assert result.to_dict()["config"]["topology"] == jsonable(spec)
 
     def test_host_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="describes 8 hosts"):

@@ -157,7 +157,7 @@ def test_faulted_result_round_trips():
         **FAST)
     result = run_experiment(config)
     from repro.bench.experiment import ExperimentResult
-    clone = ExperimentResult.from_dict(result.to_dict())
+    clone = ExperimentResult.from_dict(result.to_dict(), result.config)
     assert clone.conservation == result.conservation
     assert clone.recovery == result.recovery
     assert clone.fault_summary == result.fault_summary

@@ -69,7 +69,11 @@ class TestBackoffSchedule:
     def test_stats_round_trip(self):
         stats = RecoveryStats("x", sent=5, retries=1, timeouts=2,
                               gave_up=3, duplicates=4)
-        assert RecoveryStats.from_dict(stats.to_dict()) == stats
+        # to_dict writes every field under its own name: the
+        # ``recovery.clients`` block the result digest hashes.
+        assert list(stats.to_dict()) == ["name", "sent", "retries",
+                                         "timeouts", "gave_up", "duplicates"]
+        assert RecoveryStats(**stats.to_dict()) == stats
 
 
 def _memaslap_under_burst(retry: bool):

@@ -110,10 +110,6 @@ class TestValidation:
         accepted and ignored."""
         with pytest.raises(TypeError):
             Scenario().kernel(rps_enabled=True)
-        data = Scenario().kernel(napi_weight=16).build().to_dict()
-        data["kernel_config"]["rps_enabled"] = True
-        with pytest.raises(TypeError):
-            ExperimentConfig.from_dict(data)
 
 
 class TestExecution:

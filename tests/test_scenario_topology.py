@@ -1,10 +1,12 @@
 """Scenario / Topology: the two-host pair is ``network`` plus the cost
 model's wire fields; a cluster runs on a ``TopologySpec``."""
 
+import pickle
 import warnings
 
 import pytest
 
+from repro.bench.digest import jsonable
 from repro.bench.experiment import ExperimentConfig
 from repro.fabric.spec import Topology
 from repro.scenario import ClusterScenario, Scenario
@@ -65,7 +67,7 @@ class TestClusterDispatch:
 class TestExperimentConfigSerde:
     def test_topology_absent_when_none(self):
         # The pair is named by ``network`` alone: no topology field.
-        assert "topology" not in ExperimentConfig().to_dict()
+        assert "topology" not in jsonable(ExperimentConfig())
         assert not hasattr(ExperimentConfig(), "topology")
 
     def test_round_trip_with_topology(self):
@@ -73,10 +75,10 @@ class TestExperimentConfigSerde:
         # network string plus the cost model's wire fields.
         config = (Scenario(network="host")
                   .costs(wire_latency_ns=9_000).build())
-        data = config.to_dict()
+        data = jsonable(config)
         assert data["network"] == "host"
         assert data["costs"]["wire_latency_ns"] == 9_000
-        assert ExperimentConfig.from_dict(data) == config
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestClusterCli:

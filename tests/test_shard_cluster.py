@@ -18,12 +18,16 @@ changes *what* it computes.  These tests pin that promise:
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.experiment import ExperimentConfig, run_experiment
 from repro.bench.cell import ExperimentCell
+from repro.bench.digest import jsonable
 from repro.bench.runner import result_digest
 from repro.fabric.spec import Topology
 from repro.faults.plan import FaultPlan, PacketLoss
@@ -193,9 +197,15 @@ def test_lookahead_violation_is_detected():
 
 
 def test_cluster_config_roundtrips_through_dict():
+    """Shard subprocesses get the config pickled; ``ClusterResult.to_dict``
+    writes its :func:`jsonable` dict, which survives JSON unchanged."""
     plan = FaultPlan(losses=(PacketLoss(site="eth", p=0.01),))
     config = _small_cluster(mode=StackMode.PRISM_SYNC, faults=plan)
-    assert ClusterConfig.from_dict(config.to_dict()) == config
+    assert pickle.loads(pickle.dumps(config)) == config
+    data = jsonable(config)
+    assert json.loads(json.dumps(data)) == data
+    assert data["mode"] == ["StackMode", "prism-sync"]
+    assert data["faults"]["losses"][0]["p"] == repr(0.01)
 
 
 def test_wire_format_roundtrip_and_ordering():

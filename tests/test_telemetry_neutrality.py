@@ -184,6 +184,7 @@ class TestInstrumentedRunContents:
             self, observed):
         from repro.bench.experiment import ExperimentResult
 
-        clone = ExperimentResult.from_dict(observed.result.to_dict())
+        clone = ExperimentResult.from_dict(observed.result.to_dict(),
+                                           observed.result.config)
         assert clone.telemetry == observed.result.telemetry
         assert result_digest(clone) == result_digest(observed.result)
